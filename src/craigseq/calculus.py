@@ -3,8 +3,9 @@
 A sequent is a pair of canonically ordered formula sets.  A derivation is a
 tree in which every node records the sequent it claims to derive; the checker
 ``resolve_rule`` reconstructs, for a single node, the rule instance that
-justifies the node from its premises, and ``is_wellformed`` does so for every
-node of a tree.
+justifies the node from its premises.  ``_resolved_preorder`` does so for every
+node of a tree in one explicit-stack pass; ``is_wellformed``, the interpolator
+and ``craigseq check`` all read the tree through it.
 """
 from __future__ import annotations
 
@@ -311,14 +312,12 @@ class RuleInstance:
     """A fully determined rule application recovered by ``resolve_rule``.
 
     Only the fields meaningful for ``kind`` are populated: ``analysed`` is the
-    principal (or shared, or weakened) formula, ``components`` the two direct
-    subformulas for the binary-connective rules, ``eigen`` the eigenvariable of
+    principal (or shared, or weakened) formula, ``eigen`` the eigenvariable of
     AllR/ExL, and ``term`` the instantiating variable of AllL/ExR.
     """
 
     kind: str
     analysed: Formula | None = None
-    components: tuple[Formula, Formula] | None = None
     eigen: VarId | None = None
     term: VarId | None = None
 
@@ -353,7 +352,7 @@ def resolve_rule(d: Derivation) -> RuleInstance | None:
         sub = root(d.sub)
         for f in gamma:
             if isinstance(f, And) and sub == Sequent(gamma | fset(f.left, f.right), delta):
-                return RuleInstance("AndL", analysed=f, components=(f.left, f.right))
+                return RuleInstance("AndL", analysed=f)
         return None
 
     if isinstance(d, AndR):
@@ -364,7 +363,7 @@ def resolve_rule(d: Derivation) -> RuleInstance | None:
                 and left == Sequent(gamma, delta.add(f.left))
                 and right == Sequent(gamma, delta.add(f.right))
             ):
-                return RuleInstance("AndR", analysed=f, components=(f.left, f.right))
+                return RuleInstance("AndR", analysed=f)
         return None
 
     if isinstance(d, OrL):
@@ -375,14 +374,14 @@ def resolve_rule(d: Derivation) -> RuleInstance | None:
                 and left == Sequent(gamma.add(f.left), delta)
                 and right == Sequent(gamma.add(f.right), delta)
             ):
-                return RuleInstance("OrL", analysed=f, components=(f.left, f.right))
+                return RuleInstance("OrL", analysed=f)
         return None
 
     if isinstance(d, OrR):
         sub = root(d.sub)
         for f in delta:
             if isinstance(f, Or) and sub == Sequent(gamma, delta | fset(f.left, f.right)):
-                return RuleInstance("OrR", analysed=f, components=(f.left, f.right))
+                return RuleInstance("OrR", analysed=f)
         return None
 
     if isinstance(d, NotL):
@@ -482,12 +481,23 @@ def resolve_rule(d: Derivation) -> RuleInstance | None:
     raise TypeError(f"not a derivation: {d!r}")
 
 
+def _resolved_preorder(d: Derivation) -> Iterator[tuple[str, Derivation, RuleInstance | None]]:
+    """Yield ``(path, node, resolve_rule(node))`` for every node, in preorder.
+
+    The root's path is ``ε``; the i-th premise of the node at path ``p`` has
+    path ``i`` below the root and ``p.i`` below that.  An explicit stack keeps
+    the walk free of CPython's recursion limit.
+    """
+    stack: list[tuple[str, Derivation]] = [("", d)]
+    while stack:
+        path, node = stack.pop()
+        yield path or "ε", node, resolve_rule(node)
+        prefix = f"{path}." if path else ""
+        subs = premises(node)
+        for i in range(len(subs) - 1, -1, -1):
+            stack.append((f"{prefix}{i}", subs[i]))
+
+
 def is_wellformed(d: Derivation) -> bool:
     """True when every node of the tree is justified by some rule instance."""
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if resolve_rule(node) is None:
-            return False
-        stack.extend(premises(node))
-    return True
+    return all(rule is not None for _, _, rule in _resolved_preorder(d))

@@ -5,7 +5,8 @@ justifying every node, ``interpolate`` runs interpolation on a problem file
 (or a bare derivation with ``--weak``) and prints the result plus its
 verification report, and ``verify`` re-checks a stored result against a
 problem file.  Exit status: 0 success, 1 contract failure (bad derivation,
-mismatched split, failing report), 2 usage or parse error.
+mismatched split, failing report), 2 usage or parse error, or an input too
+deep or too large for the interpreter's stack or memory.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .calculus import EMPTY, Derivation, premises, resolve_rule, root
+from .calculus import EMPTY, _resolved_preorder, root
 from .formulas import Formula
 from .interpolation import (
     InterpolationError,
@@ -56,21 +57,13 @@ def cmd_check(path: str) -> int:
     """Print one line per node (preorder, root path ε) and a summary."""
     d = parse_derivation(_read(path))
     first_bad: str | None = None
-
-    def walk(node: Derivation, path_str: str) -> None:
-        nonlocal first_bad
-        label = path_str or "ε"
-        inst = resolve_rule(node)
+    for label, node, inst in _resolved_preorder(d):
         if inst is None:
             print(f"{label}: {node.tag} UNRESOLVED")
             if first_bad is None:
                 first_bad = label
         else:
             print(f"{label}: {_describe(inst)}")
-        for i, child in enumerate(premises(node)):
-            walk(child, f"{path_str}.{i}" if path_str else str(i))
-
-    walk(d, "")
     if first_bad is None:
         print("PASS")
         return 0
@@ -154,6 +147,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RootMismatchError, InterpolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too deep or too large to process ({type(exc).__name__})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,11 +6,23 @@ wellformed derivations witnessing Γ1 ⊢ Δ1, C and C, Γ2 ⊢ Δ2.  The interp
 uses predicates positively (negatively) only where allowed by the polarities of
 both halves of the split; ``verify`` checks all of that syntactically, without
 trusting the construction.
+
+The construction is an induction on the derivation.  One pass of
+``calculus._resolved_preorder`` resolves the rule instance of every node; the
+induction then dispatches on each node's rule through the table ``_CASES``.
+A row names one of six steps and, where the step needs them, the side ("g"
+antecedent, "d" succedent) of the principal formula, the formulas the premise
+adds and the side they go to.  The steps cover the mirror pairs once each:
+``_init``; ``_axiom`` (BotL, TopR); ``_unary`` (AndL, OrR, NotL, NotR, AllL,
+ExR); ``_weaken`` (WL, WR); ``_branching`` (AndR, OrL); ``_eigen`` (AllR,
+ExL).  In each step the part of the split that owns the principal formula
+decides the case, named ``<rule>-<side><part>`` in ``CASE_NAMES``.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from .calculus import (
     AllL,
@@ -32,9 +44,9 @@ from .calculus import (
     TopR,
     WL,
     WR,
+    _resolved_preorder,
     fset,
     is_wellformed,
-    resolve_rule,
     root,
 )
 from .formulas import (
@@ -158,14 +170,13 @@ def _hit(name: str) -> None:
 
 def interpolate_strong(d: Derivation, split: SplitSequent) -> InterpolationResult:
     """Interpolate a wellformed derivation along a split of its root."""
-    if not is_wellformed(d):
-        raise NotWellFormedError("derivation is not wellformed")
+    rules = _rule_table(d)
     if not split.matches(root(d)):
         raise SplitMismatchError(
             "split does not recombine to the derivation root: "
             f"{split.sequent()!r} vs {root(d)!r}"
         )
-    return _interpolate(d, split)
+    return _interpolate(d, split, rules)
 
 
 def interpolate(d: Derivation) -> InterpolationResult:
@@ -174,51 +185,67 @@ def interpolate(d: Derivation) -> InterpolationResult:
     return interpolate_strong(d, SplitSequent(seq.antecedent, FormulaSet(), FormulaSet(), seq.succedent))
 
 
-def _rule(d: Derivation) -> RuleInstance:
-    inst_ = resolve_rule(d)
-    if inst_ is None:  # entry point validated wellformedness, so this cannot happen
-        raise UnreachableCaseError(f"unresolvable node in validated derivation: {d.tag}")
-    return inst_
+#: The rule instance of every node of a derivation, keyed by ``id(node)``.
+_RuleTable = dict[int, RuleInstance]
 
 
-def _interpolate(d: Derivation, split: SplitSequent) -> InterpolationResult:
+def _rule_table(d: Derivation) -> _RuleTable:
+    """Resolve every node of ``d`` once; the first unresolved node fails."""
+    rules: _RuleTable = {}
+    for _, node, rule in _resolved_preorder(d):
+        if rule is None:
+            raise NotWellFormedError("derivation is not wellformed")
+        rules[id(node)] = rule
+    return rules
+
+
+def _interpolate(d: Derivation, split: SplitSequent, rules: _RuleTable | None = None) -> InterpolationResult:
+    """Run the case of ``d``'s rule; its premises recurse back here.
+
+    ``rules`` comes from ``_rule_table(d)``, which is built here when missing.
+    """
+    if rules is None:
+        rules = _rule_table(d)
+    case = _CASES[d.tag]
+    return case.step(d, case, rules[id(d)], split, rules)
+
+
+# A split's parts are named by side and part: "g1", "g2" (antecedent) and
+# "d1", "d2" (succedent).
+_FIELDS = {"g1": "gamma1", "g2": "gamma2", "d1": "delta1", "d2": "delta2"}
+
+
+def _owner(d: Derivation, side: str, f: Formula, split: SplitSequent) -> str:
+    """Count and return the part, "1" or "2", of ``side`` that holds ``f``.
+
+    A formula in both parts belongs to part 1.
+    """
+    k = "1" if f in getattr(split, _FIELDS[side + "1"]) else "2"
+    _hit(f"{d.tag.lower()}-{side}{k}")
+    return k
+
+
+def _extend(split: SplitSequent, part: str, formulas: tuple[Formula, ...]) -> SplitSequent:
+    """``split`` with ``formulas`` added to one part."""
+    fs = getattr(split, _FIELDS[part])
+    for f in formulas:
+        fs = fs.add(f)
+    return replace(split, **{_FIELDS[part]: fs})
+
+
+def _wrap(rule: type, split: SplitSequent, res: InterpolationResult, left: bool, right: bool) -> InterpolationResult:
+    """Re-apply ``rule`` below the left and/or right witness of ``res``."""
+    c = res.interpolant
+    return InterpolationResult(
+        c,
+        rule(Sequent(split.gamma1, split.delta1.add(c)), res.left_witness) if left else res.left_witness,
+        rule(Sequent(split.gamma2.add(c), split.delta2), res.right_witness) if right else res.right_witness,
+    )
+
+
+def _init(d: Init, case: _Case, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
     g1, g2 = split.gamma1, split.gamma2
     d1, d2 = split.delta1, split.delta2
-
-    if isinstance(d, Init):
-        return _interp_init(g1, g2, d1, d2)
-    if isinstance(d, BotL):
-        return _interp_botl(g1, g2, d1, d2)
-    if isinstance(d, TopR):
-        return _interp_topr(g1, g2, d1, d2)
-    if isinstance(d, AndL):
-        return _interp_andl(d, g1, g2, d1, d2)
-    if isinstance(d, AndR):
-        return _interp_andr(d, g1, g2, d1, d2)
-    if isinstance(d, OrL):
-        return _interp_orl(d, g1, g2, d1, d2)
-    if isinstance(d, OrR):
-        return _interp_orr(d, g1, g2, d1, d2)
-    if isinstance(d, NotL):
-        return _interp_notl(d, g1, g2, d1, d2)
-    if isinstance(d, NotR):
-        return _interp_notr(d, g1, g2, d1, d2)
-    if isinstance(d, AllL):
-        return _interp_alll(d, g1, g2, d1, d2)
-    if isinstance(d, AllR):
-        return _interp_allr(d, g1, g2, d1, d2)
-    if isinstance(d, ExL):
-        return _interp_exl(d, g1, g2, d1, d2)
-    if isinstance(d, ExR):
-        return _interp_exr(d, g1, g2, d1, d2)
-    if isinstance(d, WL):
-        return _interp_wl(d, g1, g2, d1, d2)
-    if isinstance(d, WR):
-        return _interp_wr(d, g1, g2, d1, d2)
-    raise TypeError(f"not a derivation: {d!r}")
-
-
-def _interp_init(g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
     for a in g1:
         if a in d1:
             _hit("init-g1d1")
@@ -255,358 +282,179 @@ def _interp_init(g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet)
     raise UnreachableCaseError("Init node with no shared formula in any part pair")
 
 
-def _interp_botl(g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    if BOT in g1:
-        _hit("botl-g1")
-        return InterpolationResult(
-            BOT,
-            BotL(Sequent(g1, d1.add(BOT))),
-            BotL(Sequent(g2.add(BOT), d2)),
-        )
-    if BOT in g2:
-        _hit("botl-g2")
-        return InterpolationResult(
-            TOP,
-            TopR(Sequent(g1, d1.add(TOP))),
-            BotL(Sequent(g2.add(TOP), d2)),
-        )
-    raise UnreachableCaseError("BotL node with falsum in neither antecedent part")
+def _axiom(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+    """BotL, TopR: the constant in part 1 gives the interpolant ⊥, in part 2 ⊤."""
+    g1, g2 = split.gamma1, split.gamma2
+    d1, d2 = split.delta1, split.delta2
+    axiom = type(d)
+    if all(rule.analysed not in getattr(split, _FIELDS[case.side + k]) for k in "12"):
+        raise UnreachableCaseError(f"{d.tag} node with its constant in neither part")
+    if _owner(d, case.side, rule.analysed, split) == "1":
+        return InterpolationResult(BOT, axiom(Sequent(g1, d1.add(BOT))), BotL(Sequent(g2.add(BOT), d2)))
+    return InterpolationResult(TOP, TopR(Sequent(g1, d1.add(TOP))), axiom(Sequent(g2.add(TOP), d2)))
 
 
-def _interp_topr(g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    if TOP in d1:
-        _hit("topr-d1")
-        return InterpolationResult(
-            BOT,
-            TopR(Sequent(g1, d1.add(BOT))),
-            BotL(Sequent(g2.add(BOT), d2)),
-        )
-    if TOP in d2:
-        _hit("topr-d2")
-        return InterpolationResult(
-            TOP,
-            TopR(Sequent(g1, d1.add(TOP))),
-            TopR(Sequent(g2.add(TOP), d2)),
-        )
-    raise UnreachableCaseError("TopR node with verum in neither succedent part")
-
-
-def _interp_andl(d: AndL, g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    f = _rule(d).analysed
-    assert isinstance(f, And)
-    a, b = f.left, f.right
-    if f in g1:
-        _hit("andl-g1")
-        res = _interpolate(d.sub, SplitSequent(g1 | fset(a, b), g2, d1, d2))
-        c = res.interpolant
-        return InterpolationResult(
-            c,
-            AndL(Sequent(g1, d1.add(c)), res.left_witness),
-            res.right_witness,
-        )
-    _hit("andl-g2")
-    res = _interpolate(d.sub, SplitSequent(g1, g2 | fset(a, b), d1, d2))
-    c = res.interpolant
-    return InterpolationResult(
-        c,
-        res.left_witness,
-        AndL(Sequent(g2.add(c), d2), res.right_witness),
-    )
-
-
-def _interp_orr(d: OrR, g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    f = _rule(d).analysed
-    assert isinstance(f, Or)
-    a, b = f.left, f.right
-    if f in d1:
-        _hit("orr-d1")
-        res = _interpolate(d.sub, SplitSequent(g1, g2, d1 | fset(a, b), d2))
-        c = res.interpolant
-        return InterpolationResult(
-            c,
-            OrR(Sequent(g1, d1.add(c)), res.left_witness),
-            res.right_witness,
-        )
-    _hit("orr-d2")
-    res = _interpolate(d.sub, SplitSequent(g1, g2, d1, d2 | fset(a, b)))
-    c = res.interpolant
-    return InterpolationResult(
-        c,
-        res.left_witness,
-        OrR(Sequent(g2.add(c), d2), res.right_witness),
-    )
-
-
-def _interp_notl(d: NotL, g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    f = _rule(d).analysed
-    assert isinstance(f, Not)
-    a = f.sub
-    if f in g1:
-        _hit("notl-g1")
-        res = _interpolate(d.sub, SplitSequent(g1, g2, d1.add(a), d2))
-        c = res.interpolant
-        return InterpolationResult(
-            c,
-            NotL(Sequent(g1, d1.add(c)), res.left_witness),
-            res.right_witness,
-        )
-    _hit("notl-g2")
-    res = _interpolate(d.sub, SplitSequent(g1, g2, d1, d2.add(a)))
-    c = res.interpolant
-    return InterpolationResult(
-        c,
-        res.left_witness,
-        NotL(Sequent(g2.add(c), d2), res.right_witness),
-    )
-
-
-def _interp_notr(d: NotR, g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    f = _rule(d).analysed
-    assert isinstance(f, Not)
-    a = f.sub
-    if f in d1:
-        _hit("notr-d1")
-        res = _interpolate(d.sub, SplitSequent(g1.add(a), g2, d1, d2))
-        c = res.interpolant
-        return InterpolationResult(
-            c,
-            NotR(Sequent(g1, d1.add(c)), res.left_witness),
-            res.right_witness,
-        )
-    _hit("notr-d2")
-    res = _interpolate(d.sub, SplitSequent(g1, g2.add(a), d1, d2))
-    c = res.interpolant
-    return InterpolationResult(
-        c,
-        res.left_witness,
-        NotR(Sequent(g2.add(c), d2), res.right_witness),
-    )
-
-
-def _interp_andr(d: AndR, g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    f = _rule(d).analysed
-    assert isinstance(f, And)
-    a, b = f.left, f.right
-    if f in d1:
-        _hit("andr-d1")
-        resl = _interpolate(d.left, SplitSequent(g1, g2, d1.add(a), d2))
-        resr = _interpolate(d.right, SplitSequent(g1, g2, d1.add(b), d2))
-        cl, cr = resl.interpolant, resr.interpolant
-        c = Or(cl, cr)
-        n1 = WR(Sequent(g1, d1 | fset(a, cl, c)), resl.left_witness)
-        n2 = WR(Sequent(g1, d1 | fset(a, cl, c, cr)), n1)
-        n3 = OrR(Sequent(g1, d1 | fset(a, c)), n2)
-        m1 = WR(Sequent(g1, d1 | fset(b, cr, c)), resr.left_witness)
-        m2 = WR(Sequent(g1, d1 | fset(b, cr, c, cl)), m1)
-        m3 = OrR(Sequent(g1, d1 | fset(b, c)), m2)
-        dl = AndR(Sequent(g1, d1.add(c)), n3, m3)
-        p1 = WL(Sequent(g2 | fset(c, cl), d2), resl.right_witness)
-        q1 = WL(Sequent(g2 | fset(c, cr), d2), resr.right_witness)
-        dr = OrL(Sequent(g2.add(c), d2), p1, q1)
-        return InterpolationResult(c, dl, dr)
-    _hit("andr-d2")
-    resl = _interpolate(d.left, SplitSequent(g1, g2, d1, d2.add(a)))
-    resr = _interpolate(d.right, SplitSequent(g1, g2, d1, d2.add(b)))
-    cl, cr = resl.interpolant, resr.interpolant
-    c = And(cl, cr)
-    n1 = WR(Sequent(g1, d1 | fset(cl, c)), resl.left_witness)
-    m1 = WR(Sequent(g1, d1 | fset(cr, c)), resr.left_witness)
-    dl = AndR(Sequent(g1, d1.add(c)), n1, m1)
-    p1 = WL(Sequent(g2 | fset(cr, cl), d2.add(a)), resl.right_witness)
-    p2 = WL(Sequent(g2 | fset(c, cr, cl), d2.add(a)), p1)
-    p3 = AndL(Sequent(g2.add(c), d2.add(a)), p2)
-    q1 = WL(Sequent(g2 | fset(cl, cr), d2.add(b)), resr.right_witness)
-    q2 = WL(Sequent(g2 | fset(c, cl, cr), d2.add(b)), q1)
-    q3 = AndL(Sequent(g2.add(c), d2.add(b)), q2)
-    dr = AndR(Sequent(g2.add(c), d2), p3, q3)
-    return InterpolationResult(c, dl, dr)
-
-
-def _interp_orl(d: OrL, g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    f = _rule(d).analysed
-    assert isinstance(f, Or)
-    a, b = f.left, f.right
-    if f in g1:
-        _hit("orl-g1")
-        resl = _interpolate(d.left, SplitSequent(g1.add(a), g2, d1, d2))
-        resr = _interpolate(d.right, SplitSequent(g1.add(b), g2, d1, d2))
-        cl, cr = resl.interpolant, resr.interpolant
-        c = Or(cl, cr)
-        n1 = WR(Sequent(g1.add(a), d1 | fset(cl, c)), resl.left_witness)
-        n2 = WR(Sequent(g1.add(a), d1 | fset(cl, c, cr)), n1)
-        n3 = OrR(Sequent(g1.add(a), d1.add(c)), n2)
-        m1 = WR(Sequent(g1.add(b), d1 | fset(cr, c)), resr.left_witness)
-        m2 = WR(Sequent(g1.add(b), d1 | fset(cr, c, cl)), m1)
-        m3 = OrR(Sequent(g1.add(b), d1.add(c)), m2)
-        dl = OrL(Sequent(g1, d1.add(c)), n3, m3)
-        p1 = WL(Sequent(g2 | fset(c, cl), d2), resl.right_witness)
-        q1 = WL(Sequent(g2 | fset(c, cr), d2), resr.right_witness)
-        dr = OrL(Sequent(g2.add(c), d2), p1, q1)
-        return InterpolationResult(c, dl, dr)
-    _hit("orl-g2")
-    resl = _interpolate(d.left, SplitSequent(g1, g2.add(a), d1, d2))
-    resr = _interpolate(d.right, SplitSequent(g1, g2.add(b), d1, d2))
-    cl, cr = resl.interpolant, resr.interpolant
-    c = And(cl, cr)
-    n1 = WR(Sequent(g1, d1 | fset(cl, c)), resl.left_witness)
-    m1 = WR(Sequent(g1, d1 | fset(cr, c)), resr.left_witness)
-    dl = AndR(Sequent(g1, d1.add(c)), n1, m1)
-    p1 = WL(Sequent(g2 | fset(a, cr, cl), d2), resl.right_witness)
-    p2 = WL(Sequent(g2 | fset(a, c, cr, cl), d2), p1)
-    p3 = AndL(Sequent(g2 | fset(a, c), d2), p2)
-    q1 = WL(Sequent(g2 | fset(b, cl, cr), d2), resr.right_witness)
-    q2 = WL(Sequent(g2 | fset(b, c, cl, cr), d2), q1)
-    q3 = AndL(Sequent(g2 | fset(b, c), d2), q2)
-    dr = OrL(Sequent(g2.add(c), d2), p3, q3)
-    return InterpolationResult(c, dl, dr)
-
-
-def _interp_alll(d: AllL, g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    rule = _rule(d)
+def _unary(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+    """AndL, OrR, NotL, NotR, AllL, ExR: the premise's new formulas join the
+    part that owns the principal formula, and that part's witness re-applies
+    the rule."""
     f = rule.analysed
-    assert isinstance(f, FAll) and rule.term is not None
-    e = inst("all", rule.term, f)
-    if f in g1:
-        _hit("alll-g1")
-        res = _interpolate(d.sub, SplitSequent(g1.add(e), g2, d1, d2))
-        c = res.interpolant
-        return InterpolationResult(
-            c,
-            AllL(Sequent(g1, d1.add(c)), res.left_witness),
-            res.right_witness,
-        )
-    _hit("alll-g2")
-    res = _interpolate(d.sub, SplitSequent(g1, g2.add(e), d1, d2))
-    c = res.interpolant
-    return InterpolationResult(
-        c,
-        res.left_witness,
-        AllL(Sequent(g2.add(c), d2), res.right_witness),
-    )
+    k = _owner(d, case.side, f, split)
+    res = _interpolate(d.sub, _extend(split, case.target + k, case.adds(f, rule)), rules)
+    return _wrap(type(d), split, res, k == "1", k == "2")
 
 
-def _interp_exr(d: ExR, g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    rule = _rule(d)
+def _weaken(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+    """WL, WR: each part keeps only the premise's formulas, and every part that
+    holds the weakened formula re-weakens its witness."""
     f = rule.analysed
-    assert isinstance(f, FEx) and rule.term is not None
-    e = inst("ex", rule.term, f)
-    if f in d1:
-        _hit("exr-d1")
-        res = _interpolate(d.sub, SplitSequent(g1, g2, d1.add(e), d2))
-        c = res.interpolant
-        return InterpolationResult(
-            c,
-            ExR(Sequent(g1, d1.add(c)), res.left_witness),
-            res.right_witness,
-        )
-    _hit("exr-d2")
-    res = _interpolate(d.sub, SplitSequent(g1, g2, d1, d2.add(e)))
-    c = res.interpolant
-    return InterpolationResult(
-        c,
-        res.left_witness,
-        ExR(Sequent(g2.add(c), d2), res.right_witness),
-    )
-
-
-def _interp_allr(d: AllR, g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    rule = _rule(d)
-    f = rule.analysed
-    assert isinstance(f, FAll) and rule.eigen is not None
-    a = rule.eigen
-    body = inst("all", a, f)
-    if f in d1:
-        _hit("allr-d1")
-        res = _interpolate(d.sub, SplitSequent(g1, g2, d1.add(body), d2))
-        cp = res.interpolant
-        c = bind("ex", a, cp)
-        w1 = WR(Sequent(g1, d1 | fset(body, cp, c)), res.left_witness)
-        w2 = ExR(Sequent(g1, d1 | fset(body, c)), w1)
-        dl = AllR(Sequent(g1, d1.add(c)), w2)
-        v1 = WL(Sequent(g2 | fset(c, cp), d2), res.right_witness)
-        dr = ExL(Sequent(g2.add(c), d2), v1)
-        return InterpolationResult(c, dl, dr)
-    _hit("allr-d2")
-    res = _interpolate(d.sub, SplitSequent(g1, g2, d1, d2.add(body)))
-    cp = res.interpolant
-    c = bind("all", a, cp)
-    w1 = WR(Sequent(g1, d1 | fset(cp, c)), res.left_witness)
-    dl = AllR(Sequent(g1, d1.add(c)), w1)
-    v1 = WL(Sequent(g2 | fset(c, cp), d2.add(body)), res.right_witness)
-    v2 = AllL(Sequent(g2.add(c), d2.add(body)), v1)
-    dr = AllR(Sequent(g2.add(c), d2), v2)
-    return InterpolationResult(c, dl, dr)
-
-
-def _interp_exl(d: ExL, g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    rule = _rule(d)
-    f = rule.analysed
-    assert isinstance(f, FEx) and rule.eigen is not None
-    a = rule.eigen
-    body = inst("ex", a, f)
-    if f in g1:
-        _hit("exl-g1")
-        res = _interpolate(d.sub, SplitSequent(g1.add(body), g2, d1, d2))
-        cp = res.interpolant
-        c = bind("ex", a, cp)
-        w1 = WR(Sequent(g1.add(body), d1 | fset(cp, c)), res.left_witness)
-        w2 = ExR(Sequent(g1.add(body), d1.add(c)), w1)
-        dl = ExL(Sequent(g1, d1.add(c)), w2)
-        v1 = WL(Sequent(g2 | fset(c, cp), d2), res.right_witness)
-        dr = ExL(Sequent(g2.add(c), d2), v1)
-        return InterpolationResult(c, dl, dr)
-    _hit("exl-g2")
-    res = _interpolate(d.sub, SplitSequent(g1, g2.add(body), d1, d2))
-    cp = res.interpolant
-    c = bind("all", a, cp)
-    w1 = WR(Sequent(g1, d1 | fset(cp, c)), res.left_witness)
-    dl = AllR(Sequent(g1, d1.add(c)), w1)
-    v1 = WL(Sequent(g2 | fset(body, c, cp), d2), res.right_witness)
-    v2 = AllL(Sequent(g2 | fset(body, c), d2), v1)
-    dr = ExL(Sequent(g2.add(c), d2), v2)
-    return InterpolationResult(c, dl, dr)
-
-
-def _interp_wl(d: WL, g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    f = _rule(d).analysed
-    assert f is not None
-    in1, in2 = f in g1, f in g2
+    one, two = _FIELDS[case.side + "1"], _FIELDS[case.side + "2"]
+    in1, in2 = f in getattr(split, one), f in getattr(split, two)
+    name = d.tag.lower()
     if in1 and in2:
-        _hit("wl-both")
-    elif in1:
-        _hit("wl-g1-only")
-    elif in2:
-        _hit("wl-g2-only")
+        _hit(f"{name}-both")
+    elif in1 or in2:
+        _hit(f"{name}-{case.side}{1 if in1 else 2}-only")
     else:
-        _hit("wl-impossible")
-        raise UnreachableCaseError("weakened formula missing from both antecedent parts")
-    gp = root(d.sub).antecedent
-    res = _interpolate(d.sub, SplitSequent(gp & g1, gp & g2, d1, d2))
-    c = res.interpolant
-    dl = WL(Sequent(g1, d1.add(c)), res.left_witness) if in1 else res.left_witness
-    dr = WL(Sequent(g2.add(c), d2), res.right_witness) if in2 else res.right_witness
+        _hit(f"{name}-impossible")
+        side = "antecedent" if case.side == "g" else "succedent"
+        raise UnreachableCaseError(f"weakened formula missing from both {side} parts")
+    sub = root(d.sub)
+    kept = sub.antecedent if case.side == "g" else sub.succedent
+    premise = replace(split, **{one: kept & getattr(split, one), two: kept & getattr(split, two)})
+    res = _interpolate(d.sub, premise, rules)
+    return _wrap(type(d), split, res, in1, in2)
+
+
+def _branching(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+    """AndR, OrL: each premise adds its component to the owning part.
+
+    Part 1 joins the premise interpolants into C = Cl ∨ Cr, part 2 into
+    C = Cl ∧ Cr; the other part's witness combines both premise witnesses with
+    OrL or AndR.
+    """
+    f = rule.analysed
+    k = _owner(d, case.side, f, split)
+    left, right = (_extend(split, case.target + k, (a,)) for a in case.adds(f, rule))
+    resl = _interpolate(d.left, left, rules)
+    resr = _interpolate(d.right, right, rules)
+    cl, cr = resl.interpolant, resr.interpolant
+    g1, g2 = split.gamma1, split.gamma2
+    d1, d2 = split.delta1, split.delta2
+    if k == "1":
+        c = Or(cl, cr)
+
+        def disjoin(premise: SplitSequent, w: Derivation, ci: Formula, cj: Formula) -> Derivation:
+            g, dp = premise.gamma1, premise.delta1
+            w = WR(Sequent(g, dp | fset(ci, c)), w)
+            w = WR(Sequent(g, dp | fset(ci, c, cj)), w)
+            return OrR(Sequent(g, dp.add(c)), w)
+
+        dl = type(d)(
+            Sequent(g1, d1.add(c)),
+            disjoin(left, resl.left_witness, cl, cr),
+            disjoin(right, resr.left_witness, cr, cl),
+        )
+        dr = OrL(
+            Sequent(g2.add(c), d2),
+            WL(Sequent(g2 | fset(c, cl), d2), resl.right_witness),
+            WL(Sequent(g2 | fset(c, cr), d2), resr.right_witness),
+        )
+        return InterpolationResult(c, dl, dr)
+    c = And(cl, cr)
+
+    def conjoin(premise: SplitSequent, w: Derivation, ci: Formula, cj: Formula) -> Derivation:
+        g, dp = premise.gamma2, premise.delta2
+        w = WL(Sequent(g | fset(cj, ci), dp), w)
+        w = WL(Sequent(g | fset(c, cj, ci), dp), w)
+        return AndL(Sequent(g.add(c), dp), w)
+
+    dl = AndR(
+        Sequent(g1, d1.add(c)),
+        WR(Sequent(g1, d1 | fset(cl, c)), resl.left_witness),
+        WR(Sequent(g1, d1 | fset(cr, c)), resr.left_witness),
+    )
+    dr = type(d)(
+        Sequent(g2.add(c), d2),
+        conjoin(left, resl.right_witness, cl, cr),
+        conjoin(right, resr.right_witness, cr, cl),
+    )
     return InterpolationResult(c, dl, dr)
 
 
-def _interp_wr(d: WR, g1: FormulaSet, g2: FormulaSet, d1: FormulaSet, d2: FormulaSet) -> InterpolationResult:
-    f = _rule(d).analysed
-    assert f is not None
-    in1, in2 = f in d1, f in d2
-    if in1 and in2:
-        _hit("wr-both")
-    elif in1:
-        _hit("wr-d1-only")
-    elif in2:
-        _hit("wr-d2-only")
-    else:
-        _hit("wr-impossible")
-        raise UnreachableCaseError("weakened formula missing from both succedent parts")
-    dp = root(d.sub).succedent
-    res = _interpolate(d.sub, SplitSequent(g1, g2, dp & d1, dp & d2))
-    c = res.interpolant
-    dl = WR(Sequent(g1, d1.add(c)), res.left_witness) if in1 else res.left_witness
-    dr = WR(Sequent(g2.add(c), d2), res.right_witness) if in2 else res.right_witness
+def _eigen(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+    """AllR, ExL: the premise adds the instance at the eigenvariable a to the
+    owning part.  Part 1 closes the premise interpolant C' to ∃a.C', part 2
+    to ∀a.C'."""
+    f = rule.analysed
+    k = _owner(d, case.side, f, split)
+    premise = _extend(split, case.target + k, case.adds(f, rule))
+    res = _interpolate(d.sub, premise, rules)
+    cp = res.interpolant
+    g1, g2 = split.gamma1, split.gamma2
+    d1, d2 = split.delta1, split.delta2
+    if k == "1":
+        c = bind("ex", rule.eigen, cp)
+        g, dp = premise.gamma1, premise.delta1
+        w = WR(Sequent(g, dp | fset(cp, c)), res.left_witness)
+        w = ExR(Sequent(g, dp.add(c)), w)
+        dl = type(d)(Sequent(g1, d1.add(c)), w)
+        dr = ExL(Sequent(g2.add(c), d2), WL(Sequent(g2 | fset(c, cp), d2), res.right_witness))
+        return InterpolationResult(c, dl, dr)
+    c = bind("all", rule.eigen, cp)
+    dl = AllR(Sequent(g1, d1.add(c)), WR(Sequent(g1, d1 | fset(cp, c)), res.left_witness))
+    g, dp = premise.gamma2, premise.delta2
+    w = WL(Sequent(g | fset(c, cp), dp), res.right_witness)
+    w = AllL(Sequent(g.add(c), dp), w)
+    dr = type(d)(Sequent(g2.add(c), d2), w)
     return InterpolationResult(c, dl, dr)
+
+
+def _components(f: Formula, rule: RuleInstance) -> tuple[Formula, ...]:
+    return (f.left, f.right)
+
+
+def _negand(f: Formula, rule: RuleInstance) -> tuple[Formula, ...]:
+    return (f.sub,)
+
+
+def _instance(f: Formula, rule: RuleInstance) -> tuple[Formula, ...]:
+    """``f`` opened at the rule's term (AllL, ExR) or eigenvariable (AllR, ExL)."""
+    var = rule.term if rule.eigen is None else rule.eigen
+    return (inst("all" if isinstance(f, FAll) else "ex", var, f),)
+
+
+class _Case(NamedTuple):
+    """One row of the case table.
+
+    ``side`` ("g" or "d") is where the principal formula sits, ``adds`` gives
+    the formulas the premise adds (one per premise for AndR/OrL), and
+    ``target`` is the side they go to.
+    """
+
+    step: Callable[..., InterpolationResult]
+    side: str = ""
+    adds: Callable[[Formula, RuleInstance], tuple[Formula, ...]] | None = None
+    target: str = ""
+
+
+_CASES = {
+    "Init": _Case(_init),
+    "BotL": _Case(_axiom, "g"),
+    "TopR": _Case(_axiom, "d"),
+    "AndL": _Case(_unary, "g", _components, "g"),
+    "OrR": _Case(_unary, "d", _components, "d"),
+    "NotL": _Case(_unary, "g", _negand, "d"),
+    "NotR": _Case(_unary, "d", _negand, "g"),
+    "AllL": _Case(_unary, "g", _instance, "g"),
+    "ExR": _Case(_unary, "d", _instance, "d"),
+    "AndR": _Case(_branching, "d", _components, "d"),
+    "OrL": _Case(_branching, "g", _components, "g"),
+    "AllR": _Case(_eigen, "d", _instance, "d"),
+    "ExL": _Case(_eigen, "g", _instance, "g"),
+    "WL": _Case(_weaken, "g"),
+    "WR": _Case(_weaken, "d"),
+}
 
 
 #: Conjunct names of the verifier report, in output order.

@@ -37,8 +37,8 @@ from .calculus import (
     WL,
     WR,
     fset,
+    premises,
     root,
-    size,
 )
 from .formulas import (
     BOT,
@@ -319,17 +319,31 @@ def gen_derivation(cfg: GenConfig) -> Derivation:
         raise ValueError("max_pred must be at least 1")
     rng = SplitMix64(cfg.seed)
     d = _gen_leaf(rng, cfg)
+    nodes = 1
     misses = 0
-    while size(d) < cfg.max_nodes and misses < 64:
+    while nodes < cfg.max_nodes and misses < 64:
         grown = _grow(rng, cfg, d)
         if grown is None:
             misses += 1
             continue
-        if size(grown) > cfg.max_nodes:
+        grown_nodes = nodes + _nodes_above(grown, d)
+        if grown_nodes > cfg.max_nodes:
             break
-        d = grown
+        d, nodes = grown, grown_nodes
         misses = 0
     return d
+
+
+def _nodes_above(grown: Derivation, d: Derivation) -> int:
+    """Nodes of ``grown`` outside its subtree ``d``: what one ``_grow`` added."""
+    count = 0
+    stack = [grown]
+    while stack:
+        node = stack.pop()
+        if node is not d:
+            count += 1
+            stack.extend(premises(node))
+    return count
 
 
 def random_split(seq: Sequent, seed: int) -> SplitSequent:

@@ -117,14 +117,13 @@ def test_resolve_andl():
     inst_ = resolve_rule(d)
     assert inst_.kind == "AndL"
     assert inst_.analysed == And(p, q)
-    assert inst_.components == (p, q)
     assert inst_.eigen is None and inst_.term is None
 
 
 def test_resolve_andr_orl():
     s = Sequent(fset(p, q), fset(And(p, q)))
     d = AndR(s, Init(Sequent(fset(p, q), fset(And(p, q), p))), Init(Sequent(fset(p, q), fset(And(p, q), q))))
-    assert resolve_rule(d).components == (p, q)
+    assert resolve_rule(d).analysed == And(p, q)
     s2 = Sequent(fset(Or(p, q)), fset(p, q))
     d2 = OrL(s2, Init(Sequent(fset(Or(p, q), p), fset(p, q))), Init(Sequent(fset(Or(p, q), q), fset(p, q))))
     assert resolve_rule(d2).analysed == Or(p, q)

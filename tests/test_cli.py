@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+from craigseq.calculus import EMPTY, WL, Init, Sequent, fset, root
 from craigseq.cli import main
+from craigseq.formulas import Atom, Not
+from craigseq.syntax import ProblemFile, print_problem
 
 INIT_PROBLEM = "gamma1: [P0()]\ndelta2: [P0()]\nderivation: (Init [P0()] => [P0()])\n"
 
@@ -230,3 +234,32 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_deep_input_exits_2_without_traceback(tmp_path, capsys):
+    # A formula nested 200 deep under a chain of 200 WL nodes: both inside the
+    # parser's nesting limit, run at CPython's default recursion limit.
+    depth = 200
+    f = Atom(0)
+    for _ in range(depth):
+        f = Not(f)
+    d = Init(Sequent(fset(f), fset(f)))
+    for k in range(1, depth + 1):
+        seq = root(d)
+        d = WL(Sequent(seq.antecedent.add(Atom(k)), seq.succedent), d)
+    seq = root(d)
+    problem = tmp_path / "problem.txt"
+    problem.write_text(print_problem(ProblemFile(seq.antecedent, EMPTY, EMPTY, seq.succedent, d)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code = main(["interpolate", str(problem)])
+    finally:
+        sys.setrecursionlimit(limit)
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.splitlines()[-1] == "summary: PASS"
+    else:
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1

@@ -1,9 +1,12 @@
 """Interpolation: case-by-case expected results, verifier, simplification."""
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
+from craigseq import calculus, interpolation
 from craigseq.calculus import (
     AllL,
     AllR,
@@ -23,6 +26,7 @@ from craigseq.calculus import (
     WR,
     fset,
     is_wellformed,
+    premises,
     root,
 )
 from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Not, Or, bind
@@ -501,3 +505,29 @@ def test_simplify_bool_preserves_truth_tables(f):
     # f <-> simplified is valid on both implications
     assert is_valid_sequent([f], [simplified])
     assert is_valid_sequent([simplified], [f])
+
+
+
+def test_each_node_resolved_once(monkeypatch):
+    calls: Counter[int] = Counter()
+    real = calculus.resolve_rule
+
+    def counting(node):
+        calls[id(node)] += 1
+        return real(node)
+
+    monkeypatch.setattr(calculus, "resolve_rule", counting)
+    # also catch a module that binds the checker under its own name
+    monkeypatch.setattr(interpolation, "resolve_rule", counting, raising=False)
+    for seed in range(20):
+        d = gen_derivation(GenConfig(max_nodes=40, max_pred=3, seed=seed, allow_quantifiers=seed % 2 == 1))
+        nodes = Counter()
+        stack = [d]
+        while stack:
+            node = stack.pop()
+            nodes[id(node)] += 1
+            stack.extend(premises(node))
+        assert set(nodes.values()) == {1}  # no node object is shared
+        calls.clear()
+        interpolate_strong(d, random_split(root(d), seed))
+        assert calls == nodes
