@@ -3,25 +3,27 @@
 A sequent is a pair of canonically ordered formula sets.  A derivation is a
 tree in which every node records the sequent it claims to derive; the checker
 ``resolve_rule`` reconstructs, for a single node, the rule instance that
-justifies the node from its premises.  ``_resolved_preorder`` does so for every
-node of a tree in one explicit-stack pass; ``is_wellformed``, the interpolator
-and ``craigseq check`` all read the tree through it.
+justifies the node from its premises.  Each of the 15 rules is stated once, as
+a row of the table ``RULES`` that the checker, the interpolator and the parser
+read.  ``_resolved_preorder`` resolves every node of a tree in one
+explicit-stack pass; ``is_wellformed``, the interpolator and ``craigseq
+check`` all read the tree through it.
 """
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .formulas import (
-    BOT,
-    TOP,
     And,
+    Bot,
     FAll,
     FEx,
     Formula,
     Not,
     Or,
+    Top,
     VarId,
     canonical_key,
     free_vars,
@@ -288,12 +290,13 @@ def root(d: Derivation) -> Sequent:
 
 
 def premises(d: Derivation) -> tuple[Derivation, ...]:
-    """Immediate subderivations: none for leaves, two for AndR/OrL, else one."""
-    if isinstance(d, (Init, BotL, TopR)):
+    """Immediate subderivations, as many as the rule's arity in ``RULES``."""
+    arity = RULES[d.tag].arity
+    if arity == 0:
         return ()
-    if isinstance(d, (AndR, OrL)):
-        return (d.left, d.right)
-    return (d.sub,)  # type: ignore[attr-defined]
+    if arity == 1:
+        return (d.sub,)  # type: ignore[attr-defined]
+    return (d.left, d.right)  # type: ignore[attr-defined]
 
 
 def size(d: Derivation) -> int:
@@ -313,13 +316,140 @@ class RuleInstance:
 
     Only the fields meaningful for ``kind`` are populated: ``analysed`` is the
     principal (or shared, or weakened) formula, ``eigen`` the eigenvariable of
-    AllR/ExL, and ``term`` the instantiating variable of AllL/ExR.
+    AllR/ExL, and ``term`` the instantiating variable of AllL/ExR.  ``adds``
+    holds the formulas the premise adds beside the conclusion's, or one per
+    premise for AndR/OrL.
     """
 
     kind: str
     analysed: Formula | None = None
     eigen: VarId | None = None
     term: VarId | None = None
+    adds: tuple[Formula, ...] = ()
+
+
+class Rule(NamedTuple):
+    """One row of the rule table ``RULES``.
+
+    ``side`` ("g" antecedent, "d" succedent) is where the principal formula
+    sits, ``head`` the connective that heads it (``None``: any formula), and
+    ``target`` the side that the premise's new formulas go to (empty for the
+    leaf rules).  ``match`` recovers the ``RuleInstance`` of a node.
+    """
+
+    cls: type[Derivation]
+    arity: int
+    side: str
+    head: type[Formula] | None
+    target: str
+    match: Callable[["Rule", Derivation], RuleInstance | None]
+
+
+def _sides(seq: Sequent, side: str) -> tuple[FormulaSet, FormulaSet]:
+    """The formulas on ``side`` of ``seq``, then those on the other side."""
+    return (seq.antecedent, seq.succedent) if side == "g" else (seq.succedent, seq.antecedent)
+
+
+def _plus(fs: FormulaSet, formulas: tuple[Formula, ...]) -> FormulaSet:
+    """``fs`` with ``formulas`` added."""
+    # One merge rather than two inserts: each insert rehashes every member.
+    return fs.add(formulas[0]) if len(formulas) == 1 else fs | FormulaSet(formulas)
+
+
+def _match_axiom(row: Rule, d: Derivation) -> RuleInstance | None:
+    """Init, BotL, TopR: a formula of the principal side that is the rule's
+    constant, or for Init one that also sits on the other side."""
+    principal, other = _sides(root(d), row.side)
+    for f in principal:
+        if isinstance(f, row.head) if row.head else f in other:
+            return RuleInstance(row.cls.tag, f)
+    return None
+
+
+def _match_connective(row: Rule, d: Derivation) -> RuleInstance | None:
+    """AndL, OrR, NotL, NotR: the premise adds every component of the
+    principal formula; AndR, OrL: premise i adds component i."""
+    seq, subs = root(d), premises(d)
+    kept, other = _sides(seq, row.target)
+    for f in _sides(seq, row.side)[0]:
+        if isinstance(f, row.head):
+            parts = (f.sub,) if isinstance(f, Not) else (f.left, f.right)  # type: ignore[attr-defined]
+            for sub, fs in zip(subs, (parts,) if row.arity == 1 else ((parts[0],), (parts[1],))):
+                grown, same = _sides(root(sub), row.target)
+                if same != other or grown != _plus(kept, fs):
+                    break
+            else:
+                return RuleInstance(row.cls.tag, f, adds=parts)
+    return None
+
+
+def _instances(row: Rule, seq: Sequent, sub: Sequent) -> Iterator[tuple[Formula, Formula]]:
+    """AllL, ExR, AllR, ExL: pairs of a principal candidate ``f`` and the one
+    formula ``e`` the premise adds beside it; the other side is unchanged."""
+    principal, other = _sides(seq, row.side)
+    extended, same = _sides(sub, row.side)
+    if same != other:
+        return
+    for f in principal:
+        if isinstance(f, row.head):
+            for e in extended:
+                if principal.add(e) == extended:
+                    yield f, e
+
+
+def _match_term(row: Rule, d: Derivation) -> RuleInstance | None:
+    """AllL, ExR: the added formula instantiates the principal one at a term."""
+    for f, e in _instances(row, root(d), root(d.sub)):  # type: ignore[attr-defined]
+        t = match_inst(f, e)
+        if t is not None:
+            return RuleInstance(row.cls.tag, f, term=t, adds=(e,))
+    return None
+
+
+def _match_eigen(row: Rule, d: Derivation) -> RuleInstance | None:
+    """AllR, ExL: the added formula opens the principal one at a variable free
+    nowhere in the conclusion."""
+    forbidden = root(d).free_vars()
+    for f, e in _instances(row, root(d), root(d.sub)):  # type: ignore[attr-defined]
+        a = match_bind(f, e, forbidden)
+        if a is not None:
+            return RuleInstance(row.cls.tag, f, eigen=a, adds=(e,))
+    return None
+
+
+def _match_weakening(row: Rule, d: Derivation) -> RuleInstance | None:
+    """WL, WR: the conclusion adds one formula to the premise's side."""
+    principal, other = _sides(root(d), row.side)
+    kept, same = _sides(root(d.sub), row.side)  # type: ignore[attr-defined]
+    if same != other:
+        return None
+    for f in principal:
+        if kept.add(f) == principal:
+            return RuleInstance(row.cls.tag, f)
+    return None
+
+
+#: The 15 rules of the calculus, keyed by tag.
+RULES: dict[str, Rule] = {
+    row.cls.tag: row
+    for row in (
+        Rule(Init, 0, "g", None, "", _match_axiom),
+        Rule(BotL, 0, "g", Bot, "", _match_axiom),
+        Rule(TopR, 0, "d", Top, "", _match_axiom),
+        Rule(AndL, 1, "g", And, "g", _match_connective),
+        Rule(OrR, 1, "d", Or, "d", _match_connective),
+        Rule(NotL, 1, "g", Not, "d", _match_connective),
+        Rule(NotR, 1, "d", Not, "g", _match_connective),
+        Rule(AndR, 2, "d", And, "d", _match_connective),
+        Rule(OrL, 2, "g", Or, "g", _match_connective),
+        Rule(AllL, 1, "g", FAll, "g", _match_term),
+        Rule(ExR, 1, "d", FEx, "d", _match_term),
+        Rule(AllR, 1, "d", FAll, "d", _match_eigen),
+        Rule(ExL, 1, "g", FEx, "g", _match_eigen),
+        Rule(WL, 1, "g", None, "g", _match_weakening),
+        Rule(WR, 1, "d", None, "d", _match_weakening),
+    )
+}
 
 
 def resolve_rule(d: Derivation) -> RuleInstance | None:
@@ -329,156 +459,10 @@ def resolve_rule(d: Derivation) -> RuleInstance | None:
     principal formulas are scanned in canonical order, so the result is
     deterministic.  ``None`` means no rule instance fits.
     """
-    seq = root(d)
-    gamma, delta = seq.antecedent, seq.succedent
-
-    if isinstance(d, Init):
-        for f in gamma:
-            if f in delta:
-                return RuleInstance("Init", analysed=f)
-        return None
-
-    if isinstance(d, BotL):
-        if BOT in gamma:
-            return RuleInstance("BotL", analysed=BOT)
-        return None
-
-    if isinstance(d, TopR):
-        if TOP in delta:
-            return RuleInstance("TopR", analysed=TOP)
-        return None
-
-    if isinstance(d, AndL):
-        sub = root(d.sub)
-        for f in gamma:
-            if isinstance(f, And) and sub == Sequent(gamma | fset(f.left, f.right), delta):
-                return RuleInstance("AndL", analysed=f)
-        return None
-
-    if isinstance(d, AndR):
-        left, right = root(d.left), root(d.right)
-        for f in delta:
-            if (
-                isinstance(f, And)
-                and left == Sequent(gamma, delta.add(f.left))
-                and right == Sequent(gamma, delta.add(f.right))
-            ):
-                return RuleInstance("AndR", analysed=f)
-        return None
-
-    if isinstance(d, OrL):
-        left, right = root(d.left), root(d.right)
-        for f in gamma:
-            if (
-                isinstance(f, Or)
-                and left == Sequent(gamma.add(f.left), delta)
-                and right == Sequent(gamma.add(f.right), delta)
-            ):
-                return RuleInstance("OrL", analysed=f)
-        return None
-
-    if isinstance(d, OrR):
-        sub = root(d.sub)
-        for f in delta:
-            if isinstance(f, Or) and sub == Sequent(gamma, delta | fset(f.left, f.right)):
-                return RuleInstance("OrR", analysed=f)
-        return None
-
-    if isinstance(d, NotL):
-        sub = root(d.sub)
-        for f in gamma:
-            if isinstance(f, Not) and sub == Sequent(gamma, delta.add(f.sub)):
-                return RuleInstance("NotL", analysed=f)
-        return None
-
-    if isinstance(d, NotR):
-        sub = root(d.sub)
-        for f in delta:
-            if isinstance(f, Not) and sub == Sequent(gamma.add(f.sub), delta):
-                return RuleInstance("NotR", analysed=f)
-        return None
-
-    if isinstance(d, AllL):
-        sub = root(d.sub)
-        if sub.succedent != delta:
-            return None
-        for f in gamma:
-            if not isinstance(f, FAll):
-                continue
-            for e in sub.antecedent:
-                if gamma.add(e) != sub.antecedent:
-                    continue
-                t = match_inst(f, e)
-                if t is not None:
-                    return RuleInstance("AllL", analysed=f, term=t)
-        return None
-
-    if isinstance(d, ExR):
-        sub = root(d.sub)
-        if sub.antecedent != gamma:
-            return None
-        for f in delta:
-            if not isinstance(f, FEx):
-                continue
-            for e in sub.succedent:
-                if delta.add(e) != sub.succedent:
-                    continue
-                t = match_inst(f, e)
-                if t is not None:
-                    return RuleInstance("ExR", analysed=f, term=t)
-        return None
-
-    if isinstance(d, AllR):
-        sub = root(d.sub)
-        if sub.antecedent != gamma:
-            return None
-        forbidden = seq.free_vars()
-        for f in delta:
-            if not isinstance(f, FAll):
-                continue
-            for e in sub.succedent:
-                if delta.add(e) != sub.succedent:
-                    continue
-                a = match_bind(f, e, forbidden)
-                if a is not None:
-                    return RuleInstance("AllR", analysed=f, eigen=a)
-        return None
-
-    if isinstance(d, ExL):
-        sub = root(d.sub)
-        if sub.succedent != delta:
-            return None
-        forbidden = seq.free_vars()
-        for f in gamma:
-            if not isinstance(f, FEx):
-                continue
-            for e in sub.antecedent:
-                if gamma.add(e) != sub.antecedent:
-                    continue
-                a = match_bind(f, e, forbidden)
-                if a is not None:
-                    return RuleInstance("ExL", analysed=f, eigen=a)
-        return None
-
-    if isinstance(d, WL):
-        sub = root(d.sub)
-        if sub.succedent != delta:
-            return None
-        for f in gamma:
-            if sub.antecedent.add(f) == gamma:
-                return RuleInstance("WL", analysed=f)
-        return None
-
-    if isinstance(d, WR):
-        sub = root(d.sub)
-        if sub.antecedent != gamma:
-            return None
-        for f in delta:
-            if sub.succedent.add(f) == delta:
-                return RuleInstance("WR", analysed=f)
-        return None
-
-    raise TypeError(f"not a derivation: {d!r}")
+    row = RULES.get(getattr(d, "tag", ""))
+    if row is None:
+        raise TypeError(f"not a derivation: {d!r}")
+    return row.match(row, d)
 
 
 def _resolved_preorder(d: Derivation) -> Iterator[tuple[str, Derivation, RuleInstance | None]]:

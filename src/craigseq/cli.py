@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from .calculus import EMPTY, _resolved_preorder, root
-from .formulas import Formula
 from .interpolation import (
     InterpolationError,
     SplitSequent,
@@ -92,8 +91,9 @@ def cmd_interpolate(path: str, weak: bool, simplify: bool, json_out: bool) -> in
         d = problem.derivation
         split = problem.split()
     result = interpolate_strong(d, split)
-    shown: Formula = simplify_bool(result.interpolant) if simplify else result.interpolant
-    print(f"interpolant: {print_formula(shown)}")
+    print(f"interpolant: {print_formula(result.interpolant)}")
+    if simplify:
+        print(f"simplified: {print_formula(simplify_bool(result.interpolant))}")
     print(f"left: {print_derivation(result.left_witness)}")
     print(f"right: {print_derivation(result.right_witness)}")
     report = verify(split, result)
@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     p_interp = sub.add_parser("interpolate", help="interpolate a problem file")
     p_interp.add_argument("file", help="problem file (or derivation file with --weak)")
     p_interp.add_argument("--weak", action="store_true", help="read a bare derivation and use the antecedent/succedent split")
-    p_interp.add_argument("--simplify", action="store_true", help="apply constant simplification to the printed interpolant")
+    p_interp.add_argument("--simplify", action="store_true", help="also print the interpolant with constants simplified away")
     p_interp.add_argument("--json", action="store_true", help="print the verification report as JSON")
 
     p_verify = sub.add_parser("verify", help="verify a stored result against a problem file")

@@ -9,20 +9,20 @@ trusting the construction.
 
 The construction is an induction on the derivation.  One pass of
 ``calculus._resolved_preorder`` resolves the rule instance of every node; the
-induction then dispatches on each node's rule through the table ``_CASES``.
-A row names one of six steps and, where the step needs them, the side ("g"
-antecedent, "d" succedent) of the principal formula, the formulas the premise
-adds and the side they go to.  The steps cover the mirror pairs once each:
-``_init``; ``_axiom`` (BotL, TopR); ``_unary`` (AndL, OrR, NotL, NotR, AllL,
-ExR); ``_weaken`` (WL, WR); ``_branching`` (AndR, OrL); ``_eigen`` (AllR,
-ExL).  In each step the part of the split that owns the principal formula
-decides the case, named ``<rule>-<side><part>`` in ``CASE_NAMES``.
+induction then dispatches on each node's tag through ``_CASES`` to one of six
+steps, which read the side ("g" antecedent, "d" succedent) of the principal
+formula and the side of the premise's new formulas from the rule's row of
+``calculus.RULES``, and the new formulas themselves from the rule instance.
+The steps cover the mirror pairs once each: ``_init``; ``_axiom`` (BotL,
+TopR); ``_unary`` (AndL, OrR, NotL, NotR, AllL, ExR); ``_weaken`` (WL, WR);
+``_branching`` (AndR, OrL); ``_eigen`` (AllR, ExL).  In each step the part of
+the split that owns the principal formula decides the case, named
+``<rule>-<side><part>`` in ``CASE_NAMES``.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
 
 from .calculus import (
     AllL,
@@ -39,6 +39,8 @@ from .calculus import (
     NotR,
     OrL,
     OrR,
+    RULES,
+    Rule,
     RuleInstance,
     Sequent,
     TopR,
@@ -62,7 +64,6 @@ from .formulas import (
     Or,
     Top,
     bind,
-    inst,
     neg,
     polarity,
     pos,
@@ -199,15 +200,12 @@ def _rule_table(d: Derivation) -> _RuleTable:
     return rules
 
 
-def _interpolate(d: Derivation, split: SplitSequent, rules: _RuleTable | None = None) -> InterpolationResult:
-    """Run the case of ``d``'s rule; its premises recurse back here.
+def _interpolate(d: Derivation, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+    """Run the step of ``d``'s rule; its premises recurse back here.
 
-    ``rules`` comes from ``_rule_table(d)``, which is built here when missing.
+    ``rules`` comes from ``_rule_table`` of the whole derivation.
     """
-    if rules is None:
-        rules = _rule_table(d)
-    case = _CASES[d.tag]
-    return case.step(d, case, rules[id(d)], split, rules)
+    return _CASES[d.tag](d, RULES[d.tag], rules[id(d)], split, rules)
 
 
 # A split's parts are named by side and part: "g1", "g2" (antecedent) and
@@ -243,7 +241,7 @@ def _wrap(rule: type, split: SplitSequent, res: InterpolationResult, left: bool,
     )
 
 
-def _init(d: Init, case: _Case, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
     g1, g2 = split.gamma1, split.gamma2
     d1, d2 = split.delta1, split.delta2
     for a in g1:
@@ -282,60 +280,57 @@ def _init(d: Init, case: _Case, rule: RuleInstance, split: SplitSequent, rules: 
     raise UnreachableCaseError("Init node with no shared formula in any part pair")
 
 
-def _axiom(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+def _axiom(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
     """BotL, TopR: the constant in part 1 gives the interpolant ⊥, in part 2 ⊤."""
     g1, g2 = split.gamma1, split.gamma2
     d1, d2 = split.delta1, split.delta2
-    axiom = type(d)
-    if all(rule.analysed not in getattr(split, _FIELDS[case.side + k]) for k in "12"):
+    if all(rule.analysed not in getattr(split, _FIELDS[row.side + k]) for k in "12"):
         raise UnreachableCaseError(f"{d.tag} node with its constant in neither part")
-    if _owner(d, case.side, rule.analysed, split) == "1":
-        return InterpolationResult(BOT, axiom(Sequent(g1, d1.add(BOT))), BotL(Sequent(g2.add(BOT), d2)))
-    return InterpolationResult(TOP, TopR(Sequent(g1, d1.add(TOP))), axiom(Sequent(g2.add(TOP), d2)))
+    if _owner(d, row.side, rule.analysed, split) == "1":
+        return InterpolationResult(BOT, row.cls(Sequent(g1, d1.add(BOT))), BotL(Sequent(g2.add(BOT), d2)))
+    return InterpolationResult(TOP, TopR(Sequent(g1, d1.add(TOP))), row.cls(Sequent(g2.add(TOP), d2)))
 
 
-def _unary(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+def _unary(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
     """AndL, OrR, NotL, NotR, AllL, ExR: the premise's new formulas join the
     part that owns the principal formula, and that part's witness re-applies
     the rule."""
-    f = rule.analysed
-    k = _owner(d, case.side, f, split)
-    res = _interpolate(d.sub, _extend(split, case.target + k, case.adds(f, rule)), rules)
-    return _wrap(type(d), split, res, k == "1", k == "2")
+    k = _owner(d, row.side, rule.analysed, split)
+    res = _interpolate(d.sub, _extend(split, row.target + k, rule.adds), rules)
+    return _wrap(row.cls, split, res, k == "1", k == "2")
 
 
-def _weaken(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
     """WL, WR: each part keeps only the premise's formulas, and every part that
     holds the weakened formula re-weakens its witness."""
     f = rule.analysed
-    one, two = _FIELDS[case.side + "1"], _FIELDS[case.side + "2"]
+    one, two = _FIELDS[row.side + "1"], _FIELDS[row.side + "2"]
     in1, in2 = f in getattr(split, one), f in getattr(split, two)
     name = d.tag.lower()
     if in1 and in2:
         _hit(f"{name}-both")
     elif in1 or in2:
-        _hit(f"{name}-{case.side}{1 if in1 else 2}-only")
+        _hit(f"{name}-{row.side}{1 if in1 else 2}-only")
     else:
         _hit(f"{name}-impossible")
-        side = "antecedent" if case.side == "g" else "succedent"
+        side = "antecedent" if row.side == "g" else "succedent"
         raise UnreachableCaseError(f"weakened formula missing from both {side} parts")
     sub = root(d.sub)
-    kept = sub.antecedent if case.side == "g" else sub.succedent
+    kept = sub.antecedent if row.side == "g" else sub.succedent
     premise = replace(split, **{one: kept & getattr(split, one), two: kept & getattr(split, two)})
     res = _interpolate(d.sub, premise, rules)
-    return _wrap(type(d), split, res, in1, in2)
+    return _wrap(row.cls, split, res, in1, in2)
 
 
-def _branching(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
     """AndR, OrL: each premise adds its component to the owning part.
 
     Part 1 joins the premise interpolants into C = Cl ∨ Cr, part 2 into
     C = Cl ∧ Cr; the other part's witness combines both premise witnesses with
     OrL or AndR.
     """
-    f = rule.analysed
-    k = _owner(d, case.side, f, split)
-    left, right = (_extend(split, case.target + k, (a,)) for a in case.adds(f, rule))
+    k = _owner(d, row.side, rule.analysed, split)
+    left, right = (_extend(split, row.target + k, (a,)) for a in rule.adds)
     resl = _interpolate(d.left, left, rules)
     resr = _interpolate(d.right, right, rules)
     cl, cr = resl.interpolant, resr.interpolant
@@ -350,7 +345,7 @@ def _branching(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSeque
             w = WR(Sequent(g, dp | fset(ci, c, cj)), w)
             return OrR(Sequent(g, dp.add(c)), w)
 
-        dl = type(d)(
+        dl = row.cls(
             Sequent(g1, d1.add(c)),
             disjoin(left, resl.left_witness, cl, cr),
             disjoin(right, resr.left_witness, cr, cl),
@@ -374,7 +369,7 @@ def _branching(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSeque
         WR(Sequent(g1, d1 | fset(cl, c)), resl.left_witness),
         WR(Sequent(g1, d1 | fset(cr, c)), resr.left_witness),
     )
-    dr = type(d)(
+    dr = row.cls(
         Sequent(g2.add(c), d2),
         conjoin(left, resl.right_witness, cl, cr),
         conjoin(right, resr.right_witness, cr, cl),
@@ -382,13 +377,12 @@ def _branching(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSeque
     return InterpolationResult(c, dl, dr)
 
 
-def _eigen(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+def _eigen(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
     """AllR, ExL: the premise adds the instance at the eigenvariable a to the
     owning part.  Part 1 closes the premise interpolant C' to ∃a.C', part 2
     to ∀a.C'."""
-    f = rule.analysed
-    k = _owner(d, case.side, f, split)
-    premise = _extend(split, case.target + k, case.adds(f, rule))
+    k = _owner(d, row.side, rule.analysed, split)
+    premise = _extend(split, row.target + k, rule.adds)
     res = _interpolate(d.sub, premise, rules)
     cp = res.interpolant
     g1, g2 = split.gamma1, split.gamma2
@@ -398,7 +392,7 @@ def _eigen(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSequent, 
         g, dp = premise.gamma1, premise.delta1
         w = WR(Sequent(g, dp | fset(cp, c)), res.left_witness)
         w = ExR(Sequent(g, dp.add(c)), w)
-        dl = type(d)(Sequent(g1, d1.add(c)), w)
+        dl = row.cls(Sequent(g1, d1.add(c)), w)
         dr = ExL(Sequent(g2.add(c), d2), WL(Sequent(g2 | fset(c, cp), d2), res.right_witness))
         return InterpolationResult(c, dl, dr)
     c = bind("all", rule.eigen, cp)
@@ -406,54 +400,17 @@ def _eigen(d: Derivation, case: _Case, rule: RuleInstance, split: SplitSequent, 
     g, dp = premise.gamma2, premise.delta2
     w = WL(Sequent(g | fset(c, cp), dp), res.right_witness)
     w = AllL(Sequent(g.add(c), dp), w)
-    dr = type(d)(Sequent(g2.add(c), d2), w)
+    dr = row.cls(Sequent(g2.add(c), d2), w)
     return InterpolationResult(c, dl, dr)
 
 
-def _components(f: Formula, rule: RuleInstance) -> tuple[Formula, ...]:
-    return (f.left, f.right)
-
-
-def _negand(f: Formula, rule: RuleInstance) -> tuple[Formula, ...]:
-    return (f.sub,)
-
-
-def _instance(f: Formula, rule: RuleInstance) -> tuple[Formula, ...]:
-    """``f`` opened at the rule's term (AllL, ExR) or eigenvariable (AllR, ExL)."""
-    var = rule.term if rule.eigen is None else rule.eigen
-    return (inst("all" if isinstance(f, FAll) else "ex", var, f),)
-
-
-class _Case(NamedTuple):
-    """One row of the case table.
-
-    ``side`` ("g" or "d") is where the principal formula sits, ``adds`` gives
-    the formulas the premise adds (one per premise for AndR/OrL), and
-    ``target`` is the side they go to.
-    """
-
-    step: Callable[..., InterpolationResult]
-    side: str = ""
-    adds: Callable[[Formula, RuleInstance], tuple[Formula, ...]] | None = None
-    target: str = ""
-
-
 _CASES = {
-    "Init": _Case(_init),
-    "BotL": _Case(_axiom, "g"),
-    "TopR": _Case(_axiom, "d"),
-    "AndL": _Case(_unary, "g", _components, "g"),
-    "OrR": _Case(_unary, "d", _components, "d"),
-    "NotL": _Case(_unary, "g", _negand, "d"),
-    "NotR": _Case(_unary, "d", _negand, "g"),
-    "AllL": _Case(_unary, "g", _instance, "g"),
-    "ExR": _Case(_unary, "d", _instance, "d"),
-    "AndR": _Case(_branching, "d", _components, "d"),
-    "OrL": _Case(_branching, "g", _components, "g"),
-    "AllR": _Case(_eigen, "d", _instance, "d"),
-    "ExL": _Case(_eigen, "g", _instance, "g"),
-    "WL": _Case(_weaken, "g"),
-    "WR": _Case(_weaken, "d"),
+    "Init": _init,
+    **dict.fromkeys(("BotL", "TopR"), _axiom),
+    **dict.fromkeys(("AndL", "OrR", "NotL", "NotR", "AllL", "ExR"), _unary),
+    **dict.fromkeys(("WL", "WR"), _weaken),
+    **dict.fromkeys(("AndR", "OrL"), _branching),
+    **dict.fromkeys(("AllR", "ExL"), _eigen),
 }
 
 

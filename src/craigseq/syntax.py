@@ -16,28 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .calculus import (
-    AllL,
-    AllR,
-    AndL,
-    AndR,
-    BotL,
-    Derivation,
-    ExL,
-    ExR,
-    FormulaSet,
-    Init,
-    NotL,
-    NotR,
-    OrL,
-    OrR,
-    Sequent,
-    TopR,
-    WL,
-    WR,
-    premises,
-    root,
-)
+from .calculus import RULES, Derivation, FormulaSet, Sequent, premises, root
 from .formulas import (
     BOT,
     TOP,
@@ -67,22 +46,6 @@ class ParseError(Exception):
 class RootMismatchError(Exception):
     """Problem file whose split parts do not recombine to the derivation root."""
 
-
-_LEAF_TAGS = {"Init": Init, "BotL": BotL, "TopR": TopR}
-_UNARY_TAGS = {
-    "AndL": AndL,
-    "OrR": OrR,
-    "NotL": NotL,
-    "NotR": NotR,
-    "AllL": AllL,
-    "AllR": AllR,
-    "ExL": ExL,
-    "ExR": ExR,
-    "WL": WL,
-    "WR": WR,
-}
-_BINARY_TAGS = {"AndR": AndR, "OrL": OrL}
-_ALL_TAGS = {**_LEAF_TAGS, **_UNARY_TAGS, **_BINARY_TAGS}
 
 _TOKEN_RE = re.compile(r"[ \t\r\n]*(=>|[()\[\];,.~&|:]|[A-Za-z]+[0-9]*)")
 _PRED_RE = re.compile(r"P([0-9]+)")
@@ -205,8 +168,8 @@ class _Parser:
             raise ParseError("derivation nesting too deep")
         self.take("(")
         tag = self.take()
-        cls = _ALL_TAGS.get(tag)
-        if cls is None:
+        rule = RULES.get(tag)
+        if rule is None:
             raise ParseError(f"unknown rule tag {tag!r}")
         ant = self.formula_list()
         self.take("=>")
@@ -218,17 +181,10 @@ class _Parser:
                 raise ParseError("unexpected end of input inside a derivation")
             children.append(self.derivation(depth + 1))
         self.take(")")
-        if tag in _LEAF_TAGS:
-            if children:
-                raise ParseError(f"{tag} expects 0 premises, found {len(children)}")
-            return cls(seq)
-        if tag in _UNARY_TAGS:
-            if len(children) != 1:
-                raise ParseError(f"{tag} expects 1 premise, found {len(children)}")
-            return cls(seq, children[0])
-        if len(children) != 2:
-            raise ParseError(f"{tag} expects 2 premises, found {len(children)}")
-        return cls(seq, children[0], children[1])
+        if len(children) != rule.arity:
+            noun = "premise" if rule.arity == 1 else "premises"
+            raise ParseError(f"{tag} expects {rule.arity} {noun}, found {len(children)}")
+        return rule.cls(seq, *children)
 
 
 def parse_formula(text: str) -> Formula:

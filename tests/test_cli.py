@@ -131,9 +131,16 @@ def test_interpolate_simplify_only_affects_display(tmp_path, capsys):
     code = main(["interpolate", "--simplify", str(f)])
     simplified = capsys.readouterr().out
     assert code == 0
-    assert simplified.splitlines()[0] == "interpolant: bot"
-    # witnesses are unchanged: simplification is display-only
-    assert simplified.splitlines()[1:] == raw.splitlines()[1:]
+    lines = simplified.splitlines()
+    assert lines[1] == "simplified: bot"
+    # everything else is unchanged: simplification is display-only
+    assert lines[:1] + lines[2:] == raw.splitlines()
+
+    # and the output still re-verifies
+    result = tmp_path / "result.txt"
+    result.write_text(simplified)
+    assert main(["verify", str(f), str(result)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "summary: PASS"
 
 
 def test_interpolate_json(problem_file, capsys):

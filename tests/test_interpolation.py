@@ -37,6 +37,7 @@ from craigseq.interpolation import (
     SplitSequent,
     UnreachableCaseError,
     _interpolate,
+    _rule_table,
     case_counters,
     interpolate,
     interpolate_strong,
@@ -411,13 +412,13 @@ def test_weakening_defensive_cases():
     # the validated entry point; the dispatch refuses it
     bad = split(g1=[p], d1=[p])
     with pytest.raises(UnreachableCaseError):
-        _interpolate(d, bad)
+        _interpolate(d, bad, _rule_table(d))
     assert case_counters()["wl-impossible"] == 1
 
     d2 = WR(Sequent(fset(p), fset(p, q)), Init(Sequent(fset(p), fset(p))))
     assert is_wellformed(d2)
     with pytest.raises(UnreachableCaseError):
-        _interpolate(d2, split(g1=[p], d2=[p]))
+        _interpolate(d2, split(g1=[p], d2=[p]), _rule_table(d2))
     assert case_counters()["wr-impossible"] == 1
 
 

@@ -16,6 +16,8 @@ from craigseq.calculus import (
     root,
 )
 from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Not, Or
+from craigseq.interpolation import interpolate_strong, verify
+from craigseq.oracle import GenConfig, gen_derivation, random_split
 from craigseq.syntax import (
     MAX_NESTING,
     ParseError,
@@ -154,6 +156,32 @@ def test_parse_derivation_errors():
             parse_derivation(text)
 
 
+_ARITY = {
+    **dict.fromkeys(("Init", "BotL", "TopR"), 0),
+    **dict.fromkeys(("AndL", "OrR", "NotL", "NotR", "AllL", "AllR", "ExL", "ExR", "WL", "WR"), 1),
+    **dict.fromkeys(("AndR", "OrL"), 2),
+}
+
+
+@pytest.mark.parametrize(
+    "tag, found",
+    [(tag, n + delta) for tag, n in sorted(_ARITY.items()) for delta in (-1, 1) if n + delta >= 0],
+)
+def test_parse_derivation_premise_count(tag, found):
+    n = _ARITY[tag]
+    kids = " (Init [P0()] => [P0()])" * found
+    noun = "premise" if n == 1 else "premises"
+    with pytest.raises(ParseError) as exc:
+        parse_derivation(f"({tag} [P0()] => [P0()]{kids})")
+    assert str(exc.value) == f"{tag} expects {n} {noun}, found {found}"
+
+
+def test_parse_derivation_unknown_tag():
+    with pytest.raises(ParseError) as exc:
+        parse_derivation("(Cut [P0()] => [P0()])")
+    assert str(exc.value) == "unknown rule tag 'Cut'"
+
+
 def test_print_sequent():
     s = Sequent(fset(p, q), FormulaSet())
     assert print_sequent(s) == "[P0();P1()] => []"
@@ -259,6 +287,20 @@ def test_result_errors():
             "interpolant: P0() trailing\n"
             "left: (Init [P0()] => [P0()])\nright: (Init [P0()] => [P0()])\n"
         )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ParseError,
+    reason="ROADMAP item 3: a witness nests deeper than MAX_NESTING, so the printed result does not parse back",
+)
+def test_printed_result_of_280_node_problem_parses_back():
+    # Fault (a): the input nests 262 deep, its left witness 316.
+    d = gen_derivation(GenConfig(280, max_pred=4, seed=2, allow_quantifiers=True))
+    sp = random_split(root(d), 2)
+    res = interpolate_strong(d, sp)
+    assert verify(sp, res).ok
+    assert parse_result(print_result(res)) == res
 
 
 # ----------------------------------------------------------------- properties
