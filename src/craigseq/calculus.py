@@ -352,7 +352,8 @@ def _sides(seq: Sequent, side: str) -> tuple[FormulaSet, FormulaSet]:
 
 def _plus(fs: FormulaSet, formulas: tuple[Formula, ...]) -> FormulaSet:
     """``fs`` with ``formulas`` added."""
-    # One merge rather than two inserts: each insert rehashes every member.
+    # One merge rather than two inserts: each insert copies every member into
+    # a new set.
     return fs.add(formulas[0]) if len(formulas) == 1 else fs | FormulaSet(formulas)
 
 

@@ -8,7 +8,7 @@ named variables and never touch raw indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, NamedTuple
+from typing import Callable, ClassVar, Iterable, Literal, NamedTuple
 
 VarId = int
 PredId = int
@@ -16,55 +16,110 @@ Quantifier = Literal["all", "ex"]
 
 
 class Formula:
-    """Base class of all formula nodes.  Instances are immutable and hashable."""
+    """Base class of all formula nodes.  Instances are immutable and hashable.
+
+    A node computes its hash once, when it is built, from its tag and its
+    children's hashes.  Its canonical key, free variables and polarity are
+    computed the first time each is asked for and kept on the node.  They are
+    computed by explicit-stack walks that stop at subnodes whose value is
+    already cached, so the depth of a formula is bounded by memory, not by
+    the recursion limit.
+    """
 
     __slots__ = ()
 
+    _tag: ClassVar[int]
+    _hash: int
+    _key: tuple[int, ...] | None = None
+    _fv: tuple[VarId, ...] | None = None
+    _pol: Polarity | None = None
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and canonical_key(self) == canonical_key(other)
+
+
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     pred: PredId
     args: tuple[VarId, ...] = ()
+    _tag = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
+        _set(self, "args", tuple(self.args))
+        _set(self, "_hash", hash((self._tag, self.pred, self.args)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bot(Formula):
-    pass
+    _tag = 1
+
+    def __post_init__(self) -> None:
+        _set(self, "_hash", hash((self._tag,)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
-    pass
+    _tag = 2
+
+    def __post_init__(self) -> None:
+        _set(self, "_hash", hash((self._tag,)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
+    _tag = 3
+
+    def __post_init__(self) -> None:
+        _set(self, "_hash", hash((self._tag, self.left._hash, self.right._hash)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
+    _tag = 4
+
+    def __post_init__(self) -> None:
+        _set(self, "_hash", hash((self._tag, self.left._hash, self.right._hash)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     sub: Formula
+    _tag = 5
+
+    def __post_init__(self) -> None:
+        _set(self, "_hash", hash((self._tag, self.sub._hash)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FAll(Formula):
     body: Formula
+    _tag = 6
+
+    def __post_init__(self) -> None:
+        _set(self, "_hash", hash((self._tag, self.body._hash)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FEx(Formula):
     body: Formula
+    _tag = 7
+
+    def __post_init__(self) -> None:
+        _set(self, "_hash", hash((self._tag, self.body._hash)))
 
 
 BOT = Bot()
@@ -128,17 +183,24 @@ def pre_suc(xs: Iterable[VarId]) -> list[VarId]:
 
 def free_vars(f: Formula) -> list[VarId]:
     """Free variables of ``f`` in syntactic order, duplicates preserved."""
-    if isinstance(f, Atom):
-        return list(f.args)
-    if isinstance(f, (Bot, Top)):
-        return []
-    if isinstance(f, (And, Or)):
-        return free_vars(f.left) + free_vars(f.right)
-    if isinstance(f, Not):
-        return free_vars(f.sub)
-    if isinstance(f, (FAll, FEx)):
-        return pre_suc(free_vars(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+    fv = f._fv
+    if fv is None:
+        out: list[VarId] = []
+        stack = [(f, 0)]  # a subformula and the number of binders above it in f
+        while stack:
+            g, bound = stack.pop()
+            vs = g.args if isinstance(g, Atom) else g._fv
+            if vs is not None:
+                out += [v - bound for v in vs if v >= bound] if bound else vs
+            elif isinstance(g, (And, Or)):
+                stack += ((g.right, bound), (g.left, bound))
+            elif isinstance(g, Not):
+                stack.append((g.sub, bound))
+            elif isinstance(g, (FAll, FEx)):
+                stack.append((g.body, bound + 1))
+        fv = tuple(out)
+        _set(f, "_fv", fv)
+    return list(fv)
 
 
 class Polarity(NamedTuple):
@@ -146,25 +208,28 @@ class Polarity(NamedTuple):
     negatives: frozenset[PredId]
 
 
-_EMPTY_POLARITY = Polarity(frozenset(), frozenset())
-
-
 def polarity(f: Formula) -> Polarity:
     """Predicate identifiers occurring positively and negatively in ``f``."""
-    if isinstance(f, Atom):
-        return Polarity(frozenset((f.pred,)), frozenset())
-    if isinstance(f, (Bot, Top)):
-        return _EMPTY_POLARITY
-    if isinstance(f, (And, Or)):
-        pl = polarity(f.left)
-        pr = polarity(f.right)
-        return Polarity(pl.positives | pr.positives, pl.negatives | pr.negatives)
-    if isinstance(f, Not):
-        p = polarity(f.sub)
-        return Polarity(p.negatives, p.positives)
-    if isinstance(f, (FAll, FEx)):
-        return polarity(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    p = f._pol
+    if p is None:
+        sides: tuple[set[PredId], set[PredId]] = (set(), set())
+        stack = [(f, 0)]  # a subformula and 1 when it sits under an odd number of negations in f
+        while stack:
+            g, odd = stack.pop()
+            if isinstance(g, Atom):
+                sides[odd].add(g.pred)
+            elif g._pol is not None:
+                sides[odd].update(g._pol.positives)
+                sides[1 - odd].update(g._pol.negatives)
+            elif isinstance(g, (And, Or)):
+                stack += ((g.left, odd), (g.right, odd))
+            elif isinstance(g, Not):
+                stack.append((g.sub, 1 - odd))
+            elif isinstance(g, (FAll, FEx)):
+                stack.append((g.body, odd))
+        p = Polarity(frozenset(sides[0]), frozenset(sides[1]))
+        _set(f, "_pol", p)
+    return p
 
 
 def pos(f: Formula) -> frozenset[PredId]:
@@ -175,46 +240,36 @@ def neg(f: Formula) -> frozenset[PredId]:
     return polarity(f).negatives
 
 
-def _encode(f: Formula, out: list[int]) -> None:
-    if isinstance(f, Atom):
-        out.append(0)
-        out.append(f.pred)
-        out.append(len(f.args))
-        out.extend(f.args)
-    elif isinstance(f, Bot):
-        out.append(1)
-    elif isinstance(f, Top):
-        out.append(2)
-    elif isinstance(f, And):
-        out.append(3)
-        _encode(f.left, out)
-        _encode(f.right, out)
-    elif isinstance(f, Or):
-        out.append(4)
-        _encode(f.left, out)
-        _encode(f.right, out)
-    elif isinstance(f, Not):
-        out.append(5)
-        _encode(f.sub, out)
-    elif isinstance(f, FAll):
-        out.append(6)
-        _encode(f.body, out)
-    elif isinstance(f, FEx):
-        out.append(7)
-        _encode(f.body, out)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-
-
 def canonical_key(f: Formula) -> tuple[int, ...]:
-    """Flat preorder encoding of ``f``.
+    """Flat preorder encoding of ``f``: its tag, then for an atom the
+    predicate, arity and arguments, else its children's keys in order.
 
     Lexicographic order on keys is a total order on formulas, and two formulas
     have equal keys exactly when they are equal.
     """
-    out: list[int] = []
-    _encode(f, out)
-    return tuple(out)
+    k = f._key
+    if k is None:
+        out: list[int] = []
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if g._key is not None:
+                out += g._key
+                continue
+            out.append(g._tag)
+            if isinstance(g, Atom):
+                out.append(g.pred)
+                out.append(len(g.args))
+                out += g.args
+            elif isinstance(g, (And, Or)):
+                stack += (g.right, g.left)
+            elif isinstance(g, Not):
+                stack.append(g.sub)
+            elif isinstance(g, (FAll, FEx)):
+                stack.append(g.body)
+        k = tuple(out)
+        _set(f, "_key", k)
+    return k
 
 
 def canonical_compare(a: Formula, b: Formula) -> int:

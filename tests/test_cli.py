@@ -243,7 +243,7 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_deep_input_exits_2_without_traceback(tmp_path, capsys):
+def test_deep_input_interpolates_and_verifies(tmp_path, capsys):
     # A formula nested 200 deep under a chain of 200 WL nodes: both inside the
     # parser's nesting limit, run at CPython's default recursion limit.
     depth = 200
@@ -257,16 +257,14 @@ def test_deep_input_exits_2_without_traceback(tmp_path, capsys):
     seq = root(d)
     problem = tmp_path / "problem.txt"
     problem.write_text(print_problem(ProblemFile(seq.antecedent, EMPTY, EMPTY, seq.succedent, d)))
+    out = tmp_path / "result.txt"
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        code = main(["interpolate", str(problem)])
+        assert main(["interpolate", str(problem)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.splitlines()[-1] == "summary: PASS"
+        out.write_text(printed)
+        assert main(["verify", str(problem), str(out)]) == 0
     finally:
         sys.setrecursionlimit(limit)
-    captured = capsys.readouterr()
-    if code == 0:
-        assert captured.out.splitlines()[-1] == "summary: PASS"
-    else:
-        assert code == 2
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1

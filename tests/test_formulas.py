@@ -1,11 +1,14 @@
 """Formula operations: renaming, binding, free variables, polarity, order."""
 from __future__ import annotations
 
+import dataclasses
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from craigseq.calculus import FormulaSet
+from craigseq.calculus import FormulaSet, fset
 from craigseq.formulas import (
     BOT,
     TOP,
@@ -14,6 +17,7 @@ from craigseq.formulas import (
     Bot,
     FAll,
     FEx,
+    Formula,
     Not,
     Or,
     Top,
@@ -31,7 +35,8 @@ from craigseq.formulas import (
     pre_suc,
     rename_vars,
 )
-from support import formulas
+from craigseq.oracle import SplitMix64
+from support import formulas, sample_formula
 
 quantified = st.one_of(
     formulas().map(FAll),
@@ -205,3 +210,76 @@ def test_match_bind_recovers_binding(f, q, a):
 def test_atom_args_normalized_to_tuple():
     assert Atom(0, [5, 3]).args == (5, 3)
     assert hash(Atom(0, [5, 3])) == hash(Atom(0, (5, 3)))
+    assert Atom(0, [5, 3]) == Atom(0, (5, 3))
+
+
+def test_dataclass_shape_unchanged():
+    assert repr(And(Atom(0), Atom(1))) == "And(left=Atom(pred=0, args=()), right=Atom(pred=1, args=()))"
+    assert [f.name for f in dataclasses.fields(And)] == ["left", "right"]
+    assert [f.name for f in dataclasses.fields(Atom)] == ["pred", "args"]
+
+
+def test_equality_agrees_with_canonical_key():
+    # Seeds repeat, so every formula has an equal twin built separately, and
+    # the small depth and alphabet make unrelated formulas collide often.
+    # Equality is asked first, on nodes whose caches are still empty.
+    fs = [sample_formula(SplitMix64(seed % 150), max_depth=2, max_pred=2, max_var=2) for seed in range(300)]
+    eq = [[a == b for b in fs] for a in fs]
+    keys = [canonical_key(f) for f in fs]
+    for i, a in enumerate(fs):
+        assert eq[i][(i + 150) % 300]
+        for j, b in enumerate(fs):
+            assert eq[i][j] == (keys[i] == keys[j])
+            if eq[i][j]:
+                assert hash(a) == hash(b)
+
+
+def _subformulas(f: Formula) -> list[Formula]:
+    kids = {And: ("left", "right"), Or: ("left", "right"), Not: ("sub",), FAll: ("body",), FEx: ("body",)}
+    return [f] + [g for name in kids.get(type(f), ()) for g in _subformulas(getattr(f, name))]
+
+
+@given(formulas())
+def test_walks_reuse_values_cached_on_subformulas(f):
+    # Cache values on every other proper subformula first; the walks over f
+    # stop there and must agree with walks over a copy that caches nothing.
+    for g in _subformulas(f)[1::2]:
+        free_vars(g), polarity(g), canonical_key(g)
+    copy = rename_vars(lambda v: v, f)
+    assert free_vars(f) == free_vars(copy)
+    assert polarity(f) == polarity(copy)
+    assert canonical_key(f) == canonical_key(copy)
+
+
+def test_free_vars_returns_a_fresh_list():
+    f = And(Atom(0, (1, 2)), FAll(Atom(1, (0, 3))))
+    fv = free_vars(f)
+    fv.append(9)
+    fv.clear()
+    assert free_vars(f) == [1, 2, 2]
+
+
+def test_deep_formula_without_recursion():
+    # Hash, key, free variables and polarity are cached by walks that do not
+    # recurse, so a chain far deeper than the recursion limit works.
+    depth = 5000
+
+    def chain() -> Formula:
+        f: Formula = Atom(0)
+        for _ in range(depth):
+            f = Not(f)
+        return f
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        a, b = chain(), chain()
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert b in fset(a)
+        assert len(canonical_key(a)) == depth + 3
+        assert free_vars(a) == []
+        assert polarity(a) == Polarity(frozenset({0}), frozenset())
+    finally:
+        sys.setrecursionlimit(limit)
