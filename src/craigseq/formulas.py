@@ -8,11 +8,13 @@ named variables and never touch raw indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Literal, NamedTuple
+from typing import Callable, ClassVar, Iterable, Literal, NamedTuple, Sequence, TypeVar
 
 VarId = int
 PredId = int
 Quantifier = Literal["all", "ex"]
+R = TypeVar("R")
+C = TypeVar("C")
 
 
 class Formula:
@@ -126,28 +128,89 @@ BOT = Bot()
 TOP = Top()
 
 
-def _lift(s: Callable[[VarId], VarId]) -> Callable[[VarId], VarId]:
-    """Shift a renaming under one binder: index 0 is untouched."""
-    return lambda v: 0 if v == 0 else s(v - 1) + 1
+def fold(
+    f: Formula,
+    combine: Sequence[Callable[..., R]],
+    ctx: C,
+    under: Callable[[Formula, C], C] | None = None,
+    stop: Callable[[Formula, C], R | None] | None = None,
+) -> R:
+    """Post-order fold of ``f`` with an explicit stack, dispatched on ``_tag``.
+
+    ``ctx`` is handed down the tree; a quantifier's body gets
+    ``under(quantifier, ctx)`` when ``under`` is given.  ``stop(g, ctx)``, when
+    given, is asked first at each node: a value other than ``None`` is the
+    node's value and the fold does not descend into it.  Otherwise the node's
+    value is ``combine[g._tag](g, c, *values)``, with ``values`` the values of
+    its children in order and ``c`` the context they were folded in.  The
+    depth of ``f`` is bounded by memory, not by the recursion limit.
+    """
+    out: list[R] = []
+    todo: list[tuple[Formula, C, bool]] = [(f, ctx, True)]
+    while todo:
+        g, c, down = todo.pop()
+        tag = g._tag
+        if not down:
+            if tag < 5:
+                right = out.pop()
+                out[-1] = combine[tag](g, c, out[-1], right)
+            else:
+                out[-1] = combine[tag](g, c, out[-1])
+        elif stop is not None and (v := stop(g, c)) is not None:
+            out.append(v)
+        elif tag < 3:
+            out.append(combine[tag](g, c))
+        elif tag < 5:
+            todo += ((g, c, False), (g.right, c, True), (g.left, c, True))  # type: ignore[attr-defined]
+        elif tag == 5:
+            todo += ((g, c, False), (g.sub, c, True))  # type: ignore[attr-defined]
+        else:
+            c = under(g, c) if under is not None else c
+            todo += ((g, c, False), (g.body, c, True))  # type: ignore[attr-defined]
+    return out[0]
+
+
+def _same(g: Formula, c: object) -> Formula:
+    return g
+
+
+def _binary(g: Formula, c: object, left: Formula, right: Formula) -> Formula:
+    """``g`` with new children, or ``g`` itself when they are unchanged."""
+    if left is g.left and right is g.right:  # type: ignore[attr-defined]
+        return g
+    return type(g)(left, right)  # type: ignore[call-arg]
+
+
+def _unary(g: Formula, c: object, sub: Formula) -> Formula:
+    """``g`` with a new child, or ``g`` itself when it is unchanged."""
+    if sub is (g.sub if g._tag == 5 else g.body):  # type: ignore[attr-defined]
+        return g
+    return type(g)(sub)  # type: ignore[call-arg]
+
+
+#: Combine functions that rebuild a node only where a child changed.
+REBUILD = (_same, _same, _same, _binary, _binary, _unary, _unary, _unary)
 
 
 def rename_vars(s: Callable[[VarId], VarId], f: Formula) -> Formula:
-    """Apply the total variable renaming ``s``, lifted under binders."""
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(s(v) for v in f.args))
-    if isinstance(f, (Bot, Top)):
-        return f
-    if isinstance(f, And):
-        return And(rename_vars(s, f.left), rename_vars(s, f.right))
-    if isinstance(f, Or):
-        return Or(rename_vars(s, f.left), rename_vars(s, f.right))
-    if isinstance(f, Not):
-        return Not(rename_vars(s, f.sub))
-    if isinstance(f, FAll):
-        return FAll(rename_vars(_lift(s), f.body))
-    if isinstance(f, FEx):
-        return FEx(rename_vars(_lift(s), f.body))
-    raise TypeError(f"not a formula: {f!r}")
+    """Apply the total variable renaming ``s``, lifted under binders.
+
+    Under ``d`` binders the renaming fixes the bound indices ``0..d-1`` and
+    maps ``v`` to ``s(v - d) + d`` otherwise.  A subformula whose free
+    variables the lifted renaming all fixes comes back as the same object.
+    """
+
+    def renamed(g: Formula, depth: int) -> Formula | None:
+        if g._tag == 0:
+            args = tuple([v if v < depth else s(v - depth) + depth for v in g.args])  # type: ignore[attr-defined]
+            return g if args == g.args else Atom(g.pred, args)  # type: ignore[attr-defined]
+        vs = g._fv
+        return g if vs is not None and all(v < depth or s(v - depth) == v - depth for v in vs) else None
+
+    return fold(f, REBUILD, 0, lambda g, depth: depth + 1, renamed)
+
+
+_QUANTIFIERS: dict[int, Quantifier] = {6: "all", 7: "ex"}
 
 
 def bind(q: Quantifier, a: VarId, f: Formula) -> Formula:
@@ -165,15 +228,9 @@ def inst(q: Quantifier, t: VarId, f: Formula) -> Formula:
 
     Partial: ``f`` must be headed by the matching quantifier.
     """
-    if q == "all":
-        if not isinstance(f, FAll):
-            raise ValueError(f"inst('all', ...) needs a universally quantified formula, got {f!r}")
-        body = f.body
-    else:
-        if not isinstance(f, FEx):
-            raise ValueError(f"inst('ex', ...) needs an existentially quantified formula, got {f!r}")
-        body = f.body
-    return rename_vars(lambda v: t if v == 0 else v - 1, body)
+    if _QUANTIFIERS.get(f._tag) != q:
+        raise ValueError(f"inst({q!r}, ...) needs a formula headed by that quantifier, got {f!r}")
+    return rename_vars(lambda v: t if v == 0 else v - 1, f.body)  # type: ignore[attr-defined]
 
 
 def pre_suc(xs: Iterable[VarId]) -> list[VarId]:
@@ -290,11 +347,8 @@ def match_inst(quantified: Formula, instance: Formula) -> VarId | None:
     head is not a quantifier or no variable works.  When several work (the
     vacuous case) the smallest is returned.
     """
-    if isinstance(quantified, FAll):
-        q: Quantifier = "all"
-    elif isinstance(quantified, FEx):
-        q = "ex"
-    else:
+    q = _QUANTIFIERS.get(quantified._tag)
+    if q is None:
         return None
     limit = max(free_vars(instance), default=-1) + 2
     for t in range(limit):
@@ -310,11 +364,8 @@ def match_bind(quantified: Formula, body: Formula, forbidden: Iterable[VarId]) -
     vacuous any fresh variable works and the smallest is returned; otherwise
     the answer is the unique variable abstracted by ``quantified``.
     """
-    if isinstance(quantified, FAll):
-        q: Quantifier = "all"
-    elif isinstance(quantified, FEx):
-        q = "ex"
-    else:
+    q = _QUANTIFIERS.get(quantified._tag)
+    if q is None:
         return None
     bad = set(forbidden)
     fv = set(free_vars(body))

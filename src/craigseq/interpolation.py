@@ -51,23 +51,7 @@ from .calculus import (
     is_wellformed,
     root,
 )
-from .formulas import (
-    BOT,
-    TOP,
-    And,
-    Atom,
-    Bot,
-    FAll,
-    FEx,
-    Formula,
-    Not,
-    Or,
-    Top,
-    bind,
-    neg,
-    polarity,
-    pos,
-)
+from .formulas import BOT, REBUILD, TOP, And, Formula, Not, Or, bind, fold, neg, polarity, pos
 
 
 class InterpolationError(Exception):
@@ -473,49 +457,29 @@ def verify(split: SplitSequent, result: InterpolationResult) -> VerifyReport:
     return VerifyReport(conjuncts)
 
 
+def _simplify_binary(g: Formula, c: None, left: Formula, right: Formula) -> Formula:
+    unit = 2 if g._tag == 3 else 1  # ⊤ for ∧, ⊥ for ∨; the other constant absorbs
+    if left._tag == 3 - unit:
+        return left
+    if right._tag == 3 - unit:
+        return right
+    if left._tag == unit:
+        return right
+    if right._tag == unit:
+        return left
+    return REBUILD[g._tag](g, c, left, right)
+
+
+def _simplify_unary(g: Formula, c: None, sub: Formula) -> Formula:
+    if sub._tag not in (1, 2):  # neither ⊥ nor ⊤
+        return REBUILD[g._tag](g, c, sub)
+    return sub if g._tag > 5 else TOP if sub._tag == 1 else BOT
+
+
 def simplify_bool(f: Formula) -> Formula:
     """Remove constant subformulas using the unit and absorption laws of ⊥/⊤.
 
     A single bottom-up pass; the result contains Bot/Top only as the whole
     formula.
     """
-    if isinstance(f, (Atom, Bot, Top)):
-        return f
-    if isinstance(f, And):
-        left = simplify_bool(f.left)
-        right = simplify_bool(f.right)
-        if isinstance(left, Bot) or isinstance(right, Bot):
-            return BOT
-        if isinstance(left, Top):
-            return right
-        if isinstance(right, Top):
-            return left
-        return And(left, right)
-    if isinstance(f, Or):
-        left = simplify_bool(f.left)
-        right = simplify_bool(f.right)
-        if isinstance(left, Top) or isinstance(right, Top):
-            return TOP
-        if isinstance(left, Bot):
-            return right
-        if isinstance(right, Bot):
-            return left
-        return Or(left, right)
-    if isinstance(f, Not):
-        sub = simplify_bool(f.sub)
-        if isinstance(sub, Bot):
-            return TOP
-        if isinstance(sub, Top):
-            return BOT
-        return Not(sub)
-    if isinstance(f, FAll):
-        body = simplify_bool(f.body)
-        if isinstance(body, (Bot, Top)):
-            return body
-        return FAll(body)
-    if isinstance(f, FEx):
-        body = simplify_bool(f.body)
-        if isinstance(body, (Bot, Top)):
-            return body
-        return FEx(body)
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, (*REBUILD[:3], _simplify_binary, _simplify_binary, *[_simplify_unary] * 3), None)

@@ -40,22 +40,7 @@ from .calculus import (
     premises,
     root,
 )
-from .formulas import (
-    BOT,
-    TOP,
-    And,
-    Atom,
-    Bot,
-    FAll,
-    FEx,
-    Formula,
-    Not,
-    Or,
-    Top,
-    bind,
-    free_vars,
-    inst,
-)
+from .formulas import BOT, TOP, And, Atom, Formula, Not, Or, bind, fold
 from .interpolation import SplitSequent
 
 AtomKey = tuple[int, tuple[int, ...]]
@@ -92,34 +77,42 @@ class SplitMix64:
         return xs[self.below(len(xs))]
 
 
+def _quantifier_free(g: Formula, c: object) -> object:
+    """The ``under`` of the folds below: it raises at a binder before its body is folded."""
+    raise ValueError(f"formula is not quantifier-free: {g!r}")
+
+
+_ATOM_KEYS = (
+    lambda g, c: {(g.pred, g.args)},
+    lambda g, c: set(),
+    lambda g, c: set(),
+    lambda g, c, left, right: left | right,
+    lambda g, c, left, right: left | right,
+    lambda g, c, sub: sub,
+)
+
+_EVAL = (
+    lambda g, valuation: valuation[(g.pred, g.args)],
+    lambda g, valuation: False,
+    lambda g, valuation: True,
+    lambda g, valuation, left, right: left and right,
+    lambda g, valuation, left, right: left or right,
+    lambda g, valuation, sub: not sub,
+)
+
+
 def atom_keys(f: Formula) -> set[AtomKey]:
     """All atoms of a quantifier-free formula, as (pred, args) keys."""
-    if isinstance(f, Atom):
-        return {(f.pred, f.args)}
-    if isinstance(f, (Bot, Top)):
-        return set()
-    if isinstance(f, (And, Or)):
-        return atom_keys(f.left) | atom_keys(f.right)
-    if isinstance(f, Not):
-        return atom_keys(f.sub)
-    raise ValueError(f"formula is not quantifier-free: {f!r}")
+    return fold(f, _ATOM_KEYS, None, _quantifier_free)
 
 
 def eval_formula(f: Formula, valuation: Mapping[AtomKey, bool]) -> bool:
-    """Truth value of a quantifier-free formula under a total valuation."""
-    if isinstance(f, Atom):
-        return valuation[(f.pred, f.args)]
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, And):
-        return eval_formula(f.left, valuation) and eval_formula(f.right, valuation)
-    if isinstance(f, Or):
-        return eval_formula(f.left, valuation) or eval_formula(f.right, valuation)
-    if isinstance(f, Not):
-        return not eval_formula(f.sub, valuation)
-    raise ValueError(f"formula is not quantifier-free: {f!r}")
+    """Truth value of a quantifier-free formula under a total valuation.
+
+    Every subformula is evaluated, so a quantifier anywhere raises ``ValueError``.
+    """
+    return fold(f, _EVAL, valuation, _quantifier_free)
+
 
 MAX_VALIDITY_ATOMS = 16
 

@@ -17,23 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .calculus import RULES, Derivation, FormulaSet, Sequent, premises, root
-from .formulas import (
-    BOT,
-    TOP,
-    And,
-    Atom,
-    Bot,
-    FAll,
-    FEx,
-    Formula,
-    Not,
-    Or,
-    Quantifier,
-    Top,
-    bind,
-    free_vars,
-    inst,
-)
+from .formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, fold, free_vars
 from .interpolation import InterpolationResult, SplitSequent
 
 MAX_NESTING = 300
@@ -107,7 +91,8 @@ class _Parser:
             raise ParseError(f"expected a variable like x0, found {tok!r}")
         return int(m.group(1))
 
-    def formula(self, depth: int = 0) -> Formula:
+    def formula(self, depth: int = 0, bound: tuple[int, ...] = ()) -> Formula:
+        # ``bound`` names the enclosing binders, innermost first: a name's position is its index.
         if depth > MAX_NESTING:
             raise ParseError("formula nesting too deep")
         tok = self.peek()
@@ -121,34 +106,34 @@ class _Parser:
             return TOP
         if tok == "~":
             self.take()
-            return Not(self.formula(depth + 1))
+            return Not(self.formula(depth + 1, bound))
         if tok == "(":
             self.take()
-            left = self.formula(depth + 1)
+            left = self.formula(depth + 1, bound)
             op = self.take()
             if op not in ("&", "|"):
                 raise ParseError(f"expected '&' or '|', found {op!r}")
-            right = self.formula(depth + 1)
+            right = self.formula(depth + 1, bound)
             self.take(")")
             return And(left, right) if op == "&" else Or(left, right)
         if tok in ("forall", "exists"):
             self.take()
             v = self.variable()
             self.take(".")
-            body = self.formula(depth + 1)
-            q: Quantifier = "all" if tok == "forall" else "ex"
-            return bind(q, v, body)
+            body = self.formula(depth + 1, (v, *bound))
+            return FAll(body) if tok == "forall" else FEx(body)
         m = _PRED_RE.fullmatch(tok)
         if m is not None:
             self.take()
             self.take("(")
-            args: list[int] = []
+            names: list[int] = []
             if self.peek() != ")":
-                args.append(self.variable())
+                names.append(self.variable())
                 while self.peek() == ",":
                     self.take(",")
-                    args.append(self.variable())
+                    names.append(self.variable())
             self.take(")")
+            args = (bound.index(a) if a in bound else a + len(bound) for a in names)
             return Atom(int(m.group(1)), tuple(args))
         raise ParseError(f"expected a formula, found {tok!r}")
 
@@ -203,30 +188,32 @@ def parse_derivation(text: str) -> Derivation:
     return d
 
 
+def _name(v: int, bound: tuple[int, ...]) -> int:
+    """The name of de Bruijn variable ``v`` under binders named ``bound``, innermost first."""
+    return bound[v] if v < len(bound) else v - len(bound)
+
+
+def _binder(g: Formula, bound: tuple[int, ...]) -> tuple[int, ...]:
+    """Name the binder of ``g``: the smallest name not free in ``g``."""
+    used = {_name(v, bound) for v in free_vars(g)}
+    return (min(set(range(len(used) + 1)) - used), *bound)
+
+
+_PRINT = (
+    lambda g, bound: f"P{g.pred}({','.join(f'x{_name(v, bound)}' for v in g.args)})",
+    lambda g, bound: "bot",
+    lambda g, bound: "top",
+    lambda g, bound, left, right: f"({left} & {right})",
+    lambda g, bound, left, right: f"({left} | {right})",
+    lambda g, bound, sub: f"~{sub}",
+    lambda g, bound, body: f"forall x{bound[0]}. {body}",
+    lambda g, bound, body: f"exists x{bound[0]}. {body}",
+)
+
+
 def print_formula(f: Formula) -> str:
     """Render a formula; binders are shown with the smallest fresh variable."""
-    if isinstance(f, Atom):
-        args = ",".join(f"x{v}" for v in f.args)
-        return f"P{f.pred}({args})"
-    if isinstance(f, Bot):
-        return "bot"
-    if isinstance(f, Top):
-        return "top"
-    if isinstance(f, And):
-        return f"({print_formula(f.left)} & {print_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({print_formula(f.left)} | {print_formula(f.right)})"
-    if isinstance(f, Not):
-        return f"~{print_formula(f.sub)}"
-    if isinstance(f, (FAll, FEx)):
-        q: Quantifier = "all" if isinstance(f, FAll) else "ex"
-        word = "forall" if isinstance(f, FAll) else "exists"
-        used = set(free_vars(f))
-        a = 0
-        while a in used:
-            a += 1
-        return f"{word} x{a}. {print_formula(inst(q, a, f))}"
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, _PRINT, (), _binder)
 
 
 def print_formula_list(formulas: FormulaSet) -> str:
@@ -239,11 +226,15 @@ def print_sequent(seq: Sequent) -> str:
 
 def print_derivation(d: Derivation) -> str:
     """Render a derivation as a single-line s-expression."""
-    parts = [f"({d.tag} {print_sequent(root(d))}"]
-    for child in premises(d):
-        parts.append(" ")
-        parts.append(print_derivation(child))
-    parts.append(")")
+    parts: list[str] = []
+    todo: list[tuple[str, Derivation | None]] = [("", d)]
+    while todo:
+        text, node = todo.pop()
+        parts.append(text)
+        if node is not None:
+            parts.append(f"({node.tag} {print_sequent(root(node))}")
+            todo.append((")", None))
+            todo += [(" ", child) for child in reversed(premises(node))]
     return "".join(parts)
 
 

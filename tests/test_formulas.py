@@ -35,7 +35,9 @@ from craigseq.formulas import (
     pre_suc,
     rename_vars,
 )
-from craigseq.oracle import SplitMix64
+from craigseq.interpolation import simplify_bool
+from craigseq.oracle import SplitMix64, atom_keys, eval_formula
+from craigseq.syntax import print_formula
 from support import formulas, sample_formula
 
 quantified = st.one_of(
@@ -234,18 +236,49 @@ def test_equality_agrees_with_canonical_key():
                 assert hash(a) == hash(b)
 
 
-def _subformulas(f: Formula) -> list[Formula]:
-    kids = {And: ("left", "right"), Or: ("left", "right"), Not: ("sub",), FAll: ("body",), FEx: ("body",)}
-    return [f] + [g for name in kids.get(type(f), ()) for g in _subformulas(getattr(f, name))]
+_KIDS = {And: ("left", "right"), Or: ("left", "right"), Not: ("sub",), FAll: ("body",), FEx: ("body",)}
+
+
+def _paths(f: Formula, path: tuple[str, ...] = (), binders: int = 0) -> list[tuple[tuple[str, ...], Formula, int]]:
+    """(path, subformula, binders above it) for f and each subformula, in preorder."""
+    under = binders + (type(f) in (FAll, FEx))
+    kids = [x for name in _KIDS.get(type(f), ()) for x in _paths(getattr(f, name), path + (name,), under)]
+    return [(path, f, binders)] + kids
+
+
+def _at(f: Formula, path: tuple[str, ...]) -> Formula:
+    for name in path:
+        f = getattr(f, name)
+    return f
+
+
+def _copy(f: Formula) -> Formula:
+    """An equal formula built from new nodes, none of which caches anything."""
+    kids = [_copy(getattr(f, name)) for name in _KIDS.get(type(f), ())]
+    return type(f)(*kids) if kids else dataclasses.replace(f)
+
+
+@given(formulas(), st.data())
+def test_rename_vars_returns_fixed_subformulas_unchanged(f, data):
+    keep = set(free_vars(f))
+    assert rename_vars(lambda v: v if v in keep else v + 1, f) is f
+    # A subformula under d binders whose free variables the renaming lifted
+    # d times fixes is the same object in the result, wherever others change.
+    path, g, d = data.draw(st.sampled_from(_paths(f)))
+    keep = {v - d for v in free_vars(g) if v >= d}
+    s = lambda v: v if v in keep else v + 1 + v % 2
+    renamed = rename_vars(s, f)
+    assert _at(renamed, path) is g
 
 
 @given(formulas())
 def test_walks_reuse_values_cached_on_subformulas(f):
     # Cache values on every other proper subformula first; the walks over f
     # stop there and must agree with walks over a copy that caches nothing.
-    for g in _subformulas(f)[1::2]:
+    for _, g, _ in _paths(f)[1::2]:
         free_vars(g), polarity(g), canonical_key(g)
-    copy = rename_vars(lambda v: v, f)
+    copy = _copy(f)
+    assert copy is not f
     assert free_vars(f) == free_vars(copy)
     assert polarity(f) == polarity(copy)
     assert canonical_key(f) == canonical_key(copy)
@@ -261,7 +294,9 @@ def test_free_vars_returns_a_fresh_list():
 
 def test_deep_formula_without_recursion():
     # Hash, key, free variables and polarity are cached by walks that do not
-    # recurse, so a chain far deeper than the recursion limit works.
+    # recurse, and renaming, printing, simplification and evaluation are
+    # folds without recursion, so chains far deeper than the recursion limit
+    # work.
     depth = 5000
 
     def chain() -> Formula:
@@ -269,6 +304,38 @@ def test_deep_formula_without_recursion():
         for _ in range(depth):
             f = Not(f)
         return f
+
+    def mixed(free: int, tops: bool = True) -> tuple[Formula, str]:
+        # Not, And with top, forall, exists, repeated: depth // 2 binders,
+        # and the atom's second argument is the free variable ``free``.
+        f: Formula = Atom(0, (0, depth // 2 + free))
+        text = f"P0(x1,x{free})"
+        for i in range(depth):
+            k = i % 4
+            if k == 0:
+                f, text = Not(f), f"~{text}"
+            elif k == 1 and tops:
+                f, text = And(f, TOP), f"({text} & top)"
+            elif k == 2:
+                f, text = FAll(f), f"forall x1. {text}"
+            elif k == 3:
+                f, text = FEx(f), f"exists x1. {text}"
+        return f, text
+
+    valuation = {(0, ()): True, (1, ()): True, (2, (0,)): False, (2, (1,)): True}
+
+    def quantifier_free() -> tuple[Formula, bool]:
+        f: Formula = Atom(0)
+        value = True
+        for i in range(depth):
+            k = i % 3
+            if k == 0:
+                f, value = Not(f), not value
+            elif k == 1:
+                f, value = And(f, Atom(1)), value
+            else:
+                f, value = Or(f, Atom(2, (i % 2,))), value or valuation[(2, (i % 2,))]
+        return f, value
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
@@ -281,5 +348,17 @@ def test_deep_formula_without_recursion():
         assert len(canonical_key(a)) == depth + 3
         assert free_vars(a) == []
         assert polarity(a) == Polarity(frozenset({0}), frozenset())
+
+        m, text = mixed(0)
+        assert print_formula(m) == text
+        m7 = inst("all", 7, FAll(m))
+        assert m7 == mixed(7)[0]
+        assert bind("all", 7, m7) == FAll(m)
+        assert rename_vars(lambda v: v, m) is m
+        assert simplify_bool(m) == mixed(0, tops=False)[0]
+
+        qf, value = quantifier_free()
+        assert atom_keys(qf) == set(valuation)
+        assert eval_formula(qf, valuation) is value
     finally:
         sys.setrecursionlimit(limit)

@@ -76,6 +76,9 @@ def test_eval_formula():
         eval_formula(FAll(Atom(0, (0,))), v)
     with pytest.raises(ValueError):
         eval_formula(And(p, FEx(q)), v)
+    # no short circuit past a quantifier
+    with pytest.raises(ValueError):
+        eval_formula(Or(p, FEx(Atom(1, (0,)))), {(0, ()): True})
 
 
 def test_is_valid_sequent_examples():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,20 @@ def test_parse_derivation_nested():
         Init(Sequent(fset(p, q, And(p, q)), fset(p))),
     )
     assert print_derivation(d) == text
+
+
+def test_print_derivation_without_recursion():
+    seq = Sequent(fset(p), fset(p))
+    d = Init(seq)
+    for _ in range(5000):
+        d = WL(seq, d)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = print_derivation(d)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == "(WL [P0()] => [P0()] " * 5000 + "(Init [P0()] => [P0()])" + ")" * 5000
 
 
 def test_parse_derivation_canonicalizes_sets():
@@ -292,7 +307,7 @@ def test_result_errors():
 @pytest.mark.xfail(
     strict=True,
     raises=ParseError,
-    reason="ROADMAP item 3: a witness nests deeper than MAX_NESTING, so the printed result does not parse back",
+    reason="ROADMAP item 1: a witness nests deeper than MAX_NESTING, so the printed result does not parse back",
 )
 def test_printed_result_of_280_node_problem_parses_back():
     # Fault (a): the input nests 262 deep, its left witness 316.
