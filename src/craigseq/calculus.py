@@ -350,6 +350,11 @@ def _sides(seq: Sequent, side: str) -> tuple[FormulaSet, FormulaSet]:
     return (seq.antecedent, seq.succedent) if side == "g" else (seq.succedent, seq.antecedent)
 
 
+def _sequent(side: str, this: FormulaSet, other: FormulaSet) -> Sequent:
+    """The sequent with ``this`` on ``side`` and ``other`` opposite: ``_sides`` inverted."""
+    return Sequent(this, other) if side == "g" else Sequent(other, this)
+
+
 def _plus(fs: FormulaSet, formulas: tuple[Formula, ...]) -> FormulaSet:
     """``fs`` with ``formulas`` added."""
     # One merge rather than two inserts: each insert copies every member into

@@ -47,11 +47,12 @@ from .calculus import (
     WL,
     WR,
     _resolved_preorder,
+    _sides,
     fset,
     is_wellformed,
     root,
 )
-from .formulas import BOT, REBUILD, TOP, And, Formula, Not, Or, bind, fold, neg, polarity, pos
+from .formulas import BOT, REBUILD, TOP, And, Formula, Not, Or, bind, fold, polarity
 
 
 class InterpolationError(Exception):
@@ -299,8 +300,7 @@ def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent, r
         _hit(f"{name}-impossible")
         side = "antecedent" if row.side == "g" else "succedent"
         raise UnreachableCaseError(f"weakened formula missing from both {side} parts")
-    sub = root(d.sub)
-    kept = sub.antecedent if row.side == "g" else sub.succedent
+    kept = _sides(root(d.sub), row.side)[0]
     premise = replace(split, **{one: kept & getattr(split, one), two: kept & getattr(split, two)})
     res = _interpolate(d.sub, premise, rules)
     return _wrap(row.cls, split, res, in1, in2)
@@ -420,18 +420,19 @@ class VerifyReport:
         return all(self.conjuncts.values())
 
 
-def _pos_union(fs: FormulaSet) -> frozenset[int]:
-    out: frozenset[int] = frozenset()
-    for f in fs:
-        out |= pos(f)
-    return out
-
-
-def _neg_union(fs: FormulaSet) -> frozenset[int]:
-    out: frozenset[int] = frozenset()
-    for f in fs:
-        out |= neg(f)
-    return out
+def _allowed(ante: FormulaSet, succ: FormulaSet) -> tuple[frozenset[int], frozenset[int]]:
+    """The predicates an interpolant may use positively and negatively when it
+    sits in the succedent of ``ante ⊢ succ``: those of the same polarity in
+    ``ante``, of the opposite one in ``succ``."""
+    pos: frozenset[int] = frozenset()
+    neg: frozenset[int] = frozenset()
+    for f in ante:
+        p = polarity(f)
+        pos, neg = pos | p.positives, neg | p.negatives
+    for f in succ:
+        p = polarity(f)
+        pos, neg = pos | p.negatives, neg | p.positives
+    return pos, neg
 
 
 def verify(split: SplitSequent, result: InterpolationResult) -> VerifyReport:
@@ -444,15 +445,18 @@ def verify(split: SplitSequent, result: InterpolationResult) -> VerifyReport:
     """
     c = result.interpolant
     cpos, cneg = polarity(c)
+    pos_left, neg_left = _allowed(split.gamma1, split.delta1)
+    # C sits in the antecedent of C, Γ2 ⊢ Δ2: the bounds are those of Δ2 ⊢ Γ2.
+    pos_right, neg_right = _allowed(split.delta2, split.gamma2)
     conjuncts = {
         "wellformed_left": is_wellformed(result.left_witness),
         "wellformed_right": is_wellformed(result.right_witness),
         "root_left": root(result.left_witness) == Sequent(split.gamma1, split.delta1.add(c)),
         "root_right": root(result.right_witness) == Sequent(split.gamma2.add(c), split.delta2),
-        "pos_left": cpos <= _pos_union(split.gamma1) | _neg_union(split.delta1),
-        "pos_right": cpos <= _neg_union(split.gamma2) | _pos_union(split.delta2),
-        "neg_left": cneg <= _neg_union(split.gamma1) | _pos_union(split.delta1),
-        "neg_right": cneg <= _pos_union(split.gamma2) | _neg_union(split.delta2),
+        "pos_left": cpos <= pos_left,
+        "pos_right": cpos <= pos_right,
+        "neg_left": cneg <= neg_left,
+        "neg_right": cneg <= neg_right,
     }
     return VerifyReport(conjuncts)
 

@@ -8,8 +8,9 @@ and ``semantic_verify`` checks the two sequents an interpolant must validate.
 Generation is driven by a self-contained splitmix64 RNG so that corpora are
 reproducible across platforms and Python versions.  ``gen_derivation`` grows a
 wellformed derivation downward from a random axiom leaf by wrapping the
-current root in further rule applications; ``random_split`` deals each root
-formula to either or both parts of a split.
+current root in further rule applications, each read off its row of
+``calculus.RULES``; ``random_split`` deals each root formula to either or both
+parts of a split.
 """
 from __future__ import annotations
 
@@ -18,29 +19,24 @@ from typing import Iterable, Mapping
 
 from .calculus import (
     EMPTY,
-    AllL,
-    AllR,
-    AndL,
-    AndR,
+    RULES,
     BotL,
     Derivation,
-    ExL,
-    ExR,
     FormulaSet,
     Init,
-    NotL,
-    NotR,
-    OrL,
-    OrR,
     Sequent,
     TopR,
     WL,
     WR,
+    _match_connective,
+    _match_term,
+    _sequent,
+    _sides,
     fset,
     premises,
     root,
 )
-from .formulas import BOT, TOP, And, Atom, Formula, Not, Or, bind, fold
+from .formulas import BOT, TOP, And, Atom, Formula, Not, Or, fold
 from .interpolation import SplitSequent
 
 AtomKey = tuple[int, tuple[int, ...]]
@@ -185,123 +181,63 @@ def _gen_leaf(rng: SplitMix64, cfg: GenConfig) -> Derivation:
     return TopR(Sequent(EMPTY, fset(TOP)))
 
 
-def _wrap_wl(d: Derivation, f: Formula) -> Derivation:
-    seq = root(d)
-    if f in seq.antecedent:
-        return d
-    return WL(Sequent(seq.antecedent.add(f), seq.succedent), d)
+#: The rules ``_grow`` draws from, in draw order; the last four only when
+#: quantifiers are allowed.  The order is the generator's distribution.
+_GROW_RULES = ("WL", "WR", "NotL", "NotR", "AndL", "AndR", "OrL", "OrR", "AllL", "AllR", "ExL", "ExR")
+
+#: Per side, the unit that may close AndR's/OrL's sibling premise, and its axiom.
+_UNITS = {"d": (TOP, TopR), "g": (BOT, BotL)}
+_WEAKENINGS = {"g": WL, "d": WR}
 
 
-def _wrap_wr(d: Derivation, f: Formula) -> Derivation:
-    seq = root(d)
-    if f in seq.succedent:
+def _weaken(d: Derivation, side: str, f: Formula) -> Derivation:
+    """``d`` under a weakening that adds ``f`` on ``side``, unless it is there."""
+    this, other = _sides(root(d), side)
+    if f in this:
         return d
-    return WR(Sequent(seq.antecedent, seq.succedent.add(f)), d)
+    return _WEAKENINGS[side](_sequent(side, this.add(f), other), d)
 
 
 def _grow(rng: SplitMix64, cfg: GenConfig, d: Derivation) -> Derivation | None:
     """Wrap the current root in one more rule application, or return None when
-    the drawn rule does not apply to the current root sequent."""
-    rules = ["WL", "WR", "NotL", "NotR", "AndL", "AndR", "OrL", "OrR"]
-    if cfg.allow_quantifiers:
-        rules += ["AllL", "AllR", "ExL", "ExR"]
-    name = rng.choice(rules)
+    the drawn rule does not apply to the current root sequent.
+
+    The new root is read off the rule's row of ``RULES``: the principal
+    formula goes on ``row.side`` (weakened in first) and the premise's new
+    formulas, there already, come off ``row.target``.
+    """
+    row = RULES[rng.choice(_GROW_RULES if cfg.allow_quantifiers else _GROW_RULES[:8])]
+    side, target = row.side, row.target
     seq = root(d)
-    gamma, delta = seq.antecedent, seq.succedent
-
-    if name == "WL":
-        return WL(Sequent(gamma.add(_random_formula(rng, cfg.max_pred)), delta), d)
-    if name == "WR":
-        return WR(Sequent(gamma, delta.add(_random_formula(rng, cfg.max_pred))), d)
-
-    if name == "NotL":
-        if not delta:
+    this, other = _sides(seq, side)
+    if row.head is None:  # WL, WR
+        return row.cls(_sequent(side, this.add(_random_formula(rng, cfg.max_pred)), other), d)
+    if row.arity == 2:  # AndR, OrL: the sibling premise holds the unit or a formula of the other side
+        if not this:
             return None
-        a = rng.choice(list(delta))
-        d1 = _wrap_wl(d, Not(a))
-        seq1 = root(d1)
-        return NotL(Sequent(seq1.antecedent, seq1.succedent.without(a)), d1)
-    if name == "NotR":
-        if not gamma:
+        a = rng.choice(list(this))
+        unit, axiom = _UNITS[side]
+        b = unit if rng.below(1 + len(other)) == 0 else rng.choice(list(other))
+        d1 = _weaken(d, side, row.head(a, b))
+        kept = _sides(root(d1), side)[0].without(a)
+        sibling = (axiom if b == unit else Init)(_sequent(side, kept.add(b), other))
+        return row.cls(_sequent(side, kept, other), d1, sibling)
+    if row.match is _match_connective:  # NotL, NotR, AndL, OrR: components from the target side
+        pool = list(_sides(seq, target)[0])
+        if not pool:
             return None
-        a = rng.choice(list(gamma))
-        d1 = _wrap_wr(d, Not(a))
-        seq1 = root(d1)
-        return NotR(Sequent(seq1.antecedent.without(a), seq1.succedent), d1)
-
-    if name == "AndL":
-        if not gamma:
-            return None
-        a = rng.choice(list(gamma))
-        b = rng.choice(list(gamma))
-        f = And(a, b)
-        d1 = _wrap_wl(d, f)
-        seq1 = root(d1)
-        return AndL(Sequent(seq1.antecedent.without(a).without(b).add(f), seq1.succedent), d1)
-    if name == "OrR":
-        if not delta:
-            return None
-        a = rng.choice(list(delta))
-        b = rng.choice(list(delta))
-        f = Or(a, b)
-        d1 = _wrap_wr(d, f)
-        seq1 = root(d1)
-        return OrR(Sequent(seq1.antecedent, seq1.succedent.without(a).without(b).add(f)), d1)
-
-    if name == "AndR":
-        if not delta:
-            return None
-        a = rng.choice(list(delta))
-        b = TOP if rng.below(1 + len(gamma)) == 0 else rng.choice(list(gamma))
-        f = And(a, b)
-        d1 = _wrap_wr(d, f)
-        seq1 = root(d1)
-        conclusion = Sequent(seq1.antecedent, seq1.succedent.without(a))
-        sibling_seq = Sequent(conclusion.antecedent, conclusion.succedent.add(b))
-        sibling = TopR(sibling_seq) if b == TOP else Init(sibling_seq)
-        return AndR(conclusion, d1, sibling)
-    if name == "OrL":
-        if not gamma:
-            return None
-        a = rng.choice(list(gamma))
-        b = BOT if rng.below(1 + len(delta)) == 0 else rng.choice(list(delta))
-        f = Or(a, b)
-        d1 = _wrap_wl(d, f)
-        seq1 = root(d1)
-        conclusion = Sequent(seq1.antecedent.without(a), seq1.succedent)
-        sibling_seq = Sequent(conclusion.antecedent.add(b), conclusion.succedent)
-        sibling = BotL(sibling_seq) if b == BOT else Init(sibling_seq)
-        return OrL(conclusion, d1, sibling)
-
-    if name == "AllL":
-        v = rng.below(3)
-        e = Atom(rng.below(cfg.max_pred), (v,))
-        q = bind("all", v, e)
-        d1 = _wrap_wl(_wrap_wl(d, e), q)
-        seq1 = root(d1)
-        return AllL(Sequent(seq1.antecedent.without(e), seq1.succedent), d1)
-    if name == "ExR":
-        v = rng.below(3)
-        e = Atom(rng.below(cfg.max_pred), (v,))
-        q = bind("ex", v, e)
-        d1 = _wrap_wr(_wrap_wr(d, e), q)
-        seq1 = root(d1)
-        return ExR(Sequent(seq1.antecedent, seq1.succedent.without(e)), d1)
-    if name == "AllR":
-        a = max(seq.free_vars(), default=-1) + 1
-        body = Atom(rng.below(cfg.max_pred), (a,))
-        q = bind("all", a, body)
-        d1 = _wrap_wr(_wrap_wr(d, body), q)
-        seq1 = root(d1)
-        return AllR(Sequent(seq1.antecedent, seq1.succedent.without(body)), d1)
-    if name == "ExL":
-        a = max(seq.free_vars(), default=-1) + 1
-        body = Atom(rng.below(cfg.max_pred), (a,))
-        q = bind("ex", a, body)
-        d1 = _wrap_wl(_wrap_wl(d, body), q)
-        seq1 = root(d1)
-        return ExL(Sequent(seq1.antecedent.without(body), seq1.succedent), d1)
-    raise AssertionError(name)
+        parts = [rng.choice(pool) for _ in range(1 if row.head is Not else 2)]
+        d1 = _weaken(d, side, row.head(*parts))
+    else:  # AllL, ExR draw a term; AllR, ExL take a variable free nowhere in the root
+        v = rng.below(3) if row.match is _match_term else max(seq.free_vars(), default=-1) + 1
+        pred = rng.below(cfg.max_pred)
+        parts = [Atom(pred, (v,))]
+        # Binding v in P(v) leaves P applied to de Bruijn index 0.
+        d1 = _weaken(_weaken(d, target, parts[0]), side, row.head(Atom(pred, (0,))))
+    grown, other = _sides(root(d1), target)
+    for a in parts:
+        grown = grown.without(a)
+    return row.cls(_sequent(target, grown, other), d1)
 
 
 def gen_derivation(cfg: GenConfig) -> Derivation:

@@ -60,6 +60,13 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+def _number(digits: str, what: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past CPython's limit on int() conversion length
+        raise ParseError(f"{what} number too long ({len(digits)} digits)") from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self._tokens = _tokenize(text)
@@ -89,7 +96,7 @@ class _Parser:
         m = _VAR_RE.fullmatch(tok)
         if m is None:
             raise ParseError(f"expected a variable like x0, found {tok!r}")
-        return int(m.group(1))
+        return _number(m.group(1), "variable")
 
     def formula(self, depth: int = 0, bound: tuple[int, ...] = ()) -> Formula:
         # ``bound`` names the enclosing binders, innermost first: a name's position is its index.
@@ -134,17 +141,17 @@ class _Parser:
                     names.append(self.variable())
             self.take(")")
             args = (bound.index(a) if a in bound else a + len(bound) for a in names)
-            return Atom(int(m.group(1)), tuple(args))
+            return Atom(_number(m.group(1), "predicate"), tuple(args))
         raise ParseError(f"expected a formula, found {tok!r}")
 
-    def formula_list(self, depth: int = 0) -> list[Formula]:
+    def formula_list(self) -> list[Formula]:
         self.take("[")
         out: list[Formula] = []
         if self.peek() != "]":
-            out.append(self.formula(depth))
+            out.append(self.formula())
             while self.peek() == ";":
                 self.take(";")
-                out.append(self.formula(depth))
+                out.append(self.formula())
         self.take("]")
         return out
 

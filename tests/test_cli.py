@@ -227,6 +227,23 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["check", "interpolate"])
+@pytest.mark.parametrize("formula", ["P0(x{})", "P{}()"], ids=["variable", "predicate"])
+def test_overlong_number_exits_2(tmp_path, capsys, command, formula):
+    # 5,000 digits is past CPython's default limit on int() conversion.
+    f = formula.format("1" * 5000)
+    text = f"(Init [{f}] => [{f}])"
+    if command == "interpolate":
+        text = f"gamma1: [{f}]\ndelta2: [{f}]\nderivation: {text}\n"
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = main(["check", str(tmp_path / "nope.txt")])
     captured = capsys.readouterr()

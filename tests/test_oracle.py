@@ -1,6 +1,8 @@
 """Semantic oracle, RNG, and random derivation generator."""
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from craigseq.calculus import is_wellformed, root, size
@@ -170,6 +172,22 @@ def test_gen_derivation_size_one():
     d = gen_derivation(GenConfig(max_nodes=1, max_pred=1, seed=9))
     assert size(d) == 1
     assert is_wellformed(d)
+
+
+GEN_DIGEST_SHA256 = "fe67cc1ec4e09af17314670a526af44f6ba5450721f70ee26051f298315b4b1f"
+
+
+def test_gen_derivation_digest():
+    # Pins every RNG draw of the generator at the sizes the benchmark uses
+    # (the goldens stop at 34 nodes), quantifiers off and on.
+    h = hashlib.sha256()
+    for seed in range(20):
+        for n in (60, 150):
+            for quant in (False, True):
+                cfg = GenConfig(max_nodes=n, max_pred=1 + seed % 4, seed=seed, allow_quantifiers=quant)
+                h.update(print_derivation(gen_derivation(cfg)).encode())
+                h.update(b"\n")
+    assert h.hexdigest() == GEN_DIGEST_SHA256
 
 
 # -------------------------------------------------------------- random_split
