@@ -33,31 +33,40 @@ from .formulas import (
 
 
 class FormulaSet:
-    """Immutable formula set kept sorted and deduplicated in canonical order."""
+    """Immutable formula set kept sorted and deduplicated in canonical order.
 
-    __slots__ = ("_keys", "_items", "_members")
+    A formula is a member when its canonical key is among the set's sorted
+    keys; a value that is not a formula is never a member.  Membership,
+    ``add``, ``without``, ``|`` and ``&`` bisect or merge the key tuples, so
+    none of them hashes a formula.
+    """
+
+    __slots__ = ("_keys", "_items")
 
     _keys: tuple[tuple[int, ...], ...]
     _items: tuple[Formula, ...]
-    _members: frozenset[Formula]
 
     def __init__(self, formulas: Iterable[Formula] = ()):
         by_key = {canonical_key(f): f for f in formulas}
         pairs = sorted(by_key.items())
         self._keys = tuple(k for k, _ in pairs)
         self._items = tuple(f for _, f in pairs)
-        self._members = frozenset(self._items)
 
     @staticmethod
     def _build(keys: tuple[tuple[int, ...], ...], items: tuple[Formula, ...]) -> "FormulaSet":
         fs = FormulaSet.__new__(FormulaSet)
         fs._keys = keys
         fs._items = items
-        fs._members = frozenset(items)
         return fs
 
+    def _find(self, k: tuple[int, ...]) -> tuple[int, bool]:
+        """Where ``k`` sits or would be inserted in the keys, and whether it is there."""
+        keys = self._keys
+        i = bisect.bisect_left(keys, k)
+        return i, i < len(keys) and keys[i] == k
+
     def __contains__(self, f: object) -> bool:
-        return f in self._members
+        return isinstance(f, Formula) and self._find(canonical_key(f))[1]
 
     def __iter__(self) -> Iterator[Formula]:
         return iter(self._items)
@@ -78,19 +87,19 @@ class FormulaSet:
         return f"FormulaSet({list(self._items)!r})"
 
     def add(self, f: Formula) -> "FormulaSet":
-        if f in self._members:
-            return self
         k = canonical_key(f)
-        i = bisect.bisect_left(self._keys, k)
+        i, found = self._find(k)
+        if found:
+            return self
         return FormulaSet._build(
             self._keys[:i] + (k,) + self._keys[i:],
             self._items[:i] + (f,) + self._items[i:],
         )
 
     def without(self, f: Formula) -> "FormulaSet":
-        if f not in self._members:
+        i, found = self._find(canonical_key(f))
+        if not found:
             return self
-        i = self._items.index(f)
         return FormulaSet._build(self._keys[:i] + self._keys[i + 1 :], self._items[:i] + self._items[i + 1 :])
 
     def __or__(self, other: "FormulaSet") -> "FormulaSet":
@@ -129,10 +138,18 @@ class FormulaSet:
             return NotImplemented
         keys: list[tuple[int, ...]] = []
         items: list[Formula] = []
-        for k, f in zip(self._keys, self._items):
-            if f in other._members:
-                keys.append(k)
-                items.append(f)
+        i = j = 0
+        a, b = self._keys, other._keys
+        while i < len(a) and j < len(b):
+            if a[i] < b[j]:
+                i += 1
+            elif a[i] > b[j]:
+                j += 1
+            else:
+                keys.append(a[i])
+                items.append(self._items[i])
+                i += 1
+                j += 1
         return FormulaSet._build(tuple(keys), tuple(items))
 
 
@@ -357,9 +374,31 @@ def _sequent(side: str, this: FormulaSet, other: FormulaSet) -> Sequent:
 
 def _plus(fs: FormulaSet, formulas: tuple[Formula, ...]) -> FormulaSet:
     """``fs`` with ``formulas`` added."""
-    # One merge rather than two inserts: each insert copies every member into
-    # a new set.
+    # One merge rather than one insert per formula: each insert copies both
+    # tuples of ``fs``.
     return fs.add(formulas[0]) if len(formulas) == 1 else fs | FormulaSet(formulas)
+
+
+def _extra(small: FormulaSet, big: FormulaSet) -> tuple[Formula, ...] | None:
+    """The members of ``big`` missing from ``small``, in canonical order, or
+    ``None`` when ``small`` is not a subset of ``big``: one merge of the keys."""
+    a, b = small._keys, big._keys
+    n = len(a)
+    if n > len(b):
+        return None
+    if a == b:
+        return ()
+    out: list[Formula] = []
+    i = 0
+    for j, k in enumerate(b):
+        if i < n:
+            if a[i] == k:
+                i += 1
+                continue
+            if a[i] < k:
+                return None
+        out.append(big._items[j])
+    return tuple(out) if i == n else None
 
 
 def _match_axiom(row: Rule, d: Derivation) -> RuleInstance | None:
@@ -375,16 +414,23 @@ def _match_axiom(row: Rule, d: Derivation) -> RuleInstance | None:
 def _match_connective(row: Rule, d: Derivation) -> RuleInstance | None:
     """AndL, OrR, NotL, NotR: the premise adds every component of the
     principal formula; AndR, OrL: premise i adds component i."""
-    seq, subs = root(d), premises(d)
+    seq = root(d)
     kept, other = _sides(seq, row.target)
+    grown: list[tuple[FormulaSet, tuple[Formula, ...]]] = []  # per premise: its side and what that adds to kept
+    for sub in premises(d):
+        side, same = _sides(root(sub), row.target)
+        extra = _extra(kept, side) if same == other else None
+        if extra is None:
+            return None
+        grown.append((side, extra))
     for f in _sides(seq, row.side)[0]:
         if isinstance(f, row.head):
             parts = (f.sub,) if isinstance(f, Not) else (f.left, f.right)  # type: ignore[attr-defined]
-            for sub, fs in zip(subs, (parts,) if row.arity == 1 else ((parts[0],), (parts[1],))):
-                grown, same = _sides(root(sub), row.target)
-                if same != other or grown != _plus(kept, fs):
-                    break
-            else:
+            # side == kept | fs exactly when side holds fs and fs holds what side adds
+            if all(
+                all(c in side for c in fs) and all(e in fs for e in extra)
+                for (side, extra), fs in zip(grown, (parts,) if row.arity == 1 else ((parts[0],), (parts[1],)))
+            ):
                 return RuleInstance(row.cls.tag, f, adds=parts)
     return None
 
@@ -394,13 +440,15 @@ def _instances(row: Rule, seq: Sequent, sub: Sequent) -> Iterator[tuple[Formula,
     formula ``e`` the premise adds beside it; the other side is unchanged."""
     principal, other = _sides(seq, row.side)
     extended, same = _sides(sub, row.side)
-    if same != other:
+    extra = _extra(principal, extended) if same == other else None
+    if extra is None or len(extra) > 1:
         return
+    # With nothing added, any formula of the premise's side can be the one.
+    added = extra or tuple(extended)
     for f in principal:
         if isinstance(f, row.head):
-            for e in extended:
-                if principal.add(e) == extended:
-                    yield f, e
+            for e in added:
+                yield f, e
 
 
 def _match_term(row: Rule, d: Derivation) -> RuleInstance | None:
@@ -415,8 +463,10 @@ def _match_term(row: Rule, d: Derivation) -> RuleInstance | None:
 def _match_eigen(row: Rule, d: Derivation) -> RuleInstance | None:
     """AllR, ExL: the added formula opens the principal one at a variable free
     nowhere in the conclusion."""
-    forbidden = root(d).free_vars()
+    forbidden: set[VarId] | None = None
     for f, e in _instances(row, root(d), root(d.sub)):  # type: ignore[attr-defined]
+        if forbidden is None:
+            forbidden = root(d).free_vars()
         a = match_bind(f, e, forbidden)
         if a is not None:
             return RuleInstance(row.cls.tag, f, eigen=a, adds=(e,))
@@ -427,12 +477,12 @@ def _match_weakening(row: Rule, d: Derivation) -> RuleInstance | None:
     """WL, WR: the conclusion adds one formula to the premise's side."""
     principal, other = _sides(root(d), row.side)
     kept, same = _sides(root(d.sub), row.side)  # type: ignore[attr-defined]
-    if same != other:
+    extra = _extra(kept, principal) if same == other else None
+    if extra is None or len(extra) > 1:
         return None
-    for f in principal:
-        if kept.add(f) == principal:
-            return RuleInstance(row.cls.tag, f)
-    return None
+    # With nothing added, the weakened formula is one the premise already has.
+    f = extra[0] if extra else next(iter(principal), None)
+    return None if f is None else RuleInstance(row.cls.tag, f)
 
 
 #: The 15 rules of the calculus, keyed by tag.

@@ -340,37 +340,90 @@ def canonical_compare(a: Formula, b: Formula) -> int:
     return 0
 
 
+def _arg_pairs(f: Formula, g: Formula) -> list[tuple[VarId, VarId, int]] | None:
+    """Walk ``f`` and ``g`` in lockstep with an explicit stack.
+
+    ``None`` when they differ in anything but the variables of their atoms;
+    otherwise each pair of corresponding atom arguments, with the number of
+    binders above it.
+    """
+    out: list[tuple[VarId, VarId, int]] = []
+    stack = [(f, g, 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        tag = a._tag
+        if tag != b._tag:
+            return None
+        if tag == 0:
+            if a.pred != b.pred or len(a.args) != len(b.args):  # type: ignore[attr-defined]
+                return None
+            out += [(u, w, depth) for u, w in zip(a.args, b.args)]  # type: ignore[attr-defined]
+        elif tag < 3:
+            continue
+        elif tag < 5:
+            stack += ((a.right, b.right, depth), (a.left, b.left, depth))  # type: ignore[attr-defined]
+        elif tag == 5:
+            stack.append((a.sub, b.sub, depth))  # type: ignore[attr-defined]
+        else:
+            stack.append((a.body, b.body, depth + 1))  # type: ignore[attr-defined]
+    return out
+
+
 def match_inst(quantified: Formula, instance: Formula) -> VarId | None:
     """Find a variable ``t`` with ``inst(q, t, quantified) == instance``.
 
     The quantifier is read off the head of ``quantified``; ``None`` when the
-    head is not a quantifier or no variable works.  When several work (the
-    vacuous case) the smallest is returned.
+    head is not a quantifier or no variable works.  ``t`` is read off the
+    first occurrence of the bound index, and every other occurrence must
+    agree.  When the binder is vacuous every variable works and 0 is returned.
     """
-    q = _QUANTIFIERS.get(quantified._tag)
-    if q is None:
+    if quantified._tag not in _QUANTIFIERS:
         return None
-    limit = max(free_vars(instance), default=-1) + 2
-    for t in range(limit):
-        if inst(q, t, quantified) == instance:
-            return t
-    return None
+    pairs = _arg_pairs(quantified.body, instance)  # type: ignore[attr-defined]
+    if pairs is None:
+        return None
+    t: VarId | None = None
+    for u, w, depth in pairs:
+        if u == depth:  # the bound index, opened to t
+            if w < depth or (t is not None and w - depth != t):
+                return None
+            t = w - depth
+        elif w != (u if u < depth else u - 1):
+            return None
+    return 0 if t is None else t
 
 
 def match_bind(quantified: Formula, body: Formula, forbidden: Iterable[VarId]) -> VarId | None:
     """Find a variable ``a`` outside ``forbidden`` with ``bind(q, a, body) == quantified``.
 
-    The quantifier is read off the head of ``quantified``.  When the binder is
-    vacuous any fresh variable works and the smallest is returned; otherwise
-    the answer is the unique variable abstracted by ``quantified``.
+    The quantifier is read off the head of ``quantified``.  ``a`` is read off
+    the first variable of ``body`` that ``quantified`` binds, and every other
+    occurrence must agree.  When the binder is vacuous any fresh variable
+    works and the smallest one outside ``forbidden`` and ``body`` is returned.
     """
-    q = _QUANTIFIERS.get(quantified._tag)
-    if q is None:
+    if quantified._tag not in _QUANTIFIERS:
         return None
-    bad = set(forbidden)
-    fv = set(free_vars(body))
-    limit = max(bad | fv, default=-1) + 2
-    for a in range(limit):
-        if a not in bad and bind(q, a, body) == quantified:
-            return a
-    return None
+    pairs = _arg_pairs(quantified.body, body)  # type: ignore[attr-defined]
+    if pairs is None:
+        return None
+    a: VarId | None = None
+    shifted: set[VarId] = set()  # free variables of body that stay free
+    for u, w, depth in pairs:
+        if w < depth:
+            if u != w:
+                return None
+        elif u == depth:  # bound by quantified
+            if a is not None and w - depth != a:
+                return None
+            a = w - depth
+        elif u == w + 1:
+            shifted.add(w - depth)
+        else:
+            return None
+    bad = shifted.union(forbidden)
+    if a is None:
+        a = 0
+        while a in bad:
+            a += 1
+        return a
+    return None if a in bad else a

@@ -46,6 +46,7 @@ from .calculus import (
     TopR,
     WL,
     WR,
+    _plus,
     _resolved_preorder,
     _sides,
     fset,
@@ -210,10 +211,8 @@ def _owner(d: Derivation, side: str, f: Formula, split: SplitSequent) -> str:
 
 def _extend(split: SplitSequent, part: str, formulas: tuple[Formula, ...]) -> SplitSequent:
     """``split`` with ``formulas`` added to one part."""
-    fs = getattr(split, _FIELDS[part])
-    for f in formulas:
-        fs = fs.add(f)
-    return replace(split, **{_FIELDS[part]: fs})
+    field = _FIELDS[part]
+    return replace(split, **{field: _plus(getattr(split, field), formulas)})
 
 
 def _wrap(rule: type, split: SplitSequent, res: InterpolationResult, left: bool, right: bool) -> InterpolationResult:

@@ -1,10 +1,13 @@
 """Formula sets, sequents, derivations, and the rule checker."""
 from __future__ import annotations
 
+import hashlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from craigseq.calculus import (
+    RULES,
     AllL,
     AllR,
     AndL,
@@ -29,8 +32,9 @@ from craigseq.calculus import (
     root,
     size,
 )
-from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Not, Or, bind
-from craigseq.oracle import GenConfig, gen_derivation
+from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, bind, canonical_key
+from craigseq.interpolation import interpolate_strong
+from craigseq.oracle import GenConfig, gen_derivation, random_split
 from support import brute_is_deriv, derivations, formula_sets, formulas
 
 p = Atom(0)
@@ -79,6 +83,27 @@ def test_formula_set_ops_stay_canonical(xs, ys):
 @given(st.lists(formulas(), max_size=4))
 def test_formula_set_order_independent(xs):
     assert FormulaSet(xs) == FormulaSet(reversed(xs))
+
+
+def test_formula_set_ops_hash_no_formula(monkeypatch):
+    a, b, c = And(p, q), Or(q, r), Not(r)
+    for f in (p, q, r, a, b, c):
+        canonical_key(f)  # keys are cached before hashing is switched off
+
+    def no_hash(f: Formula) -> int:
+        raise AssertionError("a formula set hashed a formula")
+
+    monkeypatch.setattr(Formula, "__hash__", no_hash)
+    s = FormulaSet([c, p, a, p])
+    assert tuple(s) == (p, a, c)
+    assert tuple(s.add(q)) == (p, q, a, c)
+    assert s.add(a) is s
+    assert tuple(s.without(a)) == (p, c)
+    assert s.without(b) is s
+    assert tuple(s | fset(b, p)) == (p, a, b, c)
+    assert tuple(s & fset(b, c, q)) == (c,)
+    assert a in s and q not in s and b not in s
+    assert [] not in s and 3 not in s
 
 
 # ----------------------------------------------------------- tree structure
@@ -205,6 +230,49 @@ def test_resolve_weakening():
     assert resolve_rule(d4).analysed == q
     d5 = WR(Sequent(fset(p), fset(q)), Init(Sequent(fset(p), fset(p))))
     assert resolve_rule(d5) is None
+
+
+def _rule_digest_lines(d):
+    """One line per node of ``d``, rule and choice of premises of that rule's
+    arity: the rule instance ``resolve_rule`` finds for the node relabelled
+    to that rule.  The premises are the node's own, the node's conclusion
+    standing for each premise, and each premise's premise standing for all."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        seq, subs = root(node), premises(node)
+        tries = [subs, (Init(seq),) * len(subs)] if subs else [subs]
+        tries += [(g,) * len(subs) for sub in subs for g in premises(sub)]
+        for row in RULES.values():
+            for ps in tries:
+                if row.arity == len(ps):
+                    r = resolve_rule(row.cls(seq, *ps))
+                    yield repr(None if r is None else (
+                        r.kind,
+                        None if r.analysed is None else canonical_key(r.analysed),
+                        r.eigen,
+                        r.term,
+                        tuple(canonical_key(f) for f in r.adds),
+                    ))
+        stack.extend(subs)
+
+
+RESOLVE_DIGEST_SHA256 = "54446fd629fb682a4aca95aba9ee3e41a2e82a0a41ef3b780c59b0b6461e8ed4"
+
+
+def test_resolve_rule_digest():
+    # Pins resolve_rule's answers, None included, on 60-node derivations with
+    # quantifiers off and on and on their witnesses: about 193,000 answers.
+    h = hashlib.sha256()
+    for seed in range(20):
+        for quant in (False, True):
+            d = gen_derivation(GenConfig(max_nodes=60, max_pred=1 + seed % 4, seed=seed, allow_quantifiers=quant))
+            res = interpolate_strong(d, random_split(root(d), seed))
+            for tree in (d, res.left_witness, res.right_witness):
+                for line in _rule_digest_lines(tree):
+                    h.update(line.encode())
+                    h.update(b"\n")
+    assert h.hexdigest() == RESOLVE_DIGEST_SHA256
 
 
 def test_resolve_rule_deterministic():

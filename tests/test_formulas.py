@@ -179,6 +179,9 @@ def test_match_inst_examples():
     # vacuous binder: every variable works, the smallest is returned
     assert match_inst(FAll(Atom(0, (1,))), Atom(0, (0,))) == 0
     assert match_inst(FAll(Atom(0, (0,))), Atom(1, (2,))) is None
+    # every occurrence of the bound index must open to the same variable
+    assert match_inst(FAll(And(Atom(0, (0,)), Atom(0, (0,)))), And(Atom(0, (1,)), Atom(0, (2,)))) is None
+    assert match_inst(FAll(And(Atom(0, (0,)), Atom(0, (0,)))), And(Atom(0, (1,)), Atom(0, (1,)))) == 1
     assert match_inst(Atom(0), Atom(0)) is None
 
 
@@ -188,15 +191,29 @@ def test_match_bind_examples():
     # vacuous binder: smallest variable outside forbidden and the body
     assert match_bind(FAll(Atom(0)), Atom(0), {0, 1}) == 2
     assert match_bind(FEx(Atom(0, (0,))), Atom(0, (5,)), set()) == 5
+    # a variable of the body that stays free cannot be the bound one
+    assert match_bind(FAll(And(Atom(0, (0,)), Atom(0, (2,)))), And(Atom(0, (1,)), Atom(0, (1,))), set()) is None
     assert match_bind(Atom(0), Atom(0), set()) is None
 
 
-@given(quantified, st.integers(0, 4))
-def test_match_inst_agrees_with_brute_force(f, t):
+def _renamed_one(x: int, y: int, f: Formula) -> Formula:
+    """``f`` with the free variable ``x`` renamed to ``y``: a near miss."""
+    return rename_vars(lambda v: y if v == x else v, f)
+
+
+@given(quantified, st.integers(0, 4), formulas(), st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
+def test_match_inst_agrees_with_brute_force(f, t, other, x, y, pick):
+    # an instance, a near miss, an unrelated formula, or the body opened at t
+    # beside a bound occurrence opened at x
     q = "all" if isinstance(f, FAll) else "ex"
     e = inst(q, t, f)
-    brute = next(s for s in range(max(free_vars(e), default=-1) + 2) if inst(q, s, f) == e)
+    e = (e, _renamed_one(x, y, e), other, And(e, Atom(0, (x,))))[pick]
+    if pick == 3:
+        f = type(f)(And(f.body, Atom(0, (0,))))
+    brute = next((s for s in range(max(free_vars(e), default=-1) + 2) if inst(q, s, f) == e), None)
     assert match_inst(f, e) == brute
+    if pick == 0:
+        assert brute is not None
 
 
 @given(formulas(), st.sampled_from(["all", "ex"]), st.integers(0, 4))
@@ -207,6 +224,35 @@ def test_match_bind_recovers_binding(f, q, a):
     assert bind(q, got, f) == quant
     if a in free_vars(f):
         assert got == a
+
+
+def _brute_match_bind(quant: Formula, body: Formula, forbidden: set[int]) -> int | None:
+    q = "all" if isinstance(quant, FAll) else "ex"
+    limit = max(forbidden | set(free_vars(body)), default=-1) + 2
+    return next((a for a in range(limit) if a not in forbidden and bind(q, a, body) == quant), None)
+
+
+@given(
+    formulas(),
+    quantified,
+    st.sampled_from(["all", "ex"]),
+    st.integers(0, 4),
+    st.frozensets(st.integers(0, 5), max_size=3),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 3),
+)
+def test_match_bind_agrees_with_brute_force(f, other, q, a, forbidden, x, y, pick):
+    # a binding (vacuous when a is not free in f), an explicitly vacuous
+    # binder, a near miss, or an unrelated quantified formula
+    head = FAll if q == "all" else FEx
+    quant, body = (
+        (bind(q, a, f), f),
+        (head(rename_vars(lambda v: v + 1, f)), f),
+        (bind(q, a, f), _renamed_one(x, y, f)),
+        (other, f),
+    )[pick]
+    assert match_bind(quant, body, forbidden) == _brute_match_bind(quant, body, set(forbidden))
 
 
 def test_atom_args_normalized_to_tuple():
