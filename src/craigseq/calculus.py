@@ -6,8 +6,9 @@ tree in which every node records the sequent it claims to derive; the checker
 justifies the node from its premises.  Each of the 15 rules is stated once, as
 a row of the table ``RULES`` that the checker, the interpolator and the parser
 read.  ``_resolved_preorder`` resolves every node of a tree in one
-explicit-stack pass; ``is_wellformed``, the interpolator and ``craigseq
-check`` all read the tree through it.
+explicit-stack pass; ``is_wellformed`` and ``craigseq check`` read the tree
+through it, and the interpolator resolves each node as its own walk reaches
+it.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ class FormulaSet:
 
     A formula is a member when its canonical key is among the set's sorted
     keys; a value that is not a formula is never a member.  Membership,
-    ``add``, ``without``, ``|`` and ``&`` bisect or merge the key tuples, so
-    none of them hashes a formula.
+    ``add``, ``without`` and ``|`` bisect or merge the key tuples, so none of
+    them hashes a formula.
     """
 
     __slots__ = ("_keys", "_items")
@@ -131,25 +132,6 @@ class FormulaSet:
         items.extend(self._items[i:])
         keys.extend(b[j:])
         items.extend(other._items[j:])
-        return FormulaSet._build(tuple(keys), tuple(items))
-
-    def __and__(self, other: "FormulaSet") -> "FormulaSet":
-        if not isinstance(other, FormulaSet):
-            return NotImplemented
-        keys: list[tuple[int, ...]] = []
-        items: list[Formula] = []
-        i = j = 0
-        a, b = self._keys, other._keys
-        while i < len(a) and j < len(b):
-            if a[i] < b[j]:
-                i += 1
-            elif a[i] > b[j]:
-                j += 1
-            else:
-                keys.append(a[i])
-                items.append(self._items[i])
-                i += 1
-                j += 1
         return FormulaSet._build(tuple(keys), tuple(items))
 
 

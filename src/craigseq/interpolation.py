@@ -7,22 +7,25 @@ uses predicates positively (negatively) only where allowed by the polarities of
 both halves of the split; ``verify`` checks all of that syntactically, without
 trusting the construction.
 
-The construction is an induction on the derivation.  One pass of
-``calculus._resolved_preorder`` resolves the rule instance of every node; the
-induction then dispatches on each node's tag through ``_CASES`` to one of six
-steps, which read the side ("g" antecedent, "d" succedent) of the principal
-formula and the side of the premise's new formulas from the rule's row of
-``calculus.RULES``, and the new formulas themselves from the rule instance.
-The steps cover the mirror pairs once each: ``_init``; ``_axiom`` (BotL,
-TopR); ``_unary`` (AndL, OrR, NotL, NotR, AllL, ExR); ``_weaken`` (WL, WR);
-``_branching`` (AndR, OrL); ``_eigen`` (AllR, ExL).  In each step the part of
-the split that owns the principal formula decides the case, named
-``<rule>-<side><part>`` in ``CASE_NAMES``.
+The construction is an induction on the derivation, which ``_interpolate``
+runs as one explicit-stack walk.  It resolves each node through
+``calculus.resolve_rule`` as the node's step starts and dispatches on its tag
+through ``_CASES`` to one of six steps, which read the side ("g" antecedent,
+"d" succedent) of the principal formula and the side of the premise's new
+formulas from the rule's row of ``calculus.RULES``, and the new formulas
+from the rule instance.  The steps cover the mirror pairs once each:
+``_init``; ``_axiom`` (BotL, TopR); ``_unary`` (AndL, OrR, NotL, NotR, AllL,
+ExR); ``_weaken`` (WL, WR); ``_branching`` (AndR, OrL); ``_eigen`` (AllR,
+ExL).  All but the first two are generators: they yield each premise with its
+split and are sent back its result.  In each step the part of the split that
+owns the principal formula decides the case, named ``<rule>-<side><part>`` in
+``CASE_NAMES``.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import Generator
 
 from .calculus import (
     AllL,
@@ -47,10 +50,10 @@ from .calculus import (
     WL,
     WR,
     _plus,
-    _resolved_preorder,
     _sides,
     fset,
     is_wellformed,
+    resolve_rule,
     root,
 )
 from .formulas import BOT, REBUILD, TOP, And, Formula, Not, Or, bind, fold, polarity
@@ -157,13 +160,12 @@ def _hit(name: str) -> None:
 
 def interpolate_strong(d: Derivation, split: SplitSequent) -> InterpolationResult:
     """Interpolate a wellformed derivation along a split of its root."""
-    rules = _rule_table(d)
     if not split.matches(root(d)):
         raise SplitMismatchError(
             "split does not recombine to the derivation root: "
             f"{split.sequent()!r} vs {root(d)!r}"
         )
-    return _interpolate(d, split, rules)
+    return _interpolate(d, split)
 
 
 def interpolate(d: Derivation) -> InterpolationResult:
@@ -172,26 +174,33 @@ def interpolate(d: Derivation) -> InterpolationResult:
     return interpolate_strong(d, SplitSequent(seq.antecedent, FormulaSet(), FormulaSet(), seq.succedent))
 
 
-#: The rule instance of every node of a derivation, keyed by ``id(node)``.
-_RuleTable = dict[int, RuleInstance]
+#: The run of a premise-taking step: it yields each premise with its split and
+#: is sent back that premise's result.
+_Step = Generator[tuple[Derivation, SplitSequent], InterpolationResult, InterpolationResult]
 
 
-def _rule_table(d: Derivation) -> _RuleTable:
-    """Resolve every node of ``d`` once; the first unresolved node fails."""
-    rules: _RuleTable = {}
-    for _, node, rule in _resolved_preorder(d):
-        if rule is None:
-            raise NotWellFormedError("derivation is not wellformed")
-        rules[id(node)] = rule
-    return rules
-
-
-def _interpolate(d: Derivation, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
-    """Run the step of ``d``'s rule; its premises recurse back here.
-
-    ``rules`` comes from ``_rule_table`` of the whole derivation.
-    """
-    return _CASES[d.tag](d, RULES[d.tag], rules[id(d)], split, rules)
+def _interpolate(d: Derivation, split: SplitSequent) -> InterpolationResult:
+    """Run the step of every node of ``d``; the steps waiting on a premise's
+    result sit on a list, so memory rather than the recursion limit bounds depth."""
+    stack: list[_Step] = []
+    res: InterpolationResult | None = None  # the result to send on, or None to start d
+    while True:
+        if res is None:
+            row, rule = RULES[d.tag], resolve_rule(d)
+            if rule is None:
+                raise NotWellFormedError("derivation is not wellformed")
+            if not row.arity:
+                res = _CASES[d.tag](d, row, rule, split)
+                continue
+            stack.append(_CASES[d.tag](d, row, rule, split))
+        elif not stack:
+            return res
+        try:
+            d, split = stack[-1].send(res)
+            res = None
+        except StopIteration as done:
+            stack.pop()
+            res = done.value
 
 
 # A split's parts are named by side and part: "g1", "g2" (antecedent) and
@@ -225,7 +234,7 @@ def _wrap(rule: type, split: SplitSequent, res: InterpolationResult, left: bool,
     )
 
 
-def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> InterpolationResult:
     g1, g2 = split.gamma1, split.gamma2
     d1, d2 = split.delta1, split.delta2
     for a in g1:
@@ -264,7 +273,7 @@ def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent, rules: _R
     raise UnreachableCaseError("Init node with no shared formula in any part pair")
 
 
-def _axiom(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+def _axiom(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> InterpolationResult:
     """BotL, TopR: the constant in part 1 gives the interpolant ⊥, in part 2 ⊤."""
     g1, g2 = split.gamma1, split.gamma2
     d1, d2 = split.delta1, split.delta2
@@ -275,16 +284,16 @@ def _axiom(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent, ru
     return InterpolationResult(TOP, TopR(Sequent(g1, d1.add(TOP))), row.cls(Sequent(g2.add(TOP), d2)))
 
 
-def _unary(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+def _unary(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
     """AndL, OrR, NotL, NotR, AllL, ExR: the premise's new formulas join the
     part that owns the principal formula, and that part's witness re-applies
     the rule."""
     k = _owner(d, row.side, rule.analysed, split)
-    res = _interpolate(d.sub, _extend(split, row.target + k, rule.adds), rules)
+    res = yield d.sub, _extend(split, row.target + k, rule.adds)
     return _wrap(row.cls, split, res, k == "1", k == "2")
 
 
-def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
     """WL, WR: each part keeps only the premise's formulas, and every part that
     holds the weakened formula re-weakens its witness."""
     f = rule.analysed
@@ -299,13 +308,14 @@ def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent, r
         _hit(f"{name}-impossible")
         side = "antecedent" if row.side == "g" else "succedent"
         raise UnreachableCaseError(f"weakened formula missing from both {side} parts")
+    # Each part lies within the conclusion's side, the premise's side plus f.
     kept = _sides(root(d.sub), row.side)[0]
-    premise = replace(split, **{one: kept & getattr(split, one), two: kept & getattr(split, two)})
-    res = _interpolate(d.sub, premise, rules)
+    premise = split if f in kept else replace(split, **{k: getattr(split, k).without(f) for k in (one, two)})
+    res = yield d.sub, premise
     return _wrap(row.cls, split, res, in1, in2)
 
 
-def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
     """AndR, OrL: each premise adds its component to the owning part.
 
     Part 1 joins the premise interpolants into C = Cl ∨ Cr, part 2 into
@@ -314,8 +324,8 @@ def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent
     """
     k = _owner(d, row.side, rule.analysed, split)
     left, right = (_extend(split, row.target + k, (a,)) for a in rule.adds)
-    resl = _interpolate(d.left, left, rules)
-    resr = _interpolate(d.right, right, rules)
+    resl = yield d.left, left
+    resr = yield d.right, right
     cl, cr = resl.interpolant, resr.interpolant
     g1, g2 = split.gamma1, split.gamma2
     d1, d2 = split.delta1, split.delta2
@@ -360,13 +370,13 @@ def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent
     return InterpolationResult(c, dl, dr)
 
 
-def _eigen(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent, rules: _RuleTable) -> InterpolationResult:
+def _eigen(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
     """AllR, ExL: the premise adds the instance at the eigenvariable a to the
     owning part.  Part 1 closes the premise interpolant C' to ∃a.C', part 2
     to ∀a.C'."""
     k = _owner(d, row.side, rule.analysed, split)
     premise = _extend(split, row.target + k, rule.adds)
-    res = _interpolate(d.sub, premise, rules)
+    res = yield d.sub, premise
     cp = res.interpolant
     g1, g2 = split.gamma1, split.gamma2
     d1, d2 = split.delta1, split.delta2

@@ -30,7 +30,6 @@ from craigseq.interpolation import (
     SplitSequent,
     UnreachableCaseError,
     _interpolate,
-    _rule_table,
     case_counters,
     interpolate_strong,
     reset_case_counters,
@@ -277,10 +276,10 @@ def test_criterion_6_case_coverage():
     # point; exercise them against the internal dispatch directly
     d = WL(Sequent(fset(p, Atom(1)), fset(p)), Init(Sequent(fset(p), fset(p))))
     with pytest.raises(UnreachableCaseError):
-        _interpolate(d, SplitSequent(fset(p), EMPTY, fset(p), EMPTY), _rule_table(d))
+        _interpolate(d, SplitSequent(fset(p), EMPTY, fset(p), EMPTY))
     d = WR(Sequent(fset(p), fset(p, Atom(1))), Init(Sequent(fset(p), fset(p))))
     with pytest.raises(UnreachableCaseError):
-        _interpolate(d, SplitSequent(fset(p), EMPTY, EMPTY, fset(p)), _rule_table(d))
+        _interpolate(d, SplitSequent(fset(p), EMPTY, EMPTY, fset(p)))
 
     counters = case_counters()
     algorithm_branches = [

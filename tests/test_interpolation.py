@@ -1,6 +1,7 @@
 """Interpolation: case-by-case expected results, verifier, simplification."""
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import pytest
@@ -37,7 +38,6 @@ from craigseq.interpolation import (
     SplitSequent,
     UnreachableCaseError,
     _interpolate,
-    _rule_table,
     case_counters,
     interpolate,
     interpolate_strong,
@@ -412,13 +412,13 @@ def test_weakening_defensive_cases():
     # the validated entry point; the dispatch refuses it
     bad = split(g1=[p], d1=[p])
     with pytest.raises(UnreachableCaseError):
-        _interpolate(d, bad, _rule_table(d))
+        _interpolate(d, bad)
     assert case_counters()["wl-impossible"] == 1
 
     d2 = WR(Sequent(fset(p), fset(p, q)), Init(Sequent(fset(p), fset(p))))
     assert is_wellformed(d2)
     with pytest.raises(UnreachableCaseError):
-        _interpolate(d2, split(g1=[p], d2=[p]), _rule_table(d2))
+        _interpolate(d2, split(g1=[p], d2=[p]))
     assert case_counters()["wr-impossible"] == 1
 
 
@@ -532,3 +532,34 @@ def test_each_node_resolved_once(monkeypatch):
         calls.clear()
         interpolate_strong(d, random_split(root(d), seed))
         assert calls == nodes
+
+
+def _verified_at_recursion_limit_1000(d, sp):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return verify(sp, interpolate_strong(d, sp)).ok
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_interpolates_deep_chain_without_recursion():
+    seq = Sequent(fset(p), fset(p))
+    d = Init(seq)
+    for _ in range(5000):
+        d = WL(seq, d)
+    assert _verified_at_recursion_limit_1000(d, split(g1=[p], d2=[p]))
+
+
+def test_interpolates_large_generated_derivation_without_recursion():
+    d = gen_derivation(GenConfig(3200, max_pred=4, seed=1, allow_quantifiers=True))
+    assert _verified_at_recursion_limit_1000(d, random_split(root(d), 1))
+
+
+def test_rejects_malformed_node_deep_in_tree():
+    seq = Sequent(fset(p), fset(q))
+    d = Init(seq)  # no rule justifies P0() ⊢ P1()
+    for _ in range(600):
+        d = WL(seq, d)
+    with pytest.raises(NotWellFormedError):
+        interpolate_strong(d, split(g1=[p], d2=[q]))
