@@ -1,19 +1,20 @@
 """Sequents, derivation trees, and the wellformedness checker.
 
 A sequent is a pair of canonically ordered formula sets.  A derivation is a
-tree in which every node records the sequent it claims to derive; the checker
-``resolve_rule`` reconstructs, for a single node, the rule instance that
-justifies the node from its premises.  Each of the 15 rules is stated once, as
-a row of the table ``RULES`` that the checker, the interpolator and the parser
-read.  ``_resolved_preorder`` resolves every node of a tree in one
-explicit-stack pass; ``is_wellformed`` and ``craigseq check`` read the tree
-through it, and the interpolator resolves each node as its own walk reaches
-it.
+tree in which every node records the sequent it claims to derive.  A node has
+none, one or two premises, each of these three shapes is declared once, and
+the 15 rule classes only name their rule.  The checker ``resolve_rule``
+reconstructs, for a single node, the rule instance that justifies the node
+from its premises.  Each of the 15 rules is stated once, as a row of the
+table ``RULES`` that the checker, the interpolator and the parser read.
+``_resolved_preorder`` resolves every node of a tree in one explicit-stack
+pass; ``is_wellformed`` and ``craigseq check`` read the tree through it, and
+the interpolator resolves each node as its own walk reaches it.
 """
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .formulas import (
@@ -158,144 +159,116 @@ class Sequent:
 
 
 class Derivation:
-    """Base class of derivation tree nodes; ``tag`` names the rule claimed."""
+    """Base class of derivation tree nodes: ``tag`` names the rule claimed,
+    ``seq`` the sequent it derives and ``premises`` its immediate
+    subderivations, in order."""
 
     __slots__ = ()
     tag = "?"
+    seq: Sequent
+    premises: tuple[Derivation, ...]
+
+    # The rule classes are not dataclasses themselves: their non-field names reach here.
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 @dataclass(frozen=True)
-class Init(Derivation):
+class _NoPremise(Derivation):
     seq: Sequent
 
+    premises = ()
+
+
+@dataclass(frozen=True)
+class _OnePremise(Derivation):
+    seq: Sequent
+    sub: Derivation
+
+    @property
+    def premises(self) -> tuple[Derivation, ...]:
+        return (self.sub,)
+
+
+@dataclass(frozen=True)
+class _TwoPremises(Derivation):
+    seq: Sequent
+    left: Derivation
+    right: Derivation
+
+    @property
+    def premises(self) -> tuple[Derivation, ...]:
+        return (self.left, self.right)
+
+
+class Init(_NoPremise):
     tag = "Init"
 
 
-@dataclass(frozen=True)
-class BotL(Derivation):
-    seq: Sequent
-
+class BotL(_NoPremise):
     tag = "BotL"
 
 
-@dataclass(frozen=True)
-class TopR(Derivation):
-    seq: Sequent
-
+class TopR(_NoPremise):
     tag = "TopR"
 
 
-@dataclass(frozen=True)
-class AndL(Derivation):
-    seq: Sequent
-    sub: Derivation
-
+class AndL(_OnePremise):
     tag = "AndL"
 
 
-@dataclass(frozen=True)
-class AndR(Derivation):
-    seq: Sequent
-    left: Derivation
-    right: Derivation
-
+class AndR(_TwoPremises):
     tag = "AndR"
 
 
-@dataclass(frozen=True)
-class OrL(Derivation):
-    seq: Sequent
-    left: Derivation
-    right: Derivation
-
+class OrL(_TwoPremises):
     tag = "OrL"
 
 
-@dataclass(frozen=True)
-class OrR(Derivation):
-    seq: Sequent
-    sub: Derivation
-
+class OrR(_OnePremise):
     tag = "OrR"
 
 
-@dataclass(frozen=True)
-class NotL(Derivation):
-    seq: Sequent
-    sub: Derivation
-
+class NotL(_OnePremise):
     tag = "NotL"
 
 
-@dataclass(frozen=True)
-class NotR(Derivation):
-    seq: Sequent
-    sub: Derivation
-
+class NotR(_OnePremise):
     tag = "NotR"
 
 
-@dataclass(frozen=True)
-class AllL(Derivation):
-    seq: Sequent
-    sub: Derivation
-
+class AllL(_OnePremise):
     tag = "AllL"
 
 
-@dataclass(frozen=True)
-class AllR(Derivation):
-    seq: Sequent
-    sub: Derivation
-
+class AllR(_OnePremise):
     tag = "AllR"
 
 
-@dataclass(frozen=True)
-class ExL(Derivation):
-    seq: Sequent
-    sub: Derivation
-
+class ExL(_OnePremise):
     tag = "ExL"
 
 
-@dataclass(frozen=True)
-class ExR(Derivation):
-    seq: Sequent
-    sub: Derivation
-
+class ExR(_OnePremise):
     tag = "ExR"
 
 
-@dataclass(frozen=True)
-class WL(Derivation):
-    seq: Sequent
-    sub: Derivation
-
+class WL(_OnePremise):
     tag = "WL"
 
 
-@dataclass(frozen=True)
-class WR(Derivation):
-    seq: Sequent
-    sub: Derivation
-
+class WR(_OnePremise):
     tag = "WR"
 
 
 def root(d: Derivation) -> Sequent:
     """The sequent claimed at the root node."""
-    return d.seq  # type: ignore[attr-defined]
+    return d.seq
 
 
 def premises(d: Derivation) -> tuple[Derivation, ...]:
-    """Immediate subderivations, as many as the rule's arity in ``RULES``."""
-    arity = RULES[d.tag].arity
-    if arity == 0:
-        return ()
-    if arity == 1:
-        return (d.sub,)  # type: ignore[attr-defined]
-    return (d.left, d.right)  # type: ignore[attr-defined]
+    """Immediate subderivations, in order."""
+    return d.premises
 
 
 def size(d: Derivation) -> int:
@@ -305,7 +278,7 @@ def size(d: Derivation) -> int:
     while stack:
         node = stack.pop()
         total += 1
-        stack.extend(premises(node))
+        stack.extend(node.premises)
     return total
 
 
@@ -399,7 +372,7 @@ def _match_connective(row: Rule, d: Derivation) -> RuleInstance | None:
     seq = root(d)
     kept, other = _sides(seq, row.target)
     grown: list[tuple[FormulaSet, tuple[Formula, ...]]] = []  # per premise: its side and what that adds to kept
-    for sub in premises(d):
+    for sub in d.premises:
         side, same = _sides(root(sub), row.target)
         extra = _extra(kept, side) if same == other else None
         if extra is None:
@@ -515,7 +488,7 @@ def _resolved_preorder(d: Derivation) -> Iterator[tuple[str, Derivation, RuleIns
         path, node = stack.pop()
         yield path or "ε", node, resolve_rule(node)
         prefix = f"{path}." if path else ""
-        subs = premises(node)
+        subs = node.premises
         for i in range(len(subs) - 1, -1, -1):
             stack.append((f"{prefix}{i}", subs[i]))
 

@@ -138,10 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "interpolate":
             return cmd_interpolate(args.file, args.weak, args.simplify, args.json)
         return cmd_verify(args.problem, args.result, args.json)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RootMismatchError, InterpolationError) as exc:

@@ -7,7 +7,7 @@ named variables and never touch raw indices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, ClassVar, Iterable, Literal, NamedTuple, Sequence, TypeVar
 
 VarId = int
@@ -46,6 +46,10 @@ class Formula:
             return NotImplemented
         return self._hash == other._hash and canonical_key(self) == canonical_key(other)
 
+    # The shape subclasses are not dataclasses themselves: their non-field names reach here.
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
 
 _set = object.__setattr__
 
@@ -62,39 +66,42 @@ class Atom(Formula):
 
 
 @dataclass(frozen=True, eq=False)
-class Bot(Formula):
+class _Constant(Formula):
+    def __post_init__(self) -> None:
+        _set(self, "_hash", hash((self._tag,)))
+
+
+@dataclass(frozen=True, eq=False)
+class _Junction(Formula):
+    left: Formula
+    right: Formula
+
+    def __post_init__(self) -> None:
+        _set(self, "_hash", hash((self._tag, self.left._hash, self.right._hash)))
+
+
+@dataclass(frozen=True, eq=False)
+class _Quantified(Formula):
+    body: Formula
+
+    def __post_init__(self) -> None:
+        _set(self, "_hash", hash((self._tag, self.body._hash)))
+
+
+class Bot(_Constant):
     _tag = 1
 
-    def __post_init__(self) -> None:
-        _set(self, "_hash", hash((self._tag,)))
 
-
-@dataclass(frozen=True, eq=False)
-class Top(Formula):
+class Top(_Constant):
     _tag = 2
 
-    def __post_init__(self) -> None:
-        _set(self, "_hash", hash((self._tag,)))
 
-
-@dataclass(frozen=True, eq=False)
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(_Junction):
     _tag = 3
 
-    def __post_init__(self) -> None:
-        _set(self, "_hash", hash((self._tag, self.left._hash, self.right._hash)))
 
-
-@dataclass(frozen=True, eq=False)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Or(_Junction):
     _tag = 4
-
-    def __post_init__(self) -> None:
-        _set(self, "_hash", hash((self._tag, self.left._hash, self.right._hash)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,22 +113,12 @@ class Not(Formula):
         _set(self, "_hash", hash((self._tag, self.sub._hash)))
 
 
-@dataclass(frozen=True, eq=False)
-class FAll(Formula):
-    body: Formula
+class FAll(_Quantified):
     _tag = 6
 
-    def __post_init__(self) -> None:
-        _set(self, "_hash", hash((self._tag, self.body._hash)))
 
-
-@dataclass(frozen=True, eq=False)
-class FEx(Formula):
-    body: Formula
+class FEx(_Quantified):
     _tag = 7
-
-    def __post_init__(self) -> None:
-        _set(self, "_hash", hash((self._tag, self.body._hash)))
 
 
 BOT = Bot()

@@ -33,7 +33,6 @@ from .calculus import (
     _sequent,
     _sides,
     fset,
-    premises,
     root,
 )
 from .formulas import BOT, TOP, And, Atom, Formula, Not, Or, fold
@@ -271,7 +270,7 @@ def _nodes_above(grown: Derivation, d: Derivation) -> int:
         node = stack.pop()
         if node is not d:
             count += 1
-            stack.extend(premises(node))
+            stack.extend(node.premises)
     return count
 
 

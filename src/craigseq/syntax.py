@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .calculus import RULES, Derivation, FormulaSet, Sequent, premises, root
+from .calculus import RULES, Derivation, FormulaSet, Sequent, root
 from .formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, fold, free_vars
 from .interpolation import InterpolationResult, SplitSequent
 
@@ -241,7 +241,7 @@ def print_derivation(d: Derivation) -> str:
         if node is not None:
             parts.append(f"({node.tag} {print_sequent(root(node))}")
             todo.append((")", None))
-            todo += [(" ", child) for child in reversed(premises(node))]
+            todo += [(" ", child) for child in reversed(node.premises)]
     return "".join(parts)
 
 

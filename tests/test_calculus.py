@@ -1,8 +1,11 @@
 """Formula sets, sequents, derivations, and the rule checker."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +117,38 @@ def test_root_premises_size():
     d2 = AndR(s, Init(s), AndL(s, Init(s)))
     assert premises(d2) == (Init(s), AndL(s, Init(s)))
     assert size(d2) == 4
+
+
+def test_rule_nodes_are_frozen_values():
+    s, s2 = Sequent(fset(p), fset(p)), Sequent(fset(q), fset(q))
+    kids = (Init(s), AndL(s, Init(s)))
+    for tag, row in RULES.items():
+        node = row.cls(s, *kids[: row.arity])
+        names = tuple(f.name for f in dataclasses.fields(row.cls))
+        assert row.arity == len(names) - 1 == len(premises(node))
+        assert row.cls.__match_args__ == names
+        assert repr(node).startswith(f"{tag}(seq=")
+        twin = row.cls(s, *(Init(s), AndL(s, Init(s)))[: row.arity])
+        assert node == twin and hash(node) == hash(twin)
+        assert pickle.loads(pickle.dumps(node)) == node
+        assert dataclasses.replace(node, seq=s2) == row.cls(s2, *kids[: row.arity])
+        for name in names + ("extra",):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, s2)
+
+
+def test_same_shape_rules_differ():
+    s = Sequent(fset(p), fset(p))
+    x, y = Init(s), TopR(s)
+    assert Init(s) != BotL(s)
+    assert AndL(s, x) != WL(s, x)
+    assert AndR(s, x, y) != OrL(s, x, y)
+    assert repr(WL(s, x)) == f"WL(seq={s!r}, sub={x!r})"
+    match AndR(s, x, y):
+        case OrL():
+            assert False
+        case AndR(seq, left, right):
+            assert (seq, left, right) == (s, x, y)
 
 
 # ------------------------------------------------------------- resolve_rule

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import sys
 
 import pytest
@@ -263,8 +264,26 @@ def test_atom_args_normalized_to_tuple():
 
 def test_dataclass_shape_unchanged():
     assert repr(And(Atom(0), Atom(1))) == "And(left=Atom(pred=0, args=()), right=Atom(pred=1, args=()))"
+    assert repr(BOT) == "Bot()"
+    assert repr(FAll(Atom(1, (0,)))) == "FAll(body=Atom(pred=1, args=(0,)))"
+    assert repr(Or(Atom(0), TOP)) == "Or(left=Atom(pred=0, args=()), right=Top())"
     assert [f.name for f in dataclasses.fields(And)] == ["left", "right"]
     assert [f.name for f in dataclasses.fields(Atom)] == ["pred", "args"]
+
+
+def test_same_shape_formulas_differ():
+    a, b = Atom(0), Atom(1, (0,))
+    assert And(a, b) != Or(a, b)
+    assert FAll(b) != FEx(b)
+    assert BOT != TOP
+    assert Bot() == BOT and hash(Bot()) == hash(BOT)
+    assert And(a, b) == And(Atom(0), Atom(1, (0,))) and hash(And(a, b)) == hash(And(Atom(0), Atom(1, (0,))))
+    for f in (BOT, TOP, a, And(a, b), Or(b, a), Not(a), FAll(b), FEx(Not(b))):
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and hash(g) == hash(f) and type(g) is type(f)
+        for name in [field.name for field in dataclasses.fields(f)] + ["_hash", "_key"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(f, name, a)
 
 
 def test_equality_agrees_with_canonical_key():

@@ -404,6 +404,31 @@ def test_case_names_complete():
     assert len(set(CASE_NAMES)) == 36
 
 
+def test_every_counted_case_is_named(monkeypatch):
+    # case_counters() reports only CASE_NAMES, so a misspelt name built by
+    # _owner or _weaken would be dropped without a trace.
+    hits: Counter[str] = Counter()
+    real = interpolation._hit
+
+    def recording(name):
+        hits[name] += 1
+        real(name)
+
+    monkeypatch.setattr(interpolation, "_hit", recording)
+    cfgs = [
+        GenConfig(max_nodes=4 + seed % 9, max_pred=1 + seed % 4, seed=seed, allow_quantifiers=quant)
+        for seed in range(200)
+        for quant in (False, True)
+    ]
+    cfgs += [GenConfig(max_nodes=120, max_pred=4, seed=seed, allow_quantifiers=True) for seed in range(5)]
+    for i, cfg in enumerate(cfgs):
+        d = gen_derivation(cfg)
+        for j in range(3):
+            interpolate_strong(d, random_split(root(d), 3 * i + j))
+    assert set(hits) <= set(CASE_NAMES)
+    assert set(CASE_NAMES) - set(hits) == {"wl-impossible", "wr-impossible"}
+
+
 def test_weakening_defensive_cases():
     reset_case_counters()
     d = WL(Sequent(fset(p, q), fset(p)), Init(Sequent(fset(p), fset(p))))
