@@ -151,36 +151,71 @@ class Sequent:
 
     def free_vars(self) -> set[VarId]:
         out: set[VarId] = set()
-        for f in self.antecedent:
-            out.update(free_vars(f))
-        for f in self.succedent:
-            out.update(free_vars(f))
+        for fs in (self.antecedent, self.succedent):
+            for f in fs:
+                # the cached tuple, without the copy ``free_vars`` hands out
+                out.update(f._fv if f._fv is not None else free_vars(f))
         return out
 
 
 class Derivation:
     """Base class of derivation tree nodes: ``tag`` names the rule claimed,
     ``seq`` the sequent it derives and ``premises`` its immediate
-    subderivations, in order."""
+    subderivations, in order.
+
+    Two nodes are equal when they name the same rule, derive equal sequents
+    and have equal premises.  ``==`` walks both trees with an explicit stack.
+    The hash is computed the first time it is asked for, by an explicit-stack
+    post-order walk that stops at nodes whose hash is already kept, and is
+    kept on every node it reaches.  Neither is bounded by the recursion limit.
+    """
 
     __slots__ = ()
     tag = "?"
     seq: Sequent
     premises: tuple[Derivation, ...]
+    _hash: int | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Derivation):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a.seq != b.seq:
+                return False
+            todo += zip(a.premises, b.premises)
+        return True
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            todo: list[tuple[Derivation, bool]] = [(self, False)]
+            while todo:
+                node, ready = todo.pop()
+                if ready:
+                    # no rule tag: a str hash would differ between processes, and pickles carry _hash
+                    h = hash((node.seq, *(p._hash for p in node.premises)))
+                    object.__setattr__(node, "_hash", h)
+                elif node._hash is None:
+                    todo.append((node, True))
+                    todo += ((p, False) for p in node.premises)
+        return self._hash  # type: ignore[return-value]
 
     # The rule classes are not dataclasses themselves: their non-field names reach here.
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _NoPremise(Derivation):
     seq: Sequent
 
     premises = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _OnePremise(Derivation):
     seq: Sequent
     sub: Derivation
@@ -190,7 +225,7 @@ class _OnePremise(Derivation):
         return (self.sub,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TwoPremises(Derivation):
     seq: Sequent
     left: Derivation

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .calculus import EMPTY, _resolved_preorder, root
+from .formulas import Formula
 from .interpolation import (
     InterpolationError,
     SplitSequent,
@@ -94,8 +95,9 @@ def cmd_interpolate(path: str, weak: bool, simplify: bool, json_out: bool) -> in
     print(f"interpolant: {print_formula(result.interpolant)}")
     if simplify:
         print(f"simplified: {print_formula(simplify_bool(result.interpolant))}")
-    print(f"left: {print_derivation(result.left_witness)}")
-    print(f"right: {print_derivation(result.right_witness)}")
+    memo: dict[Formula, str] = {}  # the witnesses share most of their formulas
+    print(f"left: {print_derivation(result.left_witness, memo)}")
+    print(f"right: {print_derivation(result.right_witness, memo)}")
     report = verify(split, result)
     _print_report(report, json_out)
     return 0 if report.ok else 1

@@ -10,13 +10,20 @@ derivation; result files label an interpolant and the two witnesses.
 Parsing canonicalizes all formula sets.  ``parse_formula``/``parse_derivation``
 require full consumption of their input; unknown lines in result files are
 ignored so that ``interpolate`` output can be piped back into ``verify``.
+
+The text repeats every node's sequent, so reading and writing do their work
+once per distinct formula.  No formula contains ``[``, ``]`` or ``;``: the
+reader walks the derivation skeleton with an explicit stack, slices each
+formula list at its ``]``, splits it on ``;`` and parses each distinct piece
+once per call through a local memo.  The printer renders each distinct
+formula once per call the same way.  Both memos live for one call only.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 
-from .calculus import RULES, Derivation, FormulaSet, Sequent, root
+from .calculus import RULES, Derivation, FormulaSet, Rule, Sequent, root
 from .formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, fold, free_vars
 from .interpolation import InterpolationResult, SplitSequent
 
@@ -144,40 +151,6 @@ class _Parser:
             return Atom(_number(m.group(1), "predicate"), tuple(args))
         raise ParseError(f"expected a formula, found {tok!r}")
 
-    def formula_list(self) -> list[Formula]:
-        self.take("[")
-        out: list[Formula] = []
-        if self.peek() != "]":
-            out.append(self.formula())
-            while self.peek() == ";":
-                self.take(";")
-                out.append(self.formula())
-        self.take("]")
-        return out
-
-    def derivation(self, depth: int = 0) -> Derivation:
-        if depth > MAX_NESTING:
-            raise ParseError("derivation nesting too deep")
-        self.take("(")
-        tag = self.take()
-        rule = RULES.get(tag)
-        if rule is None:
-            raise ParseError(f"unknown rule tag {tag!r}")
-        ant = self.formula_list()
-        self.take("=>")
-        suc = self.formula_list()
-        seq = Sequent(FormulaSet(ant), FormulaSet(suc))
-        children: list[Derivation] = []
-        while self.peek() != ")":
-            if self.peek() is None:
-                raise ParseError("unexpected end of input inside a derivation")
-            children.append(self.derivation(depth + 1))
-        self.take(")")
-        if len(children) != rule.arity:
-            noun = "premise" if rule.arity == 1 else "premises"
-            raise ParseError(f"{tag} expects {rule.arity} {noun}, found {len(children)}")
-        return rule.cls(seq, *children)
-
 
 def parse_formula(text: str) -> Formula:
     """Parse one formula; the whole input must be consumed."""
@@ -187,12 +160,95 @@ def parse_formula(text: str) -> Formula:
     return f
 
 
+_WS = " \t\r\n"
+
+
+def _token(text: str, pos: int, expected: str | None = None) -> tuple[str, int]:
+    """The token after ``pos`` (white space skipped), which must be
+    ``expected`` when that is given, and the position after it."""
+    m = _TOKEN_RE.match(text, pos)
+    if m is None:
+        _expect_end(text, pos)
+        raise ParseError(f"unexpected end of input (expected {expected or 'a token'})")
+    tok = m.group(1)
+    if expected is not None and tok != expected:
+        raise ParseError(f"expected {expected!r} but found {tok!r} at position {m.start(1)}")
+    return tok, m.end()
+
+
+def _expect_end(text: str, pos: int) -> None:
+    """Nothing but white space may follow ``pos``."""
+    m = _TOKEN_RE.match(text, pos)
+    if m is not None:
+        raise ParseError(f"trailing input {m.group(1)!r} at position {m.start(1)}")
+    rest = text[pos:].lstrip(_WS)
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r} at position {len(text) - len(rest)}")
+
+
+def _formula_list(text: str, pos: int, memo: dict[str, Formula]) -> tuple[FormulaSet, int]:
+    """Read ``[f;...;f]`` after ``pos``; return the set and the position after ``]``.
+
+    No formula contains ``[``, ``]`` or ``;``, so the list ends at the first
+    ``]`` and its formulas are the pieces between the ``;``.  ``memo`` maps a
+    piece's text to its formula, so each distinct text is parsed once.
+    """
+    _, pos = _token(text, pos, "[")
+    end = text.find("]", pos)
+    if end < 0:
+        raise ParseError("unexpected end of input (expected ']')")
+    pieces = text[pos:end].split(";")
+    if len(pieces) == 1 and not pieces[0].strip(_WS):
+        return FormulaSet(), end + 1
+    out: list[Formula] = []
+    for piece in pieces:
+        f = memo.get(piece)
+        if f is None:
+            f = memo[piece] = parse_formula(piece)
+        out.append(f)
+    return FormulaSet(out), end + 1
+
+
+def _derivation(text: str, pos: int, memo: dict[str, Formula]) -> tuple[Derivation, int]:
+    """Read ``(TAG [..] => [..] premises)`` after ``pos`` with an explicit
+    stack; return the tree and the position after its ``)``."""
+    open_nodes: list[tuple[Rule, Sequent, list[Derivation]]] = []  # rule, sequent, premises so far
+    while True:
+        if len(open_nodes) > MAX_NESTING:
+            raise ParseError("derivation nesting too deep")
+        _, pos = _token(text, pos, "(")
+        tag, pos = _token(text, pos)
+        rule = RULES.get(tag)
+        if rule is None:
+            raise ParseError(f"unknown rule tag {tag!r}")
+        ant, pos = _formula_list(text, pos, memo)
+        _, pos = _token(text, pos, "=>")
+        suc, pos = _formula_list(text, pos, memo)
+        open_nodes.append((rule, Sequent(ant, suc), []))
+        while (m := _TOKEN_RE.match(text, pos)) is not None and m.group(1) == ")":
+            pos = m.end()
+            rule, seq, children = open_nodes.pop()
+            if len(children) != rule.arity:
+                noun = "premise" if rule.arity == 1 else "premises"
+                raise ParseError(f"{rule.cls.tag} expects {rule.arity} {noun}, found {len(children)}")
+            node = rule.cls(seq, *children)
+            if not open_nodes:
+                return node, pos
+            open_nodes[-1][2].append(node)
+        if m is None:
+            _expect_end(text, pos)
+            raise ParseError("unexpected end of input inside a derivation")
+
+
+def _parse_derivation(text: str, memo: dict[str, Formula]) -> Derivation:
+    d, pos = _derivation(text, 0, memo)
+    _expect_end(text, pos)
+    return d
+
+
 def parse_derivation(text: str) -> Derivation:
     """Parse one derivation s-expression; the whole input must be consumed."""
-    p = _Parser(text)
-    d = p.derivation()
-    p.expect_end()
-    return d
+    return _parse_derivation(text, {})
 
 
 def _name(v: int, bound: tuple[int, ...]) -> int:
@@ -223,23 +279,38 @@ def print_formula(f: Formula) -> str:
     return fold(f, _PRINT, (), _binder)
 
 
-def print_formula_list(formulas: FormulaSet) -> str:
-    return "[" + ";".join(print_formula(f) for f in formulas) + "]"
+def print_formula_list(formulas: FormulaSet, memo: dict[Formula, str] | None = None) -> str:
+    """Render a formula list.  ``memo`` maps formulas to their text; calls
+    that share one render each distinct formula once between them."""
+    if memo is None:
+        memo = {}
+    texts: list[str] = []
+    for f in formulas:
+        text = memo.get(f)
+        if text is None:
+            text = memo[f] = print_formula(f)
+        texts.append(text)
+    return "[" + ";".join(texts) + "]"
 
 
-def print_sequent(seq: Sequent) -> str:
-    return f"{print_formula_list(seq.antecedent)} => {print_formula_list(seq.succedent)}"
+def print_sequent(seq: Sequent, memo: dict[Formula, str] | None = None) -> str:
+    if memo is None:
+        memo = {}
+    return f"{print_formula_list(seq.antecedent, memo)} => {print_formula_list(seq.succedent, memo)}"
 
 
-def print_derivation(d: Derivation) -> str:
-    """Render a derivation as a single-line s-expression."""
+def print_derivation(d: Derivation, memo: dict[Formula, str] | None = None) -> str:
+    """Render a derivation as a single-line s-expression; ``memo`` as for
+    ``print_formula_list``."""
+    if memo is None:
+        memo = {}
     parts: list[str] = []
     todo: list[tuple[str, Derivation | None]] = [("", d)]
     while todo:
         text, node = todo.pop()
         parts.append(text)
         if node is not None:
-            parts.append(f"({node.tag} {print_sequent(root(node))}")
+            parts.append(f"({node.tag} {print_sequent(node.seq, memo)}")
             todo.append((")", None))
             todo += [(" ", child) for child in reversed(node.premises)]
     return "".join(parts)
@@ -271,6 +342,7 @@ def parse_problem(text: str) -> ProblemFile:
     file.  The parts must recombine to the root sequent of the derivation.
     """
     lines = text.splitlines()
+    memo: dict[str, Formula] = {}
     parts: dict[str, FormulaSet] = {}
     derivation: Derivation | None = None
     for idx, line in enumerate(lines):
@@ -281,13 +353,12 @@ def parse_problem(text: str) -> ProblemFile:
             raise ParseError(f"line {idx + 1}: expected a section header")
         name, rest = m.group(1), m.group(2)
         if name == "derivation":
-            derivation = parse_derivation("\n".join([rest, *lines[idx + 1 :]]))
+            derivation = _parse_derivation("\n".join([rest, *lines[idx + 1 :]]), memo)
             break
         if name in parts:
             raise ParseError(f"line {idx + 1}: duplicate section {name!r}")
-        p = _Parser(rest)
-        parts[name] = FormulaSet(p.formula_list())
-        p.expect_end()
+        parts[name], end = _formula_list(rest, 0, memo)
+        _expect_end(rest, end)
     if derivation is None:
         raise ParseError("missing derivation section")
     pf = ProblemFile(
@@ -307,6 +378,7 @@ def parse_problem(text: str) -> ProblemFile:
 
 
 def print_problem(pf: ProblemFile) -> str:
+    memo: dict[Formula, str] = {}
     lines = []
     for name, fs in (
         ("gamma1", pf.gamma1),
@@ -315,8 +387,8 @@ def print_problem(pf: ProblemFile) -> str:
         ("delta2", pf.delta2),
     ):
         if fs:
-            lines.append(f"{name}: {print_formula_list(fs)}")
-    lines.append(f"derivation: {print_derivation(pf.derivation)}")
+            lines.append(f"{name}: {print_formula_list(fs, memo)}")
+    lines.append(f"derivation: {print_derivation(pf.derivation, memo)}")
     return "\n".join(lines) + "\n"
 
 
@@ -342,16 +414,18 @@ def parse_result(text: str) -> InterpolationResult:
     for name in ("interpolant", "left", "right"):
         if name not in entries:
             raise ParseError(f"missing result entry {name!r}")
+    memo: dict[str, Formula] = {}
     return InterpolationResult(
         parse_formula(entries["interpolant"]),
-        parse_derivation(entries["left"]),
-        parse_derivation(entries["right"]),
+        _parse_derivation(entries["left"], memo),
+        _parse_derivation(entries["right"], memo),
     )
 
 
 def print_result(result: InterpolationResult) -> str:
+    memo: dict[Formula, str] = {}
     return (
         f"interpolant: {print_formula(result.interpolant)}\n"
-        f"left: {print_derivation(result.left_witness)}\n"
-        f"right: {print_derivation(result.right_witness)}\n"
+        f"left: {print_derivation(result.left_witness, memo)}\n"
+        f"right: {print_derivation(result.right_witness, memo)}\n"
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +136,29 @@ def test_rule_nodes_are_frozen_values():
         for name in names + ("extra",):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, name, s2)
+
+
+def test_derivation_eq_and_hash_without_recursion():
+    s = Sequent(fset(p), fset(p))
+
+    def chain(leaf):
+        d = leaf
+        for _ in range(5000):
+            d = WL(s, d)
+        return d
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        a, b, c = chain(Init(s)), chain(Init(s)), chain(BotL(s))
+        assert "_hash" not in vars(a)  # nothing is hashed when a tree is built
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert a != c and not a == c
+        assert a != WR(s, a.sub)
+        assert len({a, b, c}) == 2
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_same_shape_rules_differ():

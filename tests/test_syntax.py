@@ -1,7 +1,9 @@
 """Text formats: parsing, printing, round-trips, error reporting."""
 from __future__ import annotations
 
+import hashlib
 import random
+import re
 import sys
 
 import pytest
@@ -15,8 +17,9 @@ from craigseq.calculus import (
     WL,
     fset,
     root,
+    size,
 )
-from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Not, Or
+from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Not, Or, canonical_key
 from craigseq.interpolation import interpolate_strong, verify
 from craigseq.oracle import GenConfig, gen_derivation, random_split
 from craigseq.syntax import (
@@ -110,6 +113,22 @@ def test_deep_nesting_is_a_parse_error_not_a_crash():
     deep = "~" * MAX_NESTING + "P0()"
     f = parse_formula(deep)
     assert print_formula(f) == deep
+
+
+def _chain_text(depth: int) -> str:
+    """A chain of ``depth`` WL nodes above an Init leaf: its leaf sits ``depth`` deep."""
+    return "(WL [P0()] => [P0()] " * depth + "(Init [P0()] => [P0()])" + ")" * depth
+
+
+def test_derivation_at_the_nesting_limit_parses():
+    d = parse_derivation(_chain_text(MAX_NESTING))
+    assert size(d) == MAX_NESTING + 1
+
+
+def test_derivation_past_the_nesting_limit_is_rejected():
+    with pytest.raises(ParseError) as exc:
+        parse_derivation(_chain_text(MAX_NESTING + 1))
+    assert str(exc.value) == "derivation nesting too deep"
 
 
 def test_decode_rejects_invalid_utf8():
@@ -304,6 +323,53 @@ def test_result_errors():
         )
 
 
+def _seeded_problems(sizes, seeds):
+    """Seeded quantified problems with their interpolation results."""
+    for n in sizes:
+        for seed in seeds:
+            d = gen_derivation(GenConfig(n, 4, seed, True))
+            sp = random_split(root(d), seed)
+            yield ProblemFile(sp.gamma1, sp.gamma2, sp.delta1, sp.delta2, d), interpolate_strong(d, sp)
+
+
+def test_printed_corpus_digest_and_round_trip():
+    # The digest was taken from the printer that rendered every formula
+    # occurrence afresh; the memoised printer must print the same bytes.
+    h = hashlib.sha256()
+    for pf, res in _seeded_problems((30, 70, 110), range(10)):
+        problem, result = print_problem(pf), print_result(res)
+        assert parse_problem(problem) == pf
+        assert parse_result(result) == res
+        h.update(problem.encode())
+        h.update(result.encode())
+    assert h.hexdigest() == "764f31aa201af488c9da7dc74ae1b54dc6dd2972cda3aa79c091184ad1fec446"
+
+
+def _listed(*witnesses) -> list:
+    """Every member of every sequent of the witnesses, constants left out."""
+    out = []
+    todo = list(witnesses)
+    while todo:
+        node = todo.pop()
+        out += [f for f in (*node.seq.antecedent, *node.seq.succedent) if f is not BOT and f is not TOP]
+        todo += node.premises
+    return out
+
+
+def test_parse_result_shares_equal_formulas_within_one_call_only():
+    _, res = next(_seeded_problems((70,), (3,)))
+    text = print_result(res)
+    first, second = parse_result(text), parse_result(text)
+    assert first == second == res
+    by_key: dict = {}
+    for f in _listed(first.left_witness, first.right_witness):
+        assert by_key.setdefault(canonical_key(f), f) is f
+    left = {id(f) for f in _listed(first.left_witness)}
+    assert left & {id(f) for f in _listed(first.right_witness)}, "the witnesses hold no formula in common"
+    ids = {id(f) for f in _listed(first.left_witness, first.right_witness)}
+    assert ids.isdisjoint(id(f) for f in _listed(second.left_witness, second.right_witness))
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=ParseError,
@@ -348,6 +414,37 @@ def test_fuzz_smoke_random_bytes():
         parse = parsers[i % 3]
         try:
             parse(decode(blob))
+        except (ParseError, RootMismatchError):
+            pass
+
+
+_DELIMITERS = ("[", "]", ";", "=>", ")")
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    """``text`` with one delimiter deleted or inserted, or with ``[``, ``]``
+    or ``;`` put inside a formula."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        tok = rng.choice(_DELIMITERS)
+        at = rng.choice([m.start() for m in re.finditer(re.escape(tok), text)])
+        return text[:at] + text[at + len(tok) :]
+    if kind == 1:
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(_DELIMITERS) + text[at:]
+    at = rng.choice([m.end() for m in re.finditer(r"P[0-9]+\(|[&|~.] ?", text)])
+    return text[:at] + rng.choice("[];") + text[at:]
+
+
+def test_fuzz_mutated_printed_files():
+    rng = random.Random(8)
+    texts = []
+    for pf, res in _seeded_problems((30,), range(4)):
+        texts += [(parse_problem, print_problem(pf)), (parse_result, print_result(res))]
+    for i in range(1_500):
+        parse, text = texts[i % len(texts)]
+        try:
+            parse(_mutant(rng, text))
         except (ParseError, RootMismatchError):
             pass
 
