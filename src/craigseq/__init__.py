@@ -55,7 +55,6 @@ from .formulas import (
     Polarity,
     Top,
     bind,
-    canonical_compare,
     canonical_key,
     free_vars,
     inst,

@@ -326,17 +326,6 @@ def canonical_key(f: Formula) -> tuple[int, ...]:
     return k
 
 
-def canonical_compare(a: Formula, b: Formula) -> int:
-    """Three-way comparison in the canonical formula order."""
-    ka = canonical_key(a)
-    kb = canonical_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 def _arg_pairs(f: Formula, g: Formula) -> list[tuple[VarId, VarId, int]] | None:
     """Walk ``f`` and ``g`` in lockstep with an explicit stack.
 

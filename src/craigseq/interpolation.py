@@ -91,9 +91,6 @@ class SplitSequent:
     def sequent(self) -> Sequent:
         return Sequent(self.gamma1 | self.gamma2, self.delta1 | self.delta2)
 
-    def matches(self, seq: Sequent) -> bool:
-        return self.sequent() == seq
-
 
 @dataclass(frozen=True)
 class InterpolationResult:
@@ -160,7 +157,7 @@ def _hit(name: str) -> None:
 
 def interpolate_strong(d: Derivation, split: SplitSequent) -> InterpolationResult:
     """Interpolate a wellformed derivation along a split of its root."""
-    if not split.matches(root(d)):
+    if split.sequent() != root(d):
         raise SplitMismatchError(
             "split does not recombine to the derivation root: "
             f"{split.sequent()!r} vs {root(d)!r}"

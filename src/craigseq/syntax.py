@@ -11,17 +11,24 @@ Parsing canonicalizes all formula sets.  ``parse_formula``/``parse_derivation``
 require full consumption of their input; unknown lines in result files are
 ignored so that ``interpolate`` output can be piped back into ``verify``.
 
+Every token is read through one cursor (``_token``/``_expect_end``), in
+reading order, so an input is reported at its first fault.  Both readers keep
+their unfinished nodes on an explicit stack: the derivation skeleton and each
+formula.  ``MAX_NESTING`` bounds both stacks; it is an input limit, kept until
+the benchmark reports the fault problems apart.
+
 The text repeats every node's sequent, so reading and writing do their work
 once per distinct formula.  No formula contains ``[``, ``]`` or ``;``: the
-reader walks the derivation skeleton with an explicit stack, slices each
-formula list at its ``]``, splits it on ``;`` and parses each distinct piece
-once per call through a local memo.  The printer renders each distinct
-formula once per call the same way.  Both memos live for one call only.
+reader slices each formula list at its ``]``, splits it on ``;`` and parses
+each distinct piece once per call through a local memo.  The printer renders
+each distinct formula once per call the same way.  Both memos live for one
+call only.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Any
 
 from .calculus import RULES, Derivation, FormulaSet, Rule, Sequent, root
 from .formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, fold, free_vars
@@ -51,22 +58,6 @@ def decode(data: bytes) -> str:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip(" \t\r\n")
-            if not rest:
-                break
-            at = len(text) - len(rest)
-            raise ParseError(f"unexpected character {rest[0]!r} at position {at}")
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
-
-
 def _number(digits: str, what: str) -> int:
     try:
         return int(digits)
@@ -74,102 +65,17 @@ def _number(digits: str, what: str) -> int:
         raise ParseError(f"{what} number too long ({len(digits)} digits)") from None
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self._tokens = _tokenize(text)
-        self._pos = 0
-
-    def peek(self) -> str | None:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos][0]
-        return None
-
-    def take(self, expected: str | None = None) -> str:
-        if self._pos >= len(self._tokens):
-            raise ParseError(f"unexpected end of input (expected {expected or 'a token'})")
-        tok, at = self._tokens[self._pos]
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r} but found {tok!r} at position {at}")
-        self._pos += 1
-        return tok
-
-    def expect_end(self) -> None:
-        if self._pos < len(self._tokens):
-            tok, at = self._tokens[self._pos]
-            raise ParseError(f"trailing input {tok!r} at position {at}")
-
-    def variable(self) -> int:
-        tok = self.take()
-        m = _VAR_RE.fullmatch(tok)
-        if m is None:
-            raise ParseError(f"expected a variable like x0, found {tok!r}")
-        return _number(m.group(1), "variable")
-
-    def formula(self, depth: int = 0, bound: tuple[int, ...] = ()) -> Formula:
-        # ``bound`` names the enclosing binders, innermost first: a name's position is its index.
-        if depth > MAX_NESTING:
-            raise ParseError("formula nesting too deep")
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input (expected a formula)")
-        if tok == "bot":
-            self.take()
-            return BOT
-        if tok == "top":
-            self.take()
-            return TOP
-        if tok == "~":
-            self.take()
-            return Not(self.formula(depth + 1, bound))
-        if tok == "(":
-            self.take()
-            left = self.formula(depth + 1, bound)
-            op = self.take()
-            if op not in ("&", "|"):
-                raise ParseError(f"expected '&' or '|', found {op!r}")
-            right = self.formula(depth + 1, bound)
-            self.take(")")
-            return And(left, right) if op == "&" else Or(left, right)
-        if tok in ("forall", "exists"):
-            self.take()
-            v = self.variable()
-            self.take(".")
-            body = self.formula(depth + 1, (v, *bound))
-            return FAll(body) if tok == "forall" else FEx(body)
-        m = _PRED_RE.fullmatch(tok)
-        if m is not None:
-            self.take()
-            self.take("(")
-            names: list[int] = []
-            if self.peek() != ")":
-                names.append(self.variable())
-                while self.peek() == ",":
-                    self.take(",")
-                    names.append(self.variable())
-            self.take(")")
-            args = (bound.index(a) if a in bound else a + len(bound) for a in names)
-            return Atom(_number(m.group(1), "predicate"), tuple(args))
-        raise ParseError(f"expected a formula, found {tok!r}")
-
-
-def parse_formula(text: str) -> Formula:
-    """Parse one formula; the whole input must be consumed."""
-    p = _Parser(text)
-    f = p.formula()
-    p.expect_end()
-    return f
-
-
 _WS = " \t\r\n"
 
 
-def _token(text: str, pos: int, expected: str | None = None) -> tuple[str, int]:
+def _token(text: str, pos: int, expected: str | None = None, noun: str | None = None) -> tuple[str, int]:
     """The token after ``pos`` (white space skipped), which must be
-    ``expected`` when that is given, and the position after it."""
+    ``expected`` when that is given, and the position after it.  ``noun``
+    names what was expected when the input ends here."""
     m = _TOKEN_RE.match(text, pos)
     if m is None:
         _expect_end(text, pos)
-        raise ParseError(f"unexpected end of input (expected {expected or 'a token'})")
+        raise ParseError(f"unexpected end of input (expected {noun or expected or 'a token'})")
     tok = m.group(1)
     if expected is not None and tok != expected:
         raise ParseError(f"expected {expected!r} but found {tok!r} at position {m.start(1)}")
@@ -184,6 +90,85 @@ def _expect_end(text: str, pos: int) -> None:
     rest = text[pos:].lstrip(_WS)
     if rest:
         raise ParseError(f"unexpected character {rest[0]!r} at position {len(text) - len(rest)}")
+
+
+def _next_is(text: str, pos: int, tok: str) -> bool:
+    """Whether the token after ``pos`` is ``tok``."""
+    m = _TOKEN_RE.match(text, pos)
+    return m is not None and m.group(1) == tok
+
+
+def _variable(text: str, pos: int) -> tuple[int, int]:
+    tok, pos = _token(text, pos)
+    m = _VAR_RE.fullmatch(tok)
+    if m is None:
+        raise ParseError(f"expected a variable like x0, found {tok!r}")
+    return _number(m.group(1), "variable"), pos
+
+
+def _formula(text: str, pos: int) -> tuple[Formula, int]:
+    """Read one formula after ``pos`` with an explicit stack; return it and
+    the position after it."""
+    # An unfinished node is ("~", None), ("(", None), (op, left operand) or
+    # (quantifier, enclosing binder names).  ``bound`` names the binders
+    # around the current position, innermost first: a name's position is its index.
+    open_nodes: list[tuple[str, Any]] = []
+    bound: tuple[int, ...] = ()
+    while True:
+        if len(open_nodes) > MAX_NESTING:
+            raise ParseError("formula nesting too deep")
+        tok, pos = _token(text, pos, noun="a formula")
+        if tok in ("~", "("):
+            open_nodes.append((tok, None))
+            continue
+        if tok in ("forall", "exists"):
+            v, pos = _variable(text, pos)
+            _, pos = _token(text, pos, ".")
+            open_nodes.append((tok, bound))
+            bound = (v, *bound)
+            continue
+        if tok in ("bot", "top"):
+            f: Formula = BOT if tok == "bot" else TOP
+        elif (m := _PRED_RE.fullmatch(tok)) is not None:
+            _, pos = _token(text, pos, "(")
+            names: list[int] = []
+            if not _next_is(text, pos, ")"):
+                v, pos = _variable(text, pos)
+                names.append(v)
+                while _next_is(text, pos, ","):
+                    v, pos = _variable(text, _token(text, pos)[1])
+                    names.append(v)
+            _, pos = _token(text, pos, ")")
+            args = (bound.index(a) if a in bound else a + len(bound) for a in names)
+            f = Atom(_number(m.group(1), "predicate"), tuple(args))
+        else:
+            raise ParseError(f"expected a formula, found {tok!r}")
+        while open_nodes:
+            kind, held = open_nodes[-1]
+            if kind == "(":
+                op, pos = _token(text, pos)
+                if op not in ("&", "|"):
+                    raise ParseError(f"expected '&' or '|', found {op!r}")
+                open_nodes[-1] = (op, f)
+                break  # read the right operand
+            open_nodes.pop()
+            if kind == "~":
+                f = Not(f)
+            elif kind in ("&", "|"):
+                _, pos = _token(text, pos, ")")
+                f = And(held, f) if kind == "&" else Or(held, f)
+            else:
+                f = FAll(f) if kind == "forall" else FEx(f)
+                bound = held
+        else:
+            return f, pos
+
+
+def parse_formula(text: str) -> Formula:
+    """Parse one formula; the whole input must be consumed."""
+    f, pos = _formula(text, 0)
+    _expect_end(text, pos)
+    return f
 
 
 def _formula_list(text: str, pos: int, memo: dict[str, Formula]) -> tuple[FormulaSet, int]:
@@ -225,8 +210,8 @@ def _derivation(text: str, pos: int, memo: dict[str, Formula]) -> tuple[Derivati
         _, pos = _token(text, pos, "=>")
         suc, pos = _formula_list(text, pos, memo)
         open_nodes.append((rule, Sequent(ant, suc), []))
-        while (m := _TOKEN_RE.match(text, pos)) is not None and m.group(1) == ")":
-            pos = m.end()
+        while _next_is(text, pos, ")"):
+            _, pos = _token(text, pos)
             rule, seq, children = open_nodes.pop()
             if len(children) != rule.arity:
                 noun = "premise" if rule.arity == 1 else "premises"
@@ -235,7 +220,7 @@ def _derivation(text: str, pos: int, memo: dict[str, Formula]) -> tuple[Derivati
             if not open_nodes:
                 return node, pos
             open_nodes[-1][2].append(node)
-        if m is None:
+        if _TOKEN_RE.match(text, pos) is None:
             _expect_end(text, pos)
             raise ParseError("unexpected end of input inside a derivation")
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import random
 import re
 import sys
@@ -100,6 +101,19 @@ def test_parse_formula_errors():
     ):
         with pytest.raises(ParseError):
             parse_formula(text)
+    for text, message in (
+        ("", "unexpected end of input (expected a formula)"),
+        ("(P0() P1())", "expected '&' or '|', found 'P1'"),
+        ("forall x0 P0()", "expected '.' but found 'P0' at position 10"),
+        ("forall y. P0()", "expected a variable like x0, found 'y'"),
+        ("P0(x0 x1)", "expected ')' but found 'x1' at position 6"),
+        ("P0() P1()", "trailing input 'P1' at position 5"),
+        ("P" + "9" * 5000 + "()", "predicate number too long (5000 digits)"),
+        ("~" * (MAX_NESTING + 1) + "P0()", "formula nesting too deep"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert str(exc.value) == message
 
 
 def test_deep_nesting_is_a_parse_error_not_a_crash():
@@ -123,6 +137,21 @@ def _chain_text(depth: int) -> str:
 def test_derivation_at_the_nesting_limit_parses():
     d = parse_derivation(_chain_text(MAX_NESTING))
     assert size(d) == MAX_NESTING + 1
+
+
+def test_formulas_at_the_nesting_limit_parse_without_recursion():
+    texts = (
+        "~" * MAX_NESTING + "P0(x0)",
+        "(P0() & " * MAX_NESTING + "P1()" + ")" * MAX_NESTING,
+        "forall x0. " * MAX_NESTING + "P0(x0)",
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        printed = [print_formula(parse_formula(text)) for text in texts]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert printed == list(texts)
 
 
 def test_derivation_past_the_nesting_limit_is_rejected():
