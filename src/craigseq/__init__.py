@@ -14,6 +14,8 @@ The package is organised bottom-up:
   of wellformed derivations;
 - :mod:`craigseq.cli` — the ``craigseq`` command.
 """
+from types import ModuleType as _ModuleType
+
 from .calculus import (
     AllL,
     AllR,
@@ -79,15 +81,6 @@ from .interpolation import (
     simplify_bool,
     verify,
 )
-from .oracle import (
-    GenConfig,
-    SplitMix64,
-    eval_formula,
-    gen_derivation,
-    is_valid_sequent,
-    random_split,
-    semantic_verify,
-)
 from .syntax import (
     ParseError,
     ProblemFile,
@@ -104,3 +97,32 @@ from .syntax import (
 )
 
 __version__ = "0.1.0"
+
+#: Served from :mod:`craigseq.oracle`, which is imported on first use: no
+#: subcommand of the ``craigseq`` command needs it.
+_ORACLE_NAMES = (
+    "GenConfig",
+    "SplitMix64",
+    "eval_formula",
+    "gen_derivation",
+    "is_valid_sequent",
+    "random_split",
+    "semantic_verify",
+)
+
+__all__ = sorted(
+    {name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)}
+    | set(_ORACLE_NAMES)
+)
+
+
+def __getattr__(name: str) -> object:
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES})

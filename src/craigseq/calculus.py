@@ -7,14 +7,15 @@ the 15 rule classes only name their rule.  The checker ``resolve_rule``
 reconstructs, for a single node, the rule instance that justifies the node
 from its premises.  Each of the 15 rules is stated once, as a row of the
 table ``RULES`` that the checker, the interpolator and the parser read.
-``_resolved_preorder`` resolves every node of a tree in one explicit-stack
-pass; ``is_wellformed`` and ``craigseq check`` read the tree through it, and
-the interpolator resolves each node as its own walk reaches it.
+``is_wellformed`` resolves the nodes of a tree in one explicit-stack pass
+and stops at the first one that fails; ``_resolved_preorder`` also names each
+node's path, for ``craigseq check``; the interpolator resolves each node as
+its own walk reaches it.
 """
 from __future__ import annotations
 
 import bisect
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .formulas import (
@@ -39,8 +40,8 @@ class FormulaSet:
 
     A formula is a member when its canonical key is among the set's sorted
     keys; a value that is not a formula is never a member.  Membership,
-    ``add``, ``without`` and ``|`` bisect or merge the key tuples, so none of
-    them hashes a formula.
+    ``add``, ``without`` and ``|`` bisect the key tuples, so none of them
+    hashes a formula.
     """
 
     __slots__ = ("_keys", "_items")
@@ -111,28 +112,20 @@ class FormulaSet:
             return self
         if not self._items:
             return other
-        keys: list[tuple[int, ...]] = []
-        items: list[Formula] = []
-        i = j = 0
-        a, b = self._keys, other._keys
-        while i < len(a) and j < len(b):
-            if a[i] < b[j]:
-                keys.append(a[i])
-                items.append(self._items[i])
-                i += 1
-            elif a[i] > b[j]:
-                keys.append(b[j])
-                items.append(other._items[j])
-                j += 1
+        # Insert the smaller set's members into the larger one; on equal keys
+        # the left operand's formula stays.
+        left = len(self._keys) >= len(other._keys)
+        big, small = (self, other) if left else (other, self)
+        keys, items = list(big._keys), list(big._items)
+        i = 0
+        for k, f in zip(small._keys, small._items):
+            i = bisect.bisect_left(keys, k, i)
+            if i < len(keys) and keys[i] == k:
+                if not left:
+                    items[i] = f
             else:
-                keys.append(a[i])
-                items.append(self._items[i])
-                i += 1
-                j += 1
-        keys.extend(a[i:])
-        items.extend(self._items[i:])
-        keys.extend(b[j:])
-        items.extend(other._items[j:])
+                keys.insert(i, k)
+                items.insert(i, f)
         return FormulaSet._build(tuple(keys), tuple(items))
 
 
@@ -203,19 +196,36 @@ class Derivation:
                     todo += ((p, False) for p in node.premises)
         return self._hash  # type: ignore[return-value]
 
+    def __repr__(self) -> str:
+        """``Tag(seq=..., sub=...)`` as the dataclass repr writes it, built
+        with an explicit stack."""
+        out: list[str] = []
+        todo: list[str | Derivation] = [self]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, str):
+                out.append(node)
+                continue
+            out.append(f"{type(node).__qualname__}(seq={node.seq!r}")
+            todo.append(")")
+            names = [f.name for f in fields(node)[1:]]
+            for name, p in zip(names[::-1], node.premises[::-1]):
+                todo += (p, f", {name}=")
+        return "".join(out)
+
     # The rule classes are not dataclasses themselves: their non-field names reach here.
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _NoPremise(Derivation):
     seq: Sequent
 
     premises = ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _OnePremise(Derivation):
     seq: Sequent
     sub: Derivation
@@ -225,7 +235,7 @@ class _OnePremise(Derivation):
         return (self.sub,)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _TwoPremises(Derivation):
     seq: Sequent
     left: Derivation
@@ -364,9 +374,11 @@ def _sequent(side: str, this: FormulaSet, other: FormulaSet) -> Sequent:
 
 def _plus(fs: FormulaSet, formulas: tuple[Formula, ...]) -> FormulaSet:
     """``fs`` with ``formulas`` added."""
-    # One merge rather than one insert per formula: each insert copies both
-    # tuples of ``fs``.
-    return fs.add(formulas[0]) if len(formulas) == 1 else fs | FormulaSet(formulas)
+    # One insert per formula: a rule adds at most two, so this copies less
+    # than building a set of them and merging.
+    for f in formulas:
+        fs = fs.add(f)
+    return fs
 
 
 def _extra(small: FormulaSet, big: FormulaSet) -> tuple[Formula, ...] | None:
@@ -416,13 +428,27 @@ def _match_connective(row: Rule, d: Derivation) -> RuleInstance | None:
     for f in _sides(seq, row.side)[0]:
         if isinstance(f, row.head):
             parts = (f.sub,) if isinstance(f, Not) else (f.left, f.right)  # type: ignore[attr-defined]
-            # side == kept | fs exactly when side holds fs and fs holds what side adds
-            if all(
-                all(c in side for c in fs) and all(e in fs for e in extra)
-                for (side, extra), fs in zip(grown, (parts,) if row.arity == 1 else ((parts[0],), (parts[1],)))
-            ):
+            if row.arity == 1:
+                fits = _grows_by(*grown[0], parts)
+            else:
+                fits = _grows_by(*grown[0], parts[:1]) and _grows_by(*grown[1], parts[1:])
+            if fits:
                 return RuleInstance(row.cls.tag, f, adds=parts)
     return None
+
+
+def _grows_by(side: FormulaSet, extra: tuple[Formula, ...], parts: tuple[Formula, ...]) -> bool:
+    """Whether ``side``, which adds ``extra`` to a set ``kept``, is
+    ``kept | parts``: exactly when ``parts`` holds ``extra`` and ``side``
+    holds ``parts``.  The first test compares at most two formulas, so it
+    runs before the bisecting one."""
+    for e in extra:
+        if e not in parts:
+            return False
+    for c in parts:
+        if c not in side:
+            return False
+    return True
 
 
 def _instances(row: Rule, seq: Sequent, sub: Sequent) -> Iterator[tuple[Formula, Formula]]:
@@ -529,5 +555,15 @@ def _resolved_preorder(d: Derivation) -> Iterator[tuple[str, Derivation, RuleIns
 
 
 def is_wellformed(d: Derivation) -> bool:
-    """True when every node of the tree is justified by some rule instance."""
-    return all(rule is not None for _, _, rule in _resolved_preorder(d))
+    """True when every node of the tree is justified by some rule instance.
+
+    Resolves the nodes in preorder with an explicit stack and stops at the
+    first one that no rule instance justifies.
+    """
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if resolve_rule(node) is None:
+            return False
+        stack += node.premises[::-1]
+    return True

@@ -11,7 +11,6 @@ deep or too large for the interpreter's stack or memory.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -73,6 +72,8 @@ def cmd_check(path: str) -> int:
 
 def _print_report(report: VerifyReport, json_out: bool) -> None:
     if json_out:
+        import json  # only here: start-up time is most of a short run
+
         print(json.dumps(report.conjuncts))
         return
     for name in VERIFY_CONJUNCTS:

@@ -214,10 +214,13 @@ def bind(q: Quantifier, a: VarId, f: Formula) -> Formula:
     """Quantify ``f`` over the named variable ``a``.
 
     Occurrences of ``a`` become the bound index; every other variable is
-    shifted up to make room.
+    shifted up to make room.  The free variables of the result are those of
+    ``f`` without ``a``, in the same order, and are kept on it at once.
     """
     body = rename_vars(lambda v: 0 if v == a else v + 1, f)
-    return FAll(body) if q == "all" else FEx(body)
+    out = FAll(body) if q == "all" else FEx(body)
+    _set(out, "_fv", tuple([v for v in free_vars(f) if v != a]))
+    return out
 
 
 def inst(q: Quantifier, t: VarId, f: Formula) -> Formula:

@@ -24,7 +24,7 @@ owns the principal formula decides the case, named ``<rule>-<side><part>`` in
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Generator
 
 from .calculus import (
@@ -202,7 +202,12 @@ def _interpolate(d: Derivation, split: SplitSequent) -> InterpolationResult:
 
 # A split's parts are named by side and part: "g1", "g2" (antecedent) and
 # "d1", "d2" (succedent).
-_FIELDS = {"g1": "gamma1", "g2": "gamma2", "d1": "delta1", "d2": "delta2"}
+_INDEX = {"g1": 0, "g2": 1, "d1": 2, "d2": 3}
+
+
+def _parts(split: SplitSequent) -> list[FormulaSet]:
+    """The four parts of ``split``, in the order of ``_INDEX``."""
+    return [split.gamma1, split.gamma2, split.delta1, split.delta2]
 
 
 def _owner(d: Derivation, side: str, f: Formula, split: SplitSequent) -> str:
@@ -210,15 +215,17 @@ def _owner(d: Derivation, side: str, f: Formula, split: SplitSequent) -> str:
 
     A formula in both parts belongs to part 1.
     """
-    k = "1" if f in getattr(split, _FIELDS[side + "1"]) else "2"
+    k = "1" if f in _parts(split)[_INDEX[side + "1"]] else "2"
     _hit(f"{d.tag.lower()}-{side}{k}")
     return k
 
 
 def _extend(split: SplitSequent, part: str, formulas: tuple[Formula, ...]) -> SplitSequent:
     """``split`` with ``formulas`` added to one part."""
-    field = _FIELDS[part]
-    return replace(split, **{field: _plus(getattr(split, field), formulas)})
+    parts = _parts(split)
+    i = _INDEX[part]
+    parts[i] = _plus(parts[i], formulas)
+    return SplitSequent(*parts)
 
 
 def _wrap(rule: type, split: SplitSequent, res: InterpolationResult, left: bool, right: bool) -> InterpolationResult:
@@ -274,7 +281,8 @@ def _axiom(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) ->
     """BotL, TopR: the constant in part 1 gives the interpolant ⊥, in part 2 ⊤."""
     g1, g2 = split.gamma1, split.gamma2
     d1, d2 = split.delta1, split.delta2
-    if all(rule.analysed not in getattr(split, _FIELDS[row.side + k]) for k in "12"):
+    parts = _parts(split)
+    if all(rule.analysed not in parts[_INDEX[row.side + k]] for k in "12"):
         raise UnreachableCaseError(f"{d.tag} node with its constant in neither part")
     if _owner(d, row.side, rule.analysed, split) == "1":
         return InterpolationResult(BOT, row.cls(Sequent(g1, d1.add(BOT))), BotL(Sequent(g2.add(BOT), d2)))
@@ -294,8 +302,9 @@ def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -
     """WL, WR: each part keeps only the premise's formulas, and every part that
     holds the weakened formula re-weakens its witness."""
     f = rule.analysed
-    one, two = _FIELDS[row.side + "1"], _FIELDS[row.side + "2"]
-    in1, in2 = f in getattr(split, one), f in getattr(split, two)
+    i, j = _INDEX[row.side + "1"], _INDEX[row.side + "2"]
+    parts = _parts(split)
+    in1, in2 = f in parts[i], f in parts[j]
     name = d.tag.lower()
     if in1 and in2:
         _hit(f"{name}-both")
@@ -307,7 +316,10 @@ def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -
         raise UnreachableCaseError(f"weakened formula missing from both {side} parts")
     # Each part lies within the conclusion's side, the premise's side plus f.
     kept = _sides(root(d.sub), row.side)[0]
-    premise = split if f in kept else replace(split, **{k: getattr(split, k).without(f) for k in (one, two)})
+    premise = split
+    if f not in kept:
+        parts[i], parts[j] = parts[i].without(f), parts[j].without(f)
+        premise = SplitSequent(*parts)
     res = yield d.sub, premise
     return _wrap(row.cls, split, res, in1, in2)
 

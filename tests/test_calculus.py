@@ -29,6 +29,7 @@ from craigseq.calculus import (
     TopR,
     WL,
     WR,
+    _plus,
     fset,
     is_wellformed,
     premises,
@@ -38,7 +39,8 @@ from craigseq.calculus import (
 )
 from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, bind, canonical_key
 from craigseq.interpolation import interpolate_strong
-from craigseq.oracle import GenConfig, gen_derivation, random_split
+from craigseq.oracle import GenConfig, SplitMix64, _random_formula, gen_derivation, random_split
+from craigseq.syntax import parse_formula, print_formula
 from support import brute_is_deriv, derivations, formula_sets, formulas
 
 p = Atom(0)
@@ -107,6 +109,33 @@ def test_formula_set_ops_hash_no_formula(monkeypatch):
     assert [] not in s and 3 not in s
 
 
+@pytest.mark.parametrize("width", range(41))
+def test_formula_set_union_inserts_like_a_reference_union(width):
+    rng = SplitMix64(width)
+    pool = [_random_formula(rng, 3) for _ in range(60)]
+    for _ in range(5):
+        xs = [pool[rng.below(len(pool))] for _ in range(width)]
+        # equal formulas built anew, so the objects tell the operands apart
+        ys = [parse_formula(print_formula(pool[rng.below(len(pool))])) for _ in range(rng.below(41))]
+        for left, right in ((xs, ys), (ys, xs)):
+            a, b = FormulaSet(left), FormulaSet(right)
+            ref = {canonical_key(f): f for f in b}
+            ref.update((canonical_key(f), f) for f in a)  # the left operand's objects stay
+            union = list(a | b)
+            assert [canonical_key(f) for f in union] == sorted(ref)
+            assert all(f is ref[canonical_key(f)] for f in union)
+
+
+def test_plus_adds_like_a_union():
+    rng = SplitMix64(7)
+    pool = [_random_formula(rng, 3) for _ in range(30)]
+    for width in range(20):
+        fs = FormulaSet(pool[rng.below(len(pool))] for _ in range(width))
+        for n in (1, 2):
+            t = tuple(pool[rng.below(len(pool))] for _ in range(n))
+            assert _plus(fs, t) == fs | FormulaSet(t)
+
+
 # ----------------------------------------------------------- tree structure
 
 def test_root_premises_size():
@@ -159,6 +188,20 @@ def test_derivation_eq_and_hash_without_recursion():
         assert len({a, b, c}) == 2
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_derivation_repr_without_recursion():
+    s = Sequent(fset(p), fset(p))
+    d = Init(s)
+    for _ in range(5000):
+        d = WL(s, d)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = repr(d)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == f"WL(seq={s!r}, sub=" * 5000 + f"Init(seq={s!r})" + ")" * 5000
 
 
 def test_same_shape_rules_differ():
@@ -375,6 +418,19 @@ def test_is_wellformed_weakening_chain():
         BotL(Sequent(fset(p), fset())),
     )
     assert not is_wellformed(d2)  # inner BotL node has no falsum
+
+
+def test_is_wellformed_stops_at_a_bad_leaf_without_recursion():
+    s = Sequent(fset(p), fset(q))
+    d = Init(s)  # no rule justifies P0() ⊢ P1()
+    for _ in range(5000):
+        d = WL(s, d)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert not is_wellformed(d)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @settings(max_examples=200)

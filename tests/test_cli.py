@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import craigseq
 from craigseq.calculus import EMPTY, WL, Init, Sequent, fset, root
 from craigseq.cli import main
 from craigseq.formulas import Atom, Not
@@ -285,3 +289,16 @@ def test_deep_input_interpolates_and_verifies(tmp_path, capsys):
         assert main(["verify", str(problem), str(out)]) == 0
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_cli_import_leaves_the_oracle_and_json_unloaded():
+    code = (
+        "import craigseq.cli, sys\n"
+        "assert 'craigseq.oracle' not in sys.modules and 'json' not in sys.modules\n"
+        "import craigseq\n"
+        "assert {'gen_derivation', 'GenConfig'} <= set(dir(craigseq)) & set(craigseq.__all__)\n"
+        "assert craigseq.gen_derivation is craigseq.oracle.gen_derivation\n"
+    )
+    src = str(Path(craigseq.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True)
+

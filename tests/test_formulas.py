@@ -107,6 +107,13 @@ def test_bound_variable_not_free(f, q, a):
     assert a not in free_vars(bind(q, a, f))
 
 
+@given(formulas(), st.sampled_from(["all", "ex"]), st.integers(0, 4))
+def test_bind_keeps_the_free_variables_a_walk_finds(f, q, a):
+    b = bind(q, a, f)
+    assert b._fv is not None  # kept when built, not walked for later
+    assert b._fv == tuple(free_vars(_copy(b)))
+
+
 @given(quantified, st.integers(0, 4))
 def test_inst_then_bind_roundtrip(f, a):
     q = "all" if isinstance(f, FAll) else "ex"

@@ -30,7 +30,7 @@ from craigseq.calculus import (
     premises,
     root,
 )
-from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Not, Or, bind
+from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, bind, free_vars
 from craigseq.interpolation import (
     CASE_NAMES,
     NotWellFormedError,
@@ -53,6 +53,7 @@ from craigseq.oracle import (
     random_split,
     semantic_verify,
 )
+from craigseq.syntax import parse_formula, print_formula
 from support import formulas
 
 p = Atom(0)
@@ -588,3 +589,29 @@ def test_rejects_malformed_node_deep_in_tree():
         d = WL(seq, d)
     with pytest.raises(NotWellFormedError):
         interpolate_strong(d, split(g1=[p], d2=[q]))
+
+
+def _uncached(f: Formula) -> Formula:
+    """An equal formula read back from its text, so that it caches nothing."""
+    return parse_formula(print_formula(f))
+
+
+def test_bound_interpolants_keep_the_free_variables_a_walk_finds():
+    bound = 0
+    for seed in range(40):
+        d = gen_derivation(GenConfig(max_nodes=60, max_pred=4, seed=seed, allow_quantifiers=True))
+        c = interpolate_strong(d, random_split(root(d), seed)).interpolant
+        # every subformula the interpolator built with bind keeps its free variables
+        stack = [c]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, (FAll, FEx)) and g._fv is not None:
+                bound += 1
+                assert g._fv == tuple(free_vars(_uncached(g)))
+            stack += [getattr(g, name) for name in ("left", "right", "sub", "body") if hasattr(g, name)]
+        for a in sorted(set(free_vars(c))) + [max(free_vars(c), default=-1) + 1]:
+            for quantifier in ("all", "ex"):
+                b = bind(quantifier, a, c)
+                assert b._fv == tuple(free_vars(_uncached(b)))
+    assert bound > 40  # the corpus closes interpolants over eigenvariables
+

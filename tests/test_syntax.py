@@ -219,6 +219,21 @@ def test_parse_derivation_errors():
             parse_derivation(text)
 
 
+def test_errors_inside_formula_lists_count_from_the_start_of_the_input():
+    for text, message in (
+        ("(Init [P0()] => [P1(); P2(x0 x1)])", "expected ')' but found 'x1' at position 29"),
+        ("(Init [P0()] => [P1(); P2(x0) P3()])", "trailing input 'P3' at position 30"),
+        ("(Init [P0()] => [P1(); P2(x0) @ ])", "unexpected character '@' at position 30"),
+        ("(Init [P0(x0 x1)] => [])", "expected ')' but found 'x1' at position 13"),
+        # a piece ends at its ';' or ']', which it never reads as its own token
+        ("(Init [P0(x0] => [])", "unexpected end of input (expected ))"),
+        ("(Init [P0(); ] => [])", "unexpected end of input (expected a formula)"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_derivation(text)
+        assert str(exc.value) == message
+
+
 _ARITY = {
     **dict.fromkeys(("Init", "BotL", "TopR"), 0),
     **dict.fromkeys(("AndL", "OrR", "NotL", "NotR", "AllL", "AllR", "ExL", "ExR", "WL", "WR"), 1),
