@@ -137,15 +137,14 @@ def fset(*formulas: Formula) -> FormulaSet:
 EMPTY = FormulaSet()
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(NamedTuple):
     antecedent: FormulaSet
     succedent: FormulaSet
 
     def free_vars(self) -> set[VarId]:
         out: set[VarId] = set()
-        for fs in (self.antecedent, self.succedent):
-            for f in fs:
+        for fs in self:
+            for f in fs._items:
                 # the cached tuple, without the copy ``free_vars`` hands out
                 out.update(f._fv if f._fv is not None else free_vars(f))
         return out
@@ -327,8 +326,7 @@ def size(d: Derivation) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
     """A fully determined rule application recovered by ``resolve_rule``.
 
     Only the fields meaningful for ``kind`` are populated: ``analysed`` is the
@@ -364,7 +362,7 @@ class Rule(NamedTuple):
 
 def _sides(seq: Sequent, side: str) -> tuple[FormulaSet, FormulaSet]:
     """The formulas on ``side`` of ``seq``, then those on the other side."""
-    return (seq.antecedent, seq.succedent) if side == "g" else (seq.succedent, seq.antecedent)
+    return seq if side == "g" else (seq.succedent, seq.antecedent)
 
 
 def _sequent(side: str, this: FormulaSet, other: FormulaSet) -> Sequent:
@@ -406,8 +404,8 @@ def _extra(small: FormulaSet, big: FormulaSet) -> tuple[Formula, ...] | None:
 def _match_axiom(row: Rule, d: Derivation) -> RuleInstance | None:
     """Init, BotL, TopR: a formula of the principal side that is the rule's
     constant, or for Init one that also sits on the other side."""
-    principal, other = _sides(root(d), row.side)
-    for f in principal:
+    principal, other = _sides(d.seq, row.side)
+    for f in principal._items:
         if isinstance(f, row.head) if row.head else f in other:
             return RuleInstance(row.cls.tag, f)
     return None
@@ -416,16 +414,16 @@ def _match_axiom(row: Rule, d: Derivation) -> RuleInstance | None:
 def _match_connective(row: Rule, d: Derivation) -> RuleInstance | None:
     """AndL, OrR, NotL, NotR: the premise adds every component of the
     principal formula; AndR, OrL: premise i adds component i."""
-    seq = root(d)
+    seq = d.seq
     kept, other = _sides(seq, row.target)
     grown: list[tuple[FormulaSet, tuple[Formula, ...]]] = []  # per premise: its side and what that adds to kept
     for sub in d.premises:
-        side, same = _sides(root(sub), row.target)
-        extra = _extra(kept, side) if same == other else None
+        side, same = _sides(sub.seq, row.target)
+        extra = _extra(kept, side) if same._keys == other._keys else None
         if extra is None:
             return None
         grown.append((side, extra))
-    for f in _sides(seq, row.side)[0]:
+    for f in _sides(seq, row.side)[0]._items:
         if isinstance(f, row.head):
             parts = (f.sub,) if isinstance(f, Not) else (f.left, f.right)  # type: ignore[attr-defined]
             if row.arity == 1:
@@ -456,12 +454,12 @@ def _instances(row: Rule, seq: Sequent, sub: Sequent) -> Iterator[tuple[Formula,
     formula ``e`` the premise adds beside it; the other side is unchanged."""
     principal, other = _sides(seq, row.side)
     extended, same = _sides(sub, row.side)
-    extra = _extra(principal, extended) if same == other else None
+    extra = _extra(principal, extended) if same._keys == other._keys else None
     if extra is None or len(extra) > 1:
         return
     # With nothing added, any formula of the premise's side can be the one.
-    added = extra or tuple(extended)
-    for f in principal:
+    added = extra or extended._items
+    for f in principal._items:
         if isinstance(f, row.head):
             for e in added:
                 yield f, e
@@ -469,7 +467,7 @@ def _instances(row: Rule, seq: Sequent, sub: Sequent) -> Iterator[tuple[Formula,
 
 def _match_term(row: Rule, d: Derivation) -> RuleInstance | None:
     """AllL, ExR: the added formula instantiates the principal one at a term."""
-    for f, e in _instances(row, root(d), root(d.sub)):  # type: ignore[attr-defined]
+    for f, e in _instances(row, d.seq, d.sub.seq):  # type: ignore[attr-defined]
         t = match_inst(f, e)
         if t is not None:
             return RuleInstance(row.cls.tag, f, term=t, adds=(e,))
@@ -480,9 +478,9 @@ def _match_eigen(row: Rule, d: Derivation) -> RuleInstance | None:
     """AllR, ExL: the added formula opens the principal one at a variable free
     nowhere in the conclusion."""
     forbidden: set[VarId] | None = None
-    for f, e in _instances(row, root(d), root(d.sub)):  # type: ignore[attr-defined]
+    for f, e in _instances(row, d.seq, d.sub.seq):  # type: ignore[attr-defined]
         if forbidden is None:
-            forbidden = root(d).free_vars()
+            forbidden = d.seq.free_vars()
         a = match_bind(f, e, forbidden)
         if a is not None:
             return RuleInstance(row.cls.tag, f, eigen=a, adds=(e,))
@@ -491,14 +489,14 @@ def _match_eigen(row: Rule, d: Derivation) -> RuleInstance | None:
 
 def _match_weakening(row: Rule, d: Derivation) -> RuleInstance | None:
     """WL, WR: the conclusion adds one formula to the premise's side."""
-    principal, other = _sides(root(d), row.side)
-    kept, same = _sides(root(d.sub), row.side)  # type: ignore[attr-defined]
-    extra = _extra(kept, principal) if same == other else None
+    principal, other = _sides(d.seq, row.side)
+    kept, same = _sides(d.sub.seq, row.side)  # type: ignore[attr-defined]
+    extra = _extra(kept, principal) if same._keys == other._keys else None
     if extra is None or len(extra) > 1:
         return None
     # With nothing added, the weakened formula is one the premise already has.
-    f = extra[0] if extra else next(iter(principal), None)
-    return None if f is None else RuleInstance(row.cls.tag, f)
+    added = extra or principal._items
+    return RuleInstance(row.cls.tag, added[0]) if added else None
 
 
 #: The 15 rules of the calculus, keyed by tag.

@@ -24,8 +24,7 @@ owns the principal formula decides the case, named ``<rule>-<side><part>`` in
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, NamedTuple
 
 from .calculus import (
     AllL,
@@ -75,8 +74,7 @@ class UnreachableCaseError(InterpolationError):
     """Internal dispatch reached a case that valid inputs cannot produce."""
 
 
-@dataclass(frozen=True)
-class SplitSequent:
+class SplitSequent(NamedTuple):
     """A sequent Γ1∪Γ2 ⊢ Δ1∪Δ2 with each side split into two parts.
 
     Parts may overlap; a formula listed in both parts of a side is treated as
@@ -92,8 +90,7 @@ class SplitSequent:
         return Sequent(self.gamma1 | self.gamma2, self.delta1 | self.delta2)
 
 
-@dataclass(frozen=True)
-class InterpolationResult:
+class InterpolationResult(NamedTuple):
     interpolant: Formula
     left_witness: Derivation
     right_witness: Derivation
@@ -200,30 +197,25 @@ def _interpolate(d: Derivation, split: SplitSequent) -> InterpolationResult:
             res = done.value
 
 
-# A split's parts are named by side and part: "g1", "g2" (antecedent) and
-# "d1", "d2" (succedent).
-_INDEX = {"g1": 0, "g2": 1, "d1": 2, "d2": 3}
+#: Where the two parts of each side ("g" antecedent, "d" succedent) sit in a split.
+_PARTS = {"g": (0, 1), "d": (2, 3)}
+
+#: Each rule's case names in the order of ``CASE_NAMES``: one per owning part,
+#: or for WL/WR both parts, part 1 only, part 2 only, neither.
+_BRANCHES = {tag: tuple(n for n in CASE_NAMES if n.split("-")[0] == tag.lower()) for tag in RULES}
 
 
-def _parts(split: SplitSequent) -> list[FormulaSet]:
-    """The four parts of ``split``, in the order of ``_INDEX``."""
-    return [split.gamma1, split.gamma2, split.delta1, split.delta2]
-
-
-def _owner(d: Derivation, side: str, f: Formula, split: SplitSequent) -> str:
-    """Count and return the part, "1" or "2", of ``side`` that holds ``f``.
-
-    A formula in both parts belongs to part 1.
-    """
-    k = "1" if f in _parts(split)[_INDEX[side + "1"]] else "2"
-    _hit(f"{d.tag.lower()}-{side}{k}")
+def _owner(d: Derivation, side: str, f: Formula, split: SplitSequent) -> int:
+    """Count and return the part of ``side`` that holds ``f``: 0 for part 1,
+    1 for part 2.  A formula in both parts belongs to part 1."""
+    k = 0 if f in split[_PARTS[side][0]] else 1
+    _hit(_BRANCHES[d.tag][k])
     return k
 
 
-def _extend(split: SplitSequent, part: str, formulas: tuple[Formula, ...]) -> SplitSequent:
-    """``split`` with ``formulas`` added to one part."""
-    parts = _parts(split)
-    i = _INDEX[part]
+def _extend(split: SplitSequent, i: int, formulas: tuple[Formula, ...]) -> SplitSequent:
+    """``split`` with ``formulas`` added to its ``i``-th part."""
+    parts = list(split)
     parts[i] = _plus(parts[i], formulas)
     return SplitSequent(*parts)
 
@@ -239,8 +231,7 @@ def _wrap(rule: type, split: SplitSequent, res: InterpolationResult, left: bool,
 
 
 def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> InterpolationResult:
-    g1, g2 = split.gamma1, split.gamma2
-    d1, d2 = split.delta1, split.delta2
+    g1, g2, d1, d2 = split
     for a in g1:
         if a in d1:
             _hit("init-g1d1")
@@ -279,12 +270,10 @@ def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> Interp
 
 def _axiom(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> InterpolationResult:
     """BotL, TopR: the constant in part 1 gives the interpolant ⊥, in part 2 ⊤."""
-    g1, g2 = split.gamma1, split.gamma2
-    d1, d2 = split.delta1, split.delta2
-    parts = _parts(split)
-    if all(rule.analysed not in parts[_INDEX[row.side + k]] for k in "12"):
+    g1, g2, d1, d2 = split
+    if all(rule.analysed not in split[i] for i in _PARTS[row.side]):
         raise UnreachableCaseError(f"{d.tag} node with its constant in neither part")
-    if _owner(d, row.side, rule.analysed, split) == "1":
+    if _owner(d, row.side, rule.analysed, split) == 0:
         return InterpolationResult(BOT, row.cls(Sequent(g1, d1.add(BOT))), BotL(Sequent(g2.add(BOT), d2)))
     return InterpolationResult(TOP, TopR(Sequent(g1, d1.add(TOP))), row.cls(Sequent(g2.add(TOP), d2)))
 
@@ -294,31 +283,29 @@ def _unary(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) ->
     part that owns the principal formula, and that part's witness re-applies
     the rule."""
     k = _owner(d, row.side, rule.analysed, split)
-    res = yield d.sub, _extend(split, row.target + k, rule.adds)
-    return _wrap(row.cls, split, res, k == "1", k == "2")
+    res = yield d.sub, _extend(split, _PARTS[row.target][k], rule.adds)
+    return _wrap(row.cls, split, res, k == 0, k == 1)
 
 
 def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
     """WL, WR: each part keeps only the premise's formulas, and every part that
     holds the weakened formula re-weakens its witness."""
     f = rule.analysed
-    i, j = _INDEX[row.side + "1"], _INDEX[row.side + "2"]
-    parts = _parts(split)
-    in1, in2 = f in parts[i], f in parts[j]
-    name = d.tag.lower()
-    if in1 and in2:
-        _hit(f"{name}-both")
-    elif in1 or in2:
-        _hit(f"{name}-{row.side}{1 if in1 else 2}-only")
+    i, j = _PARTS[row.side]
+    in1, in2 = f in split[i], f in split[j]
+    both, only1, only2, neither = _BRANCHES[d.tag]
+    if in1 or in2:
+        _hit(both if in1 and in2 else only1 if in1 else only2)
     else:
-        _hit(f"{name}-impossible")
+        _hit(neither)
         side = "antecedent" if row.side == "g" else "succedent"
         raise UnreachableCaseError(f"weakened formula missing from both {side} parts")
     # Each part lies within the conclusion's side, the premise's side plus f.
-    kept = _sides(root(d.sub), row.side)[0]
+    kept = _sides(d.sub.seq, row.side)[0]
     premise = split
     if f not in kept:
-        parts[i], parts[j] = parts[i].without(f), parts[j].without(f)
+        parts = list(split)
+        parts[i], parts[j] = split[i].without(f), split[j].without(f)
         premise = SplitSequent(*parts)
     res = yield d.sub, premise
     return _wrap(row.cls, split, res, in1, in2)
@@ -332,13 +319,12 @@ def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent
     OrL or AndR.
     """
     k = _owner(d, row.side, rule.analysed, split)
-    left, right = (_extend(split, row.target + k, (a,)) for a in rule.adds)
+    left, right = (_extend(split, _PARTS[row.target][k], (a,)) for a in rule.adds)
     resl = yield d.left, left
     resr = yield d.right, right
     cl, cr = resl.interpolant, resr.interpolant
-    g1, g2 = split.gamma1, split.gamma2
-    d1, d2 = split.delta1, split.delta2
-    if k == "1":
+    g1, g2, d1, d2 = split
+    if k == 0:
         c = Or(cl, cr)
 
         def disjoin(premise: SplitSequent, w: Derivation, ci: Formula, cj: Formula) -> Derivation:
@@ -384,12 +370,11 @@ def _eigen(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) ->
     owning part.  Part 1 closes the premise interpolant C' to ∃a.C', part 2
     to ∀a.C'."""
     k = _owner(d, row.side, rule.analysed, split)
-    premise = _extend(split, row.target + k, rule.adds)
+    premise = _extend(split, _PARTS[row.target][k], rule.adds)
     res = yield d.sub, premise
     cp = res.interpolant
-    g1, g2 = split.gamma1, split.gamma2
-    d1, d2 = split.delta1, split.delta2
-    if k == "1":
+    g1, g2, d1, d2 = split
+    if k == 0:
         c = bind("ex", rule.eigen, cp)
         g, dp = premise.gamma1, premise.delta1
         w = WR(Sequent(g, dp | fset(cp, c)), res.left_witness)
@@ -429,8 +414,7 @@ VERIFY_CONJUNCTS = (
 )
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     conjuncts: dict[str, bool]
 
     @property

@@ -14,8 +14,7 @@ parts of a split.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .calculus import (
     EMPTY,
@@ -139,8 +138,7 @@ def semantic_verify(split: SplitSequent, interpolant: Formula) -> bool:
     return left and right
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(NamedTuple):
     """Parameters of the random derivation generator.
 
     ``max_nodes`` caps the tree size, predicates are drawn from

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .calculus import RULES, Derivation, FormulaSet, Rule, Sequent, root
 from .formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, fold, free_vars
@@ -83,7 +82,7 @@ def _token(
     m = _TOKEN_RE.match(text, pos, end)
     if m is None:
         _expect_end(text, pos, end)
-        raise ParseError(f"unexpected end of input (expected {noun or expected or 'a token'})")
+        raise ParseError(f"unexpected end of input (expected {noun or (repr(expected) if expected else 'a token')})")
     tok = m.group(1)
     if expected is not None and tok != expected:
         raise ParseError(f"expected {expected!r} but found {tok!r} at position {m.start(1)}")
@@ -314,8 +313,7 @@ def print_derivation(d: Derivation, memo: dict[Formula, str] | None = None) -> s
     return "".join(parts)
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(NamedTuple):
     """A split sequent (four named parts) together with a derivation of it."""
 
     gamma1: FormulaSet

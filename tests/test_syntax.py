@@ -103,6 +103,8 @@ def test_parse_formula_errors():
             parse_formula(text)
     for text, message in (
         ("", "unexpected end of input (expected a formula)"),
+        ("P0(x0", "unexpected end of input (expected ')')"),
+        ("forall x0", "unexpected end of input (expected '.')"),
         ("(P0() P1())", "expected '&' or '|', found 'P1'"),
         ("forall x0 P0()", "expected '.' but found 'P0' at position 10"),
         ("forall y. P0()", "expected a variable like x0, found 'y'"),
@@ -226,7 +228,7 @@ def test_errors_inside_formula_lists_count_from_the_start_of_the_input():
         ("(Init [P0()] => [P1(); P2(x0) @ ])", "unexpected character '@' at position 30"),
         ("(Init [P0(x0 x1)] => [])", "expected ')' but found 'x1' at position 13"),
         # a piece ends at its ';' or ']', which it never reads as its own token
-        ("(Init [P0(x0] => [])", "unexpected end of input (expected ))"),
+        ("(Init [P0(x0] => [])", "unexpected end of input (expected ')')"),
         ("(Init [P0(); ] => [])", "unexpected end of input (expected a formula)"),
     ):
         with pytest.raises(ParseError) as exc:
