@@ -40,8 +40,10 @@ class FormulaSet:
 
     A formula is a member when its canonical key is among the set's sorted
     keys; a value that is not a formula is never a member.  Membership,
-    ``add``, ``without`` and ``|`` bisect the key tuples, so none of them
-    hashes a formula.
+    ``add`` and ``without`` bisect the key tuples, so none of them hashes a
+    formula.  ``add`` is the one way a set grows: ``a | b`` adds the members
+    of ``b`` to ``a`` one by one, so on equal keys the left operand's
+    formula stays.
     """
 
     __slots__ = ("_keys", "_items")
@@ -108,25 +110,7 @@ class FormulaSet:
     def __or__(self, other: "FormulaSet") -> "FormulaSet":
         if not isinstance(other, FormulaSet):
             return NotImplemented
-        if not other._items:
-            return self
-        if not self._items:
-            return other
-        # Insert the smaller set's members into the larger one; on equal keys
-        # the left operand's formula stays.
-        left = len(self._keys) >= len(other._keys)
-        big, small = (self, other) if left else (other, self)
-        keys, items = list(big._keys), list(big._items)
-        i = 0
-        for k, f in zip(small._keys, small._items):
-            i = bisect.bisect_left(keys, k, i)
-            if i < len(keys) and keys[i] == k:
-                if not left:
-                    items[i] = f
-            else:
-                keys.insert(i, k)
-                items.insert(i, f)
-        return FormulaSet._build(tuple(keys), tuple(items))
+        return _plus(self, other._items)
 
 
 def fset(*formulas: Formula) -> FormulaSet:
@@ -371,8 +355,9 @@ def _sequent(side: str, this: FormulaSet, other: FormulaSet) -> Sequent:
 
 
 def _plus(fs: FormulaSet, formulas: tuple[Formula, ...]) -> FormulaSet:
-    """``fs`` with ``formulas`` added."""
-    # One insert per formula: a rule adds at most two, so this copies less
+    """``fs`` with ``formulas`` added, one ``add`` each: on equal keys the
+    formula already there stays."""
+    # A rule or an interpolation step adds at most three, so this copies less
     # than building a set of them and merging.
     for f in formulas:
         fs = fs.add(f)

@@ -20,31 +20,36 @@ C = TypeVar("C")
 class Formula:
     """Base class of all formula nodes.  Instances are immutable and hashable.
 
-    A node computes its hash once, when it is built, from its tag and its
-    children's hashes.  Its canonical key, free variables and polarity are
-    computed the first time each is asked for and kept on the node.  They are
-    computed by explicit-stack walks that stop at subnodes whose value is
-    already cached, so the depth of a formula is bounded by memory, not by
-    the recursion limit.
+    The canonical key is a node's identity: two nodes are equal exactly when
+    their keys are, and the hash is the key's hash.  Building a node only
+    stores its fields.  Its canonical key, hash, free variables and polarity
+    are computed the first time each is asked for and kept on the node.  The
+    key, free variables and polarity are computed by explicit-stack walks that
+    stop at subnodes whose value is already cached, so the depth of a formula
+    is bounded by memory, not by the recursion limit.
     """
 
     __slots__ = ()
 
     _tag: ClassVar[int]
-    _hash: int
+    _hash: int | None = None
     _key: tuple[int, ...] | None = None
     _fv: tuple[VarId, ...] | None = None
     _pol: Polarity | None = None
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash(canonical_key(self))
+            _set(self, "_hash", h)
+        return h
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if type(other) is not type(self):
+        if not isinstance(other, Formula):
             return NotImplemented
-        return self._hash == other._hash and canonical_key(self) == canonical_key(other)
+        return canonical_key(self) == canonical_key(other)
 
     # The shape subclasses are not dataclasses themselves: their non-field names reach here.
     def __setattr__(self, name: str, value: object) -> None:
@@ -62,13 +67,11 @@ class Atom(Formula):
 
     def __post_init__(self) -> None:
         _set(self, "args", tuple(self.args))
-        _set(self, "_hash", hash((self._tag, self.pred, self.args)))
 
 
 @dataclass(frozen=True, eq=False)
 class _Constant(Formula):
-    def __post_init__(self) -> None:
-        _set(self, "_hash", hash((self._tag,)))
+    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,16 +79,10 @@ class _Junction(Formula):
     left: Formula
     right: Formula
 
-    def __post_init__(self) -> None:
-        _set(self, "_hash", hash((self._tag, self.left._hash, self.right._hash)))
-
 
 @dataclass(frozen=True, eq=False)
 class _Quantified(Formula):
     body: Formula
-
-    def __post_init__(self) -> None:
-        _set(self, "_hash", hash((self._tag, self.body._hash)))
 
 
 class Bot(_Constant):
@@ -108,9 +105,6 @@ class Or(_Junction):
 class Not(Formula):
     sub: Formula
     _tag = 5
-
-    def __post_init__(self) -> None:
-        _set(self, "_hash", hash((self._tag, self.sub._hash)))
 
 
 class FAll(_Quantified):

@@ -50,7 +50,6 @@ from .calculus import (
     WR,
     _plus,
     _sides,
-    fset,
     is_wellformed,
     resolve_rule,
     root,
@@ -329,8 +328,8 @@ def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent
 
         def disjoin(premise: SplitSequent, w: Derivation, ci: Formula, cj: Formula) -> Derivation:
             g, dp = premise.gamma1, premise.delta1
-            w = WR(Sequent(g, dp | fset(ci, c)), w)
-            w = WR(Sequent(g, dp | fset(ci, c, cj)), w)
+            w = WR(Sequent(g, _plus(dp, (ci, c))), w)
+            w = WR(Sequent(g, _plus(dp, (ci, c, cj))), w)
             return OrR(Sequent(g, dp.add(c)), w)
 
         dl = row.cls(
@@ -340,22 +339,22 @@ def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent
         )
         dr = OrL(
             Sequent(g2.add(c), d2),
-            WL(Sequent(g2 | fset(c, cl), d2), resl.right_witness),
-            WL(Sequent(g2 | fset(c, cr), d2), resr.right_witness),
+            WL(Sequent(_plus(g2, (c, cl)), d2), resl.right_witness),
+            WL(Sequent(_plus(g2, (c, cr)), d2), resr.right_witness),
         )
         return InterpolationResult(c, dl, dr)
     c = And(cl, cr)
 
     def conjoin(premise: SplitSequent, w: Derivation, ci: Formula, cj: Formula) -> Derivation:
         g, dp = premise.gamma2, premise.delta2
-        w = WL(Sequent(g | fset(cj, ci), dp), w)
-        w = WL(Sequent(g | fset(c, cj, ci), dp), w)
+        w = WL(Sequent(_plus(g, (cj, ci)), dp), w)
+        w = WL(Sequent(_plus(g, (c, cj, ci)), dp), w)
         return AndL(Sequent(g.add(c), dp), w)
 
     dl = AndR(
         Sequent(g1, d1.add(c)),
-        WR(Sequent(g1, d1 | fset(cl, c)), resl.left_witness),
-        WR(Sequent(g1, d1 | fset(cr, c)), resr.left_witness),
+        WR(Sequent(g1, _plus(d1, (cl, c))), resl.left_witness),
+        WR(Sequent(g1, _plus(d1, (cr, c))), resr.left_witness),
     )
     dr = row.cls(
         Sequent(g2.add(c), d2),
@@ -377,15 +376,15 @@ def _eigen(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) ->
     if k == 0:
         c = bind("ex", rule.eigen, cp)
         g, dp = premise.gamma1, premise.delta1
-        w = WR(Sequent(g, dp | fset(cp, c)), res.left_witness)
+        w = WR(Sequent(g, _plus(dp, (cp, c))), res.left_witness)
         w = ExR(Sequent(g, dp.add(c)), w)
         dl = row.cls(Sequent(g1, d1.add(c)), w)
-        dr = ExL(Sequent(g2.add(c), d2), WL(Sequent(g2 | fset(c, cp), d2), res.right_witness))
+        dr = ExL(Sequent(g2.add(c), d2), WL(Sequent(_plus(g2, (c, cp)), d2), res.right_witness))
         return InterpolationResult(c, dl, dr)
     c = bind("all", rule.eigen, cp)
-    dl = AllR(Sequent(g1, d1.add(c)), WR(Sequent(g1, d1 | fset(cp, c)), res.left_witness))
+    dl = AllR(Sequent(g1, d1.add(c)), WR(Sequent(g1, _plus(d1, (cp, c))), res.left_witness))
     g, dp = premise.gamma2, premise.delta2
-    w = WL(Sequent(g | fset(c, cp), dp), res.right_witness)
+    w = WL(Sequent(_plus(g, (c, cp)), dp), res.right_witness)
     w = AllL(Sequent(g.add(c), dp), w)
     dr = row.cls(Sequent(g2.add(c), d2), w)
     return InterpolationResult(c, dl, dr)

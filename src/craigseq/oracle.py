@@ -275,20 +275,12 @@ def _nodes_above(grown: Derivation, d: Derivation) -> int:
 def random_split(seq: Sequent, seed: int) -> SplitSequent:
     """Deal each root formula to part 1, part 2, or both, seeded."""
     rng = SplitMix64(seed)
-    g1: list[Formula] = []
-    g2: list[Formula] = []
-    for f in seq.antecedent:
-        k = rng.below(3)
-        if k != 1:
-            g1.append(f)
-        if k != 0:
-            g2.append(f)
-    d1: list[Formula] = []
-    d2: list[Formula] = []
-    for f in seq.succedent:
-        k = rng.below(3)
-        if k != 1:
-            d1.append(f)
-        if k != 0:
-            d2.append(f)
-    return SplitSequent(FormulaSet(g1), FormulaSet(g2), FormulaSet(d1), FormulaSet(d2))
+    parts: list[list[Formula]] = [[], [], [], []]  # gamma1, gamma2, delta1, delta2
+    for i, side in ((0, seq.antecedent), (2, seq.succedent)):
+        for f in side:
+            k = rng.below(3)  # 0: part 1, 1: part 2, 2: both
+            if k != 1:
+                parts[i].append(f)
+            if k != 0:
+                parts[i + 1].append(f)
+    return SplitSequent(*map(FormulaSet, parts))

@@ -3,13 +3,17 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import pickle
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import craigseq
 from craigseq.calculus import (
     RULES,
     AllL,
@@ -188,6 +192,48 @@ def test_derivation_eq_and_hash_without_recursion():
         assert len({a, b, c}) == 2
     finally:
         sys.setrecursionlimit(limit)
+
+
+#: Builds ``values``: a few formulas and a seeded derivation, the same in every process.
+_BUILD_VALUES = """
+from craigseq.calculus import root
+from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Not, Or
+from craigseq.oracle import GenConfig, gen_derivation
+d = gen_derivation(GenConfig(40, 3, 7, True))
+a, b = Atom(0, (1, 0)), Atom(2)
+values = [BOT, TOP, a, Or(Not(a), b), FAll(FEx(And(a, b))), *root(d).antecedent, *root(d).succedent, d]
+"""
+
+#: Run in another process: loads the pickled values from stdin and compares
+#: them with fresh copies; argv[1] is the parent's hash of a string.
+_CHECK_LOADED = """
+import pickle, sys
+loaded = pickle.load(sys.stdin.buffer)
+assert hash("craigseq") != int(sys.argv[1]), "the child must hash strings differently"
+assert len(loaded) == len(values)
+fresh = {v: v for v in values}
+kept = {v: v for v in loaded}
+for old, new in zip(loaded, values):
+    assert old._hash is not None  # the pickle carried the hash
+    assert hash(old) == hash(new) and old == new and new == old
+    assert fresh[old] == old and kept[new] == new
+"""
+
+
+def test_pickled_hashes_hold_in_a_process_with_another_hash_seed():
+    ns: dict = {}
+    exec(_BUILD_VALUES, ns)
+    values = ns["values"]
+    for v in values:
+        hash(v)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(craigseq.__file__).parents[1])
+    subprocess.run(
+        [sys.executable, "-c", _BUILD_VALUES + _CHECK_LOADED, str(hash("craigseq"))],
+        input=pickle.dumps(values),
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        check=True,
+    )
 
 
 def test_derivation_repr_without_recursion():

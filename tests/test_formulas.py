@@ -280,6 +280,13 @@ def test_dataclass_shape_unchanged():
 
 def test_same_shape_formulas_differ():
     a, b = Atom(0), Atom(1, (0,))
+    fresh = (Atom(1, [0]), Bot(), Top(), And(a, b), Or(b, a), Not(a), FAll(b), FEx(Not(b)))
+    for f in fresh:
+        # building a node stores its fields and nothing else
+        assert set(vars(f)) == {field.name for field in dataclasses.fields(f)}
+        assert (f._hash, f._key, f._fv, f._pol) == (None, None, None, None)
+    for f in fresh:
+        assert hash(f) == hash(canonical_key(f)) == f._hash
     assert And(a, b) != Or(a, b)
     assert FAll(b) != FEx(b)
     assert BOT != TOP
