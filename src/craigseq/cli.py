@@ -19,7 +19,6 @@ from .formulas import Formula
 from .interpolation import (
     InterpolationError,
     SplitSequent,
-    VERIFY_CONJUNCTS,
     VerifyReport,
     interpolate_strong,
     simplify_bool,
@@ -76,8 +75,8 @@ def _print_report(report: VerifyReport, json_out: bool) -> None:
 
         print(json.dumps(report.conjuncts))
         return
-    for name in VERIFY_CONJUNCTS:
-        print(f"{name}: {'PASS' if report.conjuncts[name] else 'FAIL'}")
+    for name, ok in report.conjuncts.items():
+        print(f"{name}: {'PASS' if ok else 'FAIL'}")
     print(f"summary: {'PASS' if report.ok else 'FAIL'}")
 
 

@@ -7,7 +7,7 @@ named variables and never touch raw indices.
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Callable, ClassVar, Iterable, Literal, NamedTuple, Sequence, TypeVar
 
 VarId = int
@@ -23,10 +23,10 @@ class Formula:
     The canonical key is a node's identity: two nodes are equal exactly when
     their keys are, and the hash is the key's hash.  Building a node only
     stores its fields.  Its canonical key, hash, free variables and polarity
-    are computed the first time each is asked for and kept on the node.  The
-    key, free variables and polarity are computed by explicit-stack walks that
-    stop at subnodes whose value is already cached, so the depth of a formula
-    is bounded by memory, not by the recursion limit.
+    are computed the first time each is asked for and kept on the node.  Free
+    variables, polarity and ``repr`` are folds, the first two stopping at
+    cached subnodes; the key is a flat preorder loop.  None recurses, so a
+    formula's depth is bounded by memory, not by the recursion limit.
     """
 
     __slots__ = ()
@@ -55,11 +55,15 @@ class Formula:
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
+    def __repr__(self) -> str:
+        """The text the dataclass ``repr`` gives, without its recursion."""
+        return fold(self, (_repr,) * 8, None)
+
 
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
     pred: PredId
     args: tuple[VarId, ...] = ()
@@ -69,18 +73,18 @@ class Atom(Formula):
         _set(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Constant(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Junction(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Quantified(Formula):
     body: Formula
 
@@ -101,7 +105,7 @@ class Or(_Junction):
     _tag = 4
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     sub: Formula
     _tag = 5
@@ -183,6 +187,13 @@ def _unary(g: Formula, c: object, sub: Formula) -> Formula:
 REBUILD = (_same, _same, _same, _binary, _binary, _unary, _unary, _unary)
 
 
+def _repr(g: Formula, c: None, *subs: str) -> str:
+    """The dataclass ``repr`` of ``g``, given the text of its subformulas."""
+    names = [field.name for field in fields(g)]  # type: ignore[arg-type]
+    values = subs or [repr(getattr(g, name)) for name in names]
+    return f"{type(g).__qualname__}({', '.join(f'{n}={v}' for n, v in zip(names, values))})"
+
+
 def rename_vars(s: Callable[[VarId], VarId], f: Formula) -> Formula:
     """Apply the total variable renaming ``s``, lifted under binders.
 
@@ -232,24 +243,20 @@ def pre_suc(xs: Iterable[VarId]) -> list[VarId]:
     return [v - 1 for v in xs if v > 0]
 
 
+_FREE_VARS = (
+    lambda g, c: g.args,
+    *[lambda g, c: ()] * 2,
+    *[lambda g, c, left, right: left + right] * 2,
+    lambda g, c, sub: sub,
+    *[lambda g, c, body: tuple(pre_suc(body))] * 2,
+)
+
+
 def free_vars(f: Formula) -> list[VarId]:
     """Free variables of ``f`` in syntactic order, duplicates preserved."""
     fv = f._fv
     if fv is None:
-        out: list[VarId] = []
-        stack = [(f, 0)]  # a subformula and the number of binders above it in f
-        while stack:
-            g, bound = stack.pop()
-            vs = g.args if isinstance(g, Atom) else g._fv
-            if vs is not None:
-                out += [v - bound for v in vs if v >= bound] if bound else vs
-            elif isinstance(g, (And, Or)):
-                stack += ((g.right, bound), (g.left, bound))
-            elif isinstance(g, Not):
-                stack.append((g.sub, bound))
-            elif isinstance(g, (FAll, FEx)):
-                stack.append((g.body, bound + 1))
-        fv = tuple(out)
+        fv = fold(f, _FREE_VARS, None, stop=lambda g, c: g._fv)
         _set(f, "_fv", fv)
     return list(fv)
 
@@ -259,26 +266,20 @@ class Polarity(NamedTuple):
     negatives: frozenset[PredId]
 
 
+_POLARITY = (
+    lambda g, c: Polarity(frozenset((g.pred,)), frozenset()),
+    *[lambda g, c: Polarity(frozenset(), frozenset())] * 2,
+    *[lambda g, c, left, right: Polarity(left.positives | right.positives, left.negatives | right.negatives)] * 2,
+    lambda g, c, sub: Polarity(sub.negatives, sub.positives),  # a negation swaps the sides
+    *[lambda g, c, body: body] * 2,
+)
+
+
 def polarity(f: Formula) -> Polarity:
     """Predicate identifiers occurring positively and negatively in ``f``."""
     p = f._pol
     if p is None:
-        sides: tuple[set[PredId], set[PredId]] = (set(), set())
-        stack = [(f, 0)]  # a subformula and 1 when it sits under an odd number of negations in f
-        while stack:
-            g, odd = stack.pop()
-            if isinstance(g, Atom):
-                sides[odd].add(g.pred)
-            elif g._pol is not None:
-                sides[odd].update(g._pol.positives)
-                sides[1 - odd].update(g._pol.negatives)
-            elif isinstance(g, (And, Or)):
-                stack += ((g.left, odd), (g.right, odd))
-            elif isinstance(g, Not):
-                stack.append((g.sub, 1 - odd))
-            elif isinstance(g, (FAll, FEx)):
-                stack.append((g.body, odd))
-        p = Polarity(frozenset(sides[0]), frozenset(sides[1]))
+        p = fold(f, _POLARITY, None, stop=lambda g, c: g._pol)
         _set(f, "_pol", p)
     return p
 
@@ -307,17 +308,16 @@ def canonical_key(f: Formula) -> tuple[int, ...]:
             if g._key is not None:
                 out += g._key
                 continue
-            out.append(g._tag)
-            if isinstance(g, Atom):
-                out.append(g.pred)
-                out.append(len(g.args))
-                out += g.args
-            elif isinstance(g, (And, Or)):
-                stack += (g.right, g.left)
-            elif isinstance(g, Not):
-                stack.append(g.sub)
-            elif isinstance(g, (FAll, FEx)):
-                stack.append(g.body)
+            tag = g._tag
+            out.append(tag)
+            if tag == 0:
+                out += (g.pred, len(g.args), *g.args)  # type: ignore[attr-defined]
+            elif tag == 3 or tag == 4:
+                stack += (g.right, g.left)  # type: ignore[attr-defined]
+            elif tag == 5:
+                stack.append(g.sub)  # type: ignore[attr-defined]
+            elif tag > 5:
+                stack.append(g.body)  # type: ignore[attr-defined]
         k = tuple(out)
         _set(f, "_key", k)
     return k

@@ -400,19 +400,6 @@ _CASES = {
 }
 
 
-#: Conjunct names of the verifier report, in output order.
-VERIFY_CONJUNCTS = (
-    "wellformed_left",
-    "wellformed_right",
-    "root_left",
-    "root_right",
-    "pos_left",
-    "pos_right",
-    "neg_left",
-    "neg_right",
-)
-
-
 class VerifyReport(NamedTuple):
     conjuncts: dict[str, bool]
 
@@ -449,7 +436,7 @@ def verify(split: SplitSequent, result: InterpolationResult) -> VerifyReport:
     pos_left, neg_left = _allowed(split.gamma1, split.delta1)
     # C sits in the antecedent of C, Γ2 ⊢ Δ2: the bounds are those of Δ2 ⊢ Γ2.
     pos_right, neg_right = _allowed(split.delta2, split.gamma2)
-    conjuncts = {
+    conjuncts = {  # in the order reports print them
         "wellformed_left": is_wellformed(result.left_witness),
         "wellformed_right": is_wellformed(result.right_witness),
         "root_left": root(result.left_witness) == Sequent(split.gamma1, split.delta1.add(c)),

@@ -136,8 +136,14 @@ def test_plus_adds_like_a_union():
     for width in range(20):
         fs = FormulaSet(pool[rng.below(len(pool))] for _ in range(width))
         for n in (1, 2):
-            t = tuple(pool[rng.below(len(pool))] for _ in range(n))
-            assert _plus(fs, t) == fs | FormulaSet(t)
+            # equal formulas built anew, so the objects tell fs and t apart
+            t = tuple(parse_formula(print_formula(pool[rng.below(len(pool))])) for _ in range(n))
+            ref: dict[tuple[int, ...], Formula] = {}
+            for f in (*fs, *t):  # on equal keys the first stays, so fs's own object
+                ref.setdefault(canonical_key(f), f)
+            plus = list(_plus(fs, t))
+            assert [canonical_key(f) for f in plus] == sorted(ref)
+            assert all(f is ref[canonical_key(f)] for f in plus)
 
 
 # ----------------------------------------------------------- tree structure

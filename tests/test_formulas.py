@@ -372,10 +372,9 @@ def test_free_vars_returns_a_fresh_list():
 
 
 def test_deep_formula_without_recursion():
-    # Hash, key, free variables and polarity are cached by walks that do not
-    # recurse, and renaming, printing, simplification and evaluation are
-    # folds without recursion, so chains far deeper than the recursion limit
-    # work.
+    # Free variables, polarity, repr, renaming, printing, simplification and
+    # evaluation are folds without recursion, and the key behind the hash is a
+    # flat loop, so chains far deeper than the recursion limit work.
     depth = 5000
 
     def chain() -> Formula:
@@ -427,6 +426,7 @@ def test_deep_formula_without_recursion():
         assert len(canonical_key(a)) == depth + 3
         assert free_vars(a) == []
         assert polarity(a) == Polarity(frozenset({0}), frozenset())
+        assert repr(a) == "Not(sub=" * depth + "Atom(pred=0, args=())" + ")" * depth
 
         m, text = mixed(0)
         assert print_formula(m) == text

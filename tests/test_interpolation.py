@@ -30,7 +30,7 @@ from craigseq.calculus import (
     premises,
     root,
 )
-from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, bind, free_vars
+from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, bind, free_vars, inst
 from craigseq.interpolation import (
     CASE_NAMES,
     NotWellFormedError,
@@ -378,6 +378,23 @@ def test_rejects_mismatched_split():
         interpolate_strong(d, split(g1=[q], d1=[p]))
     with pytest.raises(SplitMismatchError):
         interpolate_strong(d, split(g1=[p]))
+
+
+def test_errors_name_a_formula_deeper_than_the_recursion_limit():
+    # Both messages hold the formula's repr, a fold without recursion, so the
+    # caller gets the error and not RecursionError.
+    chain: Formula = p
+    for _ in range(5000):
+        chain = Not(chain)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(SplitMismatchError):
+            interpolate_strong(Init(Sequent(fset(chain), fset(chain))), split(g1=[chain]))
+        with pytest.raises(ValueError):
+            inst("all", 0, chain)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_overlapping_split_accepted():

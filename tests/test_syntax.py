@@ -419,7 +419,7 @@ def test_parse_result_shares_equal_formulas_within_one_call_only():
 @pytest.mark.xfail(
     strict=True,
     raises=ParseError,
-    reason="ROADMAP item 1: a witness nests deeper than MAX_NESTING, so the printed result does not parse back",
+    reason="ROADMAP item 2: a witness nests deeper than MAX_NESTING, so the printed result does not parse back",
 )
 def test_printed_result_of_280_node_problem_parses_back():
     # Fault (a): the input nests 262 deep, its left witness 316.
