@@ -391,7 +391,7 @@ def _match_axiom(row: Rule, d: Derivation) -> RuleInstance | None:
     constant, or for Init one that also sits on the other side."""
     principal, other = _sides(d.seq, row.side)
     for f in principal._items:
-        if isinstance(f, row.head) if row.head else f in other:
+        if f._tag == row.head._tag if row.head else f in other:
             return RuleInstance(row.cls.tag, f)
     return None
 
@@ -409,8 +409,8 @@ def _match_connective(row: Rule, d: Derivation) -> RuleInstance | None:
             return None
         grown.append((side, extra))
     for f in _sides(seq, row.side)[0]._items:
-        if isinstance(f, row.head):
-            parts = (f.sub,) if isinstance(f, Not) else (f.left, f.right)  # type: ignore[attr-defined]
+        if f._tag == row.head._tag:  # type: ignore[union-attr]
+            parts = (f.sub,) if f._tag == Not._tag else (f.left, f.right)  # type: ignore[attr-defined]
             if row.arity == 1:
                 fits = _grows_by(*grown[0], parts)
             else:
@@ -445,7 +445,7 @@ def _instances(row: Rule, seq: Sequent, sub: Sequent) -> Iterator[tuple[Formula,
     # With nothing added, any formula of the premise's side can be the one.
     added = extra or extended._items
     for f in principal._items:
-        if isinstance(f, row.head):
+        if f._tag == row.head._tag:  # type: ignore[union-attr]
             for e in added:
                 yield f, e
 

@@ -323,15 +323,19 @@ def canonical_key(f: Formula) -> tuple[int, ...]:
     return k
 
 
-def _arg_pairs(f: Formula, g: Formula) -> list[tuple[VarId, VarId, int]] | None:
-    """Walk ``f`` and ``g`` in lockstep with an explicit stack.
+def _opening(quantified: Formula, instance: Formula) -> VarId | None:
+    """The variable ``t`` with ``inst(q, t, quantified) == instance``: -1 when
+    the binder is vacuous and every variable works, ``None`` when the head of
+    ``quantified`` is not a quantifier or no variable works.
 
-    ``None`` when they differ in anything but the variables of their atoms;
-    otherwise each pair of corresponding atom arguments, with the number of
-    binders above it.
+    One explicit-stack walk of the body of ``quantified`` and ``instance`` in
+    lockstep checks each pair of atom arguments as it reaches them and stops
+    at the first mismatch.
     """
-    out: list[tuple[VarId, VarId, int]] = []
-    stack = [(f, g, 0)]
+    if quantified._tag not in _QUANTIFIERS:
+        return None
+    t = -1
+    stack = [(quantified.body, instance, 0)]  # type: ignore[attr-defined]
     while stack:
         a, b, depth = stack.pop()
         tag = a._tag
@@ -340,7 +344,13 @@ def _arg_pairs(f: Formula, g: Formula) -> list[tuple[VarId, VarId, int]] | None:
         if tag == 0:
             if a.pred != b.pred or len(a.args) != len(b.args):  # type: ignore[attr-defined]
                 return None
-            out += [(u, w, depth) for u, w in zip(a.args, b.args)]  # type: ignore[attr-defined]
+            for u, w in zip(a.args, b.args):  # type: ignore[attr-defined]
+                if u == depth:  # the bound index, opened to t
+                    if w < depth or (t >= 0 and w - depth != t):
+                        return None
+                    t = w - depth
+                elif w != (u if u < depth else u - 1):
+                    return None
         elif tag < 3:
             continue
         elif tag < 5:
@@ -349,7 +359,7 @@ def _arg_pairs(f: Formula, g: Formula) -> list[tuple[VarId, VarId, int]] | None:
             stack.append((a.sub, b.sub, depth))  # type: ignore[attr-defined]
         else:
             stack.append((a.body, b.body, depth + 1))  # type: ignore[attr-defined]
-    return out
+    return t
 
 
 def match_inst(quantified: Formula, instance: Formula) -> VarId | None:
@@ -360,20 +370,8 @@ def match_inst(quantified: Formula, instance: Formula) -> VarId | None:
     first occurrence of the bound index, and every other occurrence must
     agree.  When the binder is vacuous every variable works and 0 is returned.
     """
-    if quantified._tag not in _QUANTIFIERS:
-        return None
-    pairs = _arg_pairs(quantified.body, instance)  # type: ignore[attr-defined]
-    if pairs is None:
-        return None
-    t: VarId | None = None
-    for u, w, depth in pairs:
-        if u == depth:  # the bound index, opened to t
-            if w < depth or (t is not None and w - depth != t):
-                return None
-            t = w - depth
-        elif w != (u if u < depth else u - 1):
-            return None
-    return 0 if t is None else t
+    t = _opening(quantified, instance)
+    return 0 if t == -1 else t
 
 
 def match_bind(quantified: Formula, body: Formula, forbidden: Iterable[VarId]) -> VarId | None:
@@ -384,27 +382,13 @@ def match_bind(quantified: Formula, body: Formula, forbidden: Iterable[VarId]) -
     occurrence must agree.  When the binder is vacuous any fresh variable
     works and the smallest one outside ``forbidden`` and ``body`` is returned.
     """
-    if quantified._tag not in _QUANTIFIERS:
-        return None
-    pairs = _arg_pairs(quantified.body, body)  # type: ignore[attr-defined]
-    if pairs is None:
-        return None
-    a: VarId | None = None
-    shifted: set[VarId] = set()  # free variables of body that stay free
-    for u, w, depth in pairs:
-        if w < depth:
-            if u != w:
-                return None
-        elif u == depth:  # bound by quantified
-            if a is not None and w - depth != a:
-                return None
-            a = w - depth
-        elif u == w + 1:
-            shifted.add(w - depth)
-        else:
-            return None
-    bad = shifted.union(forbidden)
+    # Closing is opening plus freshness: bind(q, a, body) == quantified exactly
+    # when inst(q, a, quantified) == body and a is not free in quantified.
+    a = _opening(quantified, body)
     if a is None:
+        return None
+    bad = set(free_vars(quantified)).union(forbidden)
+    if a == -1:
         a = 0
         while a in bad:
             a += 1

@@ -13,10 +13,12 @@ ignored so that ``interpolate`` output can be piped back into ``verify``.
 
 Every token is read through one cursor (``_token``/``_expect_end``), in
 reading order, so an input is reported at its first fault, at a position
-counted from the start of the text read.  Both readers keep their unfinished
-nodes on an explicit stack: the derivation skeleton and each formula.
-``MAX_NESTING`` bounds both stacks; it is an input limit, kept until the
-benchmark reports the fault problems apart.
+counted from the start of the text read.  The cursor has no bound: only
+``_expect_end`` takes one, to check that a formula fills its piece of a
+formula list.  Both readers keep their unfinished nodes on an explicit stack:
+the derivation skeleton and each formula.  ``MAX_NESTING`` bounds both
+stacks; it is an input limit, kept until the benchmark reports the fault
+problems apart.
 
 The text repeats every node's sequent, so reading and writing do their work
 once per distinct formula.  No formula contains ``[``, ``]`` or ``;``: the
@@ -67,21 +69,18 @@ def _number(digits: str, what: str) -> int:
 
 
 _WS = " \t\r\n"
-#: The default ``end`` of the cursor: no bound, as ``re`` and slices clamp it.
+#: The default ``end`` of ``_expect_end``: no bound, as ``re`` and slices clamp it.
 _NO_END = sys.maxsize
 
 
-def _token(
-    text: str, pos: int, expected: str | None = None, noun: str | None = None, end: int = _NO_END
-) -> tuple[str, int]:
+def _token(text: str, pos: int, expected: str | None = None, noun: str | None = None) -> tuple[str, int]:
     """The token after ``pos`` (white space skipped), which must be
     ``expected`` when that is given, and the position after it.  ``noun``
-    names what was expected when the input ends here.  The input ends at
-    ``end``, or at the end of ``text``; positions count from the start of
-    ``text`` either way."""
-    m = _TOKEN_RE.match(text, pos, end)
+    names what was expected when the input ends here.  Positions count from
+    the start of ``text``."""
+    m = _TOKEN_RE.match(text, pos)
     if m is None:
-        _expect_end(text, pos, end)
+        _expect_end(text, pos)
         raise ParseError(f"unexpected end of input (expected {noun or (repr(expected) if expected else 'a token')})")
     tok = m.group(1)
     if expected is not None and tok != expected:
@@ -100,23 +99,23 @@ def _expect_end(text: str, pos: int, end: int = _NO_END) -> None:
         raise ParseError(f"unexpected character {rest[0]!r} at position {pos + len(tail) - len(rest)}")
 
 
-def _next_is(text: str, pos: int, tok: str, end: int = _NO_END) -> bool:
+def _next_is(text: str, pos: int, tok: str) -> bool:
     """Whether the token after ``pos`` is ``tok``."""
-    m = _TOKEN_RE.match(text, pos, end)
+    m = _TOKEN_RE.match(text, pos)
     return m is not None and m.group(1) == tok
 
 
-def _variable(text: str, pos: int, end: int) -> tuple[int, int]:
-    tok, pos = _token(text, pos, end=end)
+def _variable(text: str, pos: int) -> tuple[int, int]:
+    tok, pos = _token(text, pos)
     m = _VAR_RE.fullmatch(tok)
     if m is None:
         raise ParseError(f"expected a variable like x0, found {tok!r}")
     return _number(m.group(1), "variable"), pos
 
 
-def _formula(text: str, pos: int, end: int = _NO_END) -> tuple[Formula, int]:
-    """Read one formula after ``pos``, and before ``end``, with an explicit
-    stack; return it and the position after it."""
+def _formula(text: str, pos: int) -> tuple[Formula, int]:
+    """Read one formula after ``pos`` with an explicit stack; return it and
+    the position after it."""
     # An unfinished node is ("~", None), ("(", None), (op, left operand) or
     # (quantifier, enclosing binder names).  ``bound`` names the binders
     # around the current position, innermost first: a name's position is its index.
@@ -125,28 +124,28 @@ def _formula(text: str, pos: int, end: int = _NO_END) -> tuple[Formula, int]:
     while True:
         if len(open_nodes) > MAX_NESTING:
             raise ParseError("formula nesting too deep")
-        tok, pos = _token(text, pos, noun="a formula", end=end)
+        tok, pos = _token(text, pos, noun="a formula")
         if tok in ("~", "("):
             open_nodes.append((tok, None))
             continue
         if tok in ("forall", "exists"):
-            v, pos = _variable(text, pos, end)
-            _, pos = _token(text, pos, ".", end=end)
+            v, pos = _variable(text, pos)
+            _, pos = _token(text, pos, ".")
             open_nodes.append((tok, bound))
             bound = (v, *bound)
             continue
         if tok in ("bot", "top"):
             f: Formula = BOT if tok == "bot" else TOP
         elif (m := _PRED_RE.fullmatch(tok)) is not None:
-            _, pos = _token(text, pos, "(", end=end)
+            _, pos = _token(text, pos, "(")
             names: list[int] = []
-            if not _next_is(text, pos, ")", end):
-                v, pos = _variable(text, pos, end)
+            if not _next_is(text, pos, ")"):
+                v, pos = _variable(text, pos)
                 names.append(v)
-                while _next_is(text, pos, ",", end):
-                    v, pos = _variable(text, _token(text, pos, end=end)[1], end)
+                while _next_is(text, pos, ","):
+                    v, pos = _variable(text, _token(text, pos)[1])
                     names.append(v)
-            _, pos = _token(text, pos, ")", end=end)
+            _, pos = _token(text, pos, ")")
             args = (bound.index(a) if a in bound else a + len(bound) for a in names)
             f = Atom(_number(m.group(1), "predicate"), tuple(args))
         else:
@@ -154,7 +153,7 @@ def _formula(text: str, pos: int, end: int = _NO_END) -> tuple[Formula, int]:
         while open_nodes:
             kind, held = open_nodes[-1]
             if kind == "(":
-                op, pos = _token(text, pos, end=end)
+                op, pos = _token(text, pos)
                 if op not in ("&", "|"):
                     raise ParseError(f"expected '&' or '|', found {op!r}")
                 open_nodes[-1] = (op, f)
@@ -163,7 +162,7 @@ def _formula(text: str, pos: int, end: int = _NO_END) -> tuple[Formula, int]:
             if kind == "~":
                 f = Not(f)
             elif kind in ("&", "|"):
-                _, pos = _token(text, pos, ")", end=end)
+                _, pos = _token(text, pos, ")")
                 f = And(held, f) if kind == "&" else Or(held, f)
             else:
                 f = FAll(f) if kind == "forall" else FEx(f)
@@ -197,8 +196,9 @@ def _formula_list(text: str, pos: int, memo: dict[str, Formula]) -> tuple[Formul
     for piece in pieces:
         f = memo.get(piece)
         if f is None:
-            # read at its place in the text, so that positions count from the start
-            f, after = _formula(text, pos, pos + len(piece))
+            # read at its place in the text, so that positions count from the start;
+            # no formula reads a ';' or ']', so none reads past its piece
+            f, after = _formula(text, pos)
             _expect_end(text, after, pos + len(piece))
             memo[piece] = f
         out.append(f)

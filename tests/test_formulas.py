@@ -373,8 +373,9 @@ def test_free_vars_returns_a_fresh_list():
 
 def test_deep_formula_without_recursion():
     # Free variables, polarity, repr, renaming, printing, simplification and
-    # evaluation are folds without recursion, and the key behind the hash is a
-    # flat loop, so chains far deeper than the recursion limit work.
+    # evaluation are folds without recursion, and the key behind the hash and
+    # the lockstep walk behind the matchers are flat loops, so chains far
+    # deeper than the recursion limit work.
     depth = 5000
 
     def chain() -> Formula:
@@ -433,6 +434,9 @@ def test_deep_formula_without_recursion():
         m7 = inst("all", 7, FAll(m))
         assert m7 == mixed(7)[0]
         assert bind("all", 7, m7) == FAll(m)
+        assert match_inst(FAll(m), m7) == 7
+        assert match_bind(FAll(m), m7, set()) == 7
+        assert match_bind(FAll(m), m7, {7}) is None
         assert rename_vars(lambda v: v, m) is m
         assert simplify_bool(m) == mixed(0, tops=False)[0]
 

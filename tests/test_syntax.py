@@ -227,9 +227,10 @@ def test_errors_inside_formula_lists_count_from_the_start_of_the_input():
         ("(Init [P0()] => [P1(); P2(x0) P3()])", "trailing input 'P3' at position 30"),
         ("(Init [P0()] => [P1(); P2(x0) @ ])", "unexpected character '@' at position 30"),
         ("(Init [P0(x0 x1)] => [])", "expected ')' but found 'x1' at position 13"),
-        # a piece ends at its ';' or ']', which it never reads as its own token
-        ("(Init [P0(x0] => [])", "unexpected end of input (expected ')')"),
-        ("(Init [P0(); ] => [])", "unexpected end of input (expected a formula)"),
+        # no formula contains ';' or ']', so a piece that ends early stops at one and names it
+        ("(Init [P0(x0] => [])", "expected ')' but found ']' at position 12"),
+        ("(Init [P0(); ] => [])", "expected a formula, found ']'"),
+        ("(Init [P0(] => [])", "expected a variable like x0, found ']'"),
     ):
         with pytest.raises(ParseError) as exc:
             parse_derivation(text)
