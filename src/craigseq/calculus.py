@@ -6,7 +6,8 @@ none, one or two premises, each of these three shapes is declared once, and
 the 15 rule classes only name their rule.  The checker ``resolve_rule``
 reconstructs, for a single node, the rule instance that justifies the node
 from its premises.  Each of the 15 rules is stated once, as a row of the
-table ``RULES`` that the checker, the interpolator and the parser read.
+table ``RULES`` that the checker, the interpolator and the parser read, and
+that ``RULE_FOR`` is derived from.
 ``is_wellformed`` resolves the nodes of a tree in one explicit-stack pass
 and stops at the first one that fails; ``_resolved_preorder`` also names each
 node's path, for ``craigseq check``; the interpolator resolves each node as
@@ -505,6 +506,12 @@ RULES: dict[str, Rule] = {
         Rule(WR, 1, "d", None, "d", _match_weakening),
     )
 }
+
+
+#: The rule that introduces a formula headed by ``head`` on ``side``, keyed
+#: by ``(head, side)``; ``(None, side)`` is the weakening of that side.  Init
+#: introduces no one formula, so it has no key.
+RULE_FOR = {(row.head, row.side): row.cls for row in RULES.values() if row.cls is not Init}
 
 
 def resolve_rule(d: Derivation) -> RuleInstance | None:

@@ -23,10 +23,10 @@ class Formula:
     The canonical key is a node's identity: two nodes are equal exactly when
     their keys are, and the hash is the key's hash.  Building a node only
     stores its fields.  Its canonical key, hash, free variables and polarity
-    are computed the first time each is asked for and kept on the node.  Free
-    variables, polarity and ``repr`` are folds, the first two stopping at
-    cached subnodes; the key is a flat preorder loop.  None recurses, so a
-    formula's depth is bounded by memory, not by the recursion limit.
+    are computed the first time each is asked for and kept on the node.
+    ``repr`` is a fold; the key, free variables and polarity are flat loops,
+    the last two stopping at cached subnodes.  None recurses, so a formula's
+    depth is bounded by memory, not by the recursion limit.
     """
 
     __slots__ = ()
@@ -243,20 +243,27 @@ def pre_suc(xs: Iterable[VarId]) -> list[VarId]:
     return [v - 1 for v in xs if v > 0]
 
 
-_FREE_VARS = (
-    lambda g, c: g.args,
-    *[lambda g, c: ()] * 2,
-    *[lambda g, c, left, right: left + right] * 2,
-    lambda g, c, sub: sub,
-    *[lambda g, c, body: tuple(pre_suc(body))] * 2,
-)
-
-
 def free_vars(f: Formula) -> list[VarId]:
-    """Free variables of ``f`` in syntactic order, duplicates preserved."""
+    """Free variables of ``f`` in syntactic order, duplicates preserved.
+
+    One preorder walk: below ``depth`` binders an argument ``v >= depth`` is
+    free and names ``v - depth``, as ``pre_suc`` once per binder gives.
+    """
     fv = f._fv
     if fv is None:
-        fv = fold(f, _FREE_VARS, None, stop=lambda g, c: g._fv)
+        out: list[VarId] = []
+        stack = [(f, 0)]
+        while stack:
+            g, depth = stack.pop()
+            tag = g._tag
+            vs = g._fv if g._fv is not None else g.args if tag == 0 else None  # type: ignore[attr-defined]
+            if vs is not None:
+                out += [v - depth for v in vs if v >= depth]
+            elif tag > 4:
+                stack.append((g.sub, depth) if tag == 5 else (g.body, depth + 1))  # type: ignore[attr-defined]
+            elif tag > 2:
+                stack += ((g.right, depth), (g.left, depth))  # type: ignore[attr-defined]
+        fv = tuple(out)
         _set(f, "_fv", fv)
     return list(fv)
 
@@ -266,20 +273,26 @@ class Polarity(NamedTuple):
     negatives: frozenset[PredId]
 
 
-_POLARITY = (
-    lambda g, c: Polarity(frozenset((g.pred,)), frozenset()),
-    *[lambda g, c: Polarity(frozenset(), frozenset())] * 2,
-    *[lambda g, c, left, right: Polarity(left.positives | right.positives, left.negatives | right.negatives)] * 2,
-    lambda g, c, sub: Polarity(sub.negatives, sub.positives),  # a negation swaps the sides
-    *[lambda g, c, body: body] * 2,
-)
-
-
 def polarity(f: Formula) -> Polarity:
-    """Predicate identifiers occurring positively and negatively in ``f``."""
+    """Predicate identifiers occurring positively and negatively in ``f``:
+    one walk that swaps the sides below each negation."""
     p = f._pol
     if p is None:
-        p = fold(f, _POLARITY, None, stop=lambda g, c: g._pol)
+        sides: tuple[set[PredId], set[PredId]] = (set(), set())  # positives, negatives
+        stack = [(f, 0)]  # with odd = 1 below an odd number of negations
+        while stack:
+            g, odd = stack.pop()
+            tag = g._tag
+            if g._pol is not None:
+                sides[odd].update(g._pol.positives)
+                sides[1 - odd].update(g._pol.negatives)
+            elif tag == 0:
+                sides[odd].add(g.pred)  # type: ignore[attr-defined]
+            elif tag > 4:
+                stack.append((g.sub, 1 - odd) if tag == 5 else (g.body, odd))  # type: ignore[attr-defined]
+            elif tag > 2:
+                stack += ((g.left, odd), (g.right, odd))  # type: ignore[attr-defined]
+        p = Polarity(frozenset(sides[0]), frozenset(sides[1]))
         _set(f, "_pol", p)
     return p
 

@@ -20,6 +20,11 @@ ExL).  All but the first two are generators: they yield each premise with its
 split and are sent back its result.  In each step the part of the split that
 owns the principal formula decides the case, named ``<rule>-<side><part>`` in
 ``CASE_NAMES``.
+
+Each step is written once, with the owning part k (0: part 1, 1: part 2) as
+its parameter: part 2's construction mirrors part 1's, with ⊥/⊤, ∨/∧, ∃/∀
+and C's side (Δ1 or Γ2) swapped.  The rules a witness is built with come
+from ``calculus.RULE_FOR``, derived from ``RULES``.
 """
 from __future__ import annotations
 
@@ -27,27 +32,16 @@ from collections import Counter
 from typing import Generator, NamedTuple
 
 from .calculus import (
-    AllL,
-    AllR,
-    AndL,
-    AndR,
-    BotL,
+    RULE_FOR,
+    RULES,
     Derivation,
-    ExL,
-    ExR,
     FormulaSet,
     Init,
     NotL,
     NotR,
-    OrL,
-    OrR,
-    RULES,
     Rule,
     RuleInstance,
     Sequent,
-    TopR,
-    WL,
-    WR,
     _plus,
     _sides,
     is_wellformed,
@@ -219,6 +213,25 @@ def _extend(split: SplitSequent, i: int, formulas: tuple[Formula, ...]) -> Split
     return SplitSequent(*parts)
 
 
+#: Per owning part k (0: part 1, 1: part 2): the side C takes in part k's
+#: witness root, and the interpolant of a node that part k closes alone with
+#: the axiom that gives the other part's witness.
+_C_SIDE = ("d", "g")
+_ALONE = tuple((c, RULE_FOR[type(c), _C_SIDE[1 - k]]) for k, c in enumerate((BOT, TOP)))
+
+
+def _root(split: SplitSequent, k: int, *cs: Formula) -> Sequent:
+    """Part ``k``'s sequent with ``cs`` added on C's side: Δ1 for part 1, Γ2 for part 2."""
+    if k == 0:
+        return Sequent(split.gamma1, _plus(split.delta1, cs))
+    return Sequent(_plus(split.gamma2, cs), split.delta2)
+
+
+def _result(c: Formula, k: int, own: Derivation, other: Derivation) -> InterpolationResult:
+    """The result whose part-``k`` witness is ``own`` and whose other witness is ``other``."""
+    return InterpolationResult(c, own, other) if k == 0 else InterpolationResult(c, other, own)
+
+
 def _wrap(rule: type, split: SplitSequent, res: InterpolationResult, left: bool, right: bool) -> InterpolationResult:
     """Re-apply ``rule`` below the left and/or right witness of ``res``."""
     c = res.interpolant
@@ -229,16 +242,28 @@ def _wrap(rule: type, split: SplitSequent, res: InterpolationResult, left: bool,
     )
 
 
+def _alone(split: SplitSequent, k: int, rule: type) -> InterpolationResult:
+    """Part ``k`` closes by ``rule`` alone: C is ⊥ for part 1 and ⊤ for part 2,
+    and the other part's witness is that unit's axiom."""
+    c, axiom = _ALONE[k]
+    return _result(c, k, rule(_root(split, k, c)), axiom(_root(split, 1 - k, c)))
+
+
+def _introduce(split: SplitSequent, k: int, c: Formula, subs: tuple[tuple[Formula, Derivation], ...]) -> Derivation:
+    """Part ``k``'s witness that introduces ``c`` from ``subs``: pairs of a
+    formula ``ci`` and a witness with ``ci`` on C's side.  Each witness gets
+    ``c`` weakened in, then the rule for ``c``'s head on that side joins them."""
+    side = _C_SIDE[k]
+    weaken = RULE_FOR[None, side]
+    return RULE_FOR[type(c), side](_root(split, k, c), *(weaken(_root(split, k, ci, c), w) for ci, w in subs))
+
+
 def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> InterpolationResult:
     g1, g2, d1, d2 = split
     for a in g1:
         if a in d1:
             _hit("init-g1d1")
-            return InterpolationResult(
-                BOT,
-                Init(Sequent(g1, d1.add(BOT))),
-                BotL(Sequent(g2.add(BOT), d2)),
-            )
+            return _alone(split, 0, Init)
     for a in g1:
         if a in d2:
             _hit("init-g1d2")
@@ -259,22 +284,15 @@ def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> Interp
     for a in g2:
         if a in d2:
             _hit("init-g2d2")
-            return InterpolationResult(
-                TOP,
-                TopR(Sequent(g1, d1.add(TOP))),
-                Init(Sequent(g2.add(TOP), d2)),
-            )
+            return _alone(split, 1, Init)
     raise UnreachableCaseError("Init node with no shared formula in any part pair")
 
 
 def _axiom(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> InterpolationResult:
-    """BotL, TopR: the constant in part 1 gives the interpolant ⊥, in part 2 ⊤."""
-    g1, g2, d1, d2 = split
+    """BotL, TopR: the part that owns the constant closes alone."""
     if all(rule.analysed not in split[i] for i in _PARTS[row.side]):
         raise UnreachableCaseError(f"{d.tag} node with its constant in neither part")
-    if _owner(d, row.side, rule.analysed, split) == 0:
-        return InterpolationResult(BOT, row.cls(Sequent(g1, d1.add(BOT))), BotL(Sequent(g2.add(BOT), d2)))
-    return InterpolationResult(TOP, TopR(Sequent(g1, d1.add(TOP))), row.cls(Sequent(g2.add(TOP), d2)))
+    return _alone(split, _owner(d, row.side, rule.analysed, split), row.cls)
 
 
 def _unary(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
@@ -311,83 +329,44 @@ def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -
 
 
 def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
-    """AndR, OrL: each premise adds its component to the owning part.
+    """AndR, OrL: each premise adds its component to the owning part k.
 
     Part 1 joins the premise interpolants into C = Cl ∨ Cr, part 2 into
-    C = Cl ∧ Cr; the other part's witness combines both premise witnesses with
-    OrL or AndR.
+    C = Cl ∧ Cr.  Part k's witness weakens C and the sibling's interpolant
+    into each premise witness and introduces C, then re-applies the rule; the
+    other part's witness introduces C from both premise witnesses.
     """
     k = _owner(d, row.side, rule.analysed, split)
     left, right = (_extend(split, _PARTS[row.target][k], (a,)) for a in rule.adds)
     resl = yield d.left, left
     resr = yield d.right, right
     cl, cr = resl.interpolant, resr.interpolant
-    g1, g2, d1, d2 = split
-    if k == 0:
-        c = Or(cl, cr)
+    c = (Or, And)[k](cl, cr)
+    side = _C_SIDE[k]
+    weaken, join = RULE_FOR[None, side], RULE_FOR[type(c), side]
 
-        def disjoin(premise: SplitSequent, w: Derivation, ci: Formula, cj: Formula) -> Derivation:
-            g, dp = premise.gamma1, premise.delta1
-            w = WR(Sequent(g, _plus(dp, (ci, c))), w)
-            w = WR(Sequent(g, _plus(dp, (ci, c, cj))), w)
-            return OrR(Sequent(g, dp.add(c)), w)
+    def owned(premise: SplitSequent, w: Derivation, ci: Formula, cj: Formula) -> Derivation:
+        # Part 1 weakens in C first, part 2 the sibling's interpolant first.
+        first, second = (c, cj) if k == 0 else (cj, c)
+        w = weaken(_root(premise, k, ci, first), w)
+        w = weaken(_root(premise, k, ci, first, second), w)
+        return join(_root(premise, k, c), w)
 
-        dl = row.cls(
-            Sequent(g1, d1.add(c)),
-            disjoin(left, resl.left_witness, cl, cr),
-            disjoin(right, resr.left_witness, cr, cl),
-        )
-        dr = OrL(
-            Sequent(g2.add(c), d2),
-            WL(Sequent(_plus(g2, (c, cl)), d2), resl.right_witness),
-            WL(Sequent(_plus(g2, (c, cr)), d2), resr.right_witness),
-        )
-        return InterpolationResult(c, dl, dr)
-    c = And(cl, cr)
-
-    def conjoin(premise: SplitSequent, w: Derivation, ci: Formula, cj: Formula) -> Derivation:
-        g, dp = premise.gamma2, premise.delta2
-        w = WL(Sequent(_plus(g, (cj, ci)), dp), w)
-        w = WL(Sequent(_plus(g, (c, cj, ci)), dp), w)
-        return AndL(Sequent(g.add(c), dp), w)
-
-    dl = AndR(
-        Sequent(g1, d1.add(c)),
-        WR(Sequent(g1, _plus(d1, (cl, c))), resl.left_witness),
-        WR(Sequent(g1, _plus(d1, (cr, c))), resr.left_witness),
-    )
-    dr = row.cls(
-        Sequent(g2.add(c), d2),
-        conjoin(left, resl.right_witness, cl, cr),
-        conjoin(right, resr.right_witness, cr, cl),
-    )
-    return InterpolationResult(c, dl, dr)
+    own = row.cls(_root(split, k, c), owned(left, resl[1 + k], cl, cr), owned(right, resr[1 + k], cr, cl))
+    return _result(c, k, own, _introduce(split, 1 - k, c, ((cl, resl[2 - k]), (cr, resr[2 - k]))))
 
 
 def _eigen(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
     """AllR, ExL: the premise adds the instance at the eigenvariable a to the
-    owning part.  Part 1 closes the premise interpolant C' to ∃a.C', part 2
-    to ∀a.C'."""
+    owning part k.  Part 1 closes the premise interpolant C' to ∃a.C', part 2
+    to ∀a.C'; each witness introduces C, and part k's then re-applies the rule."""
     k = _owner(d, row.side, rule.analysed, split)
     premise = _extend(split, _PARTS[row.target][k], rule.adds)
     res = yield d.sub, premise
     cp = res.interpolant
-    g1, g2, d1, d2 = split
-    if k == 0:
-        c = bind("ex", rule.eigen, cp)
-        g, dp = premise.gamma1, premise.delta1
-        w = WR(Sequent(g, _plus(dp, (cp, c))), res.left_witness)
-        w = ExR(Sequent(g, dp.add(c)), w)
-        dl = row.cls(Sequent(g1, d1.add(c)), w)
-        dr = ExL(Sequent(g2.add(c), d2), WL(Sequent(_plus(g2, (c, cp)), d2), res.right_witness))
-        return InterpolationResult(c, dl, dr)
-    c = bind("all", rule.eigen, cp)
-    dl = AllR(Sequent(g1, d1.add(c)), WR(Sequent(g1, _plus(d1, (cp, c))), res.left_witness))
-    g, dp = premise.gamma2, premise.delta2
-    w = WL(Sequent(_plus(g, (c, cp)), dp), res.right_witness)
-    w = AllL(Sequent(g.add(c), dp), w)
-    dr = row.cls(Sequent(g2.add(c), d2), w)
-    return InterpolationResult(c, dl, dr)
+    c = bind(("ex", "all")[k], rule.eigen, cp)
+    own = row.cls(_root(split, k, c), _introduce(premise, k, c, ((cp, res[1 + k]),)))
+    return _result(c, k, own, _introduce(split, 1 - k, c, ((cp, res[2 - k]),)))
 
 
 _CASES = {

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .calculus import (
     EMPTY,
+    RULE_FOR,
     RULES,
     BotL,
     Derivation,
@@ -25,8 +26,6 @@ from .calculus import (
     Init,
     Sequent,
     TopR,
-    WL,
-    WR,
     _match_connective,
     _match_term,
     _sequent,
@@ -182,9 +181,8 @@ def _gen_leaf(rng: SplitMix64, cfg: GenConfig) -> Derivation:
 #: quantifiers are allowed.  The order is the generator's distribution.
 _GROW_RULES = ("WL", "WR", "NotL", "NotR", "AndL", "AndR", "OrL", "OrR", "AllL", "AllR", "ExL", "ExR")
 
-#: Per side, the unit that may close AndR's/OrL's sibling premise, and its axiom.
-_UNITS = {"d": (TOP, TopR), "g": (BOT, BotL)}
-_WEAKENINGS = {"g": WL, "d": WR}
+#: Per side, the unit that may close AndR's/OrL's sibling premise.
+_UNITS = {"d": TOP, "g": BOT}
 
 
 def _weaken(d: Derivation, side: str, f: Formula) -> Derivation:
@@ -192,7 +190,7 @@ def _weaken(d: Derivation, side: str, f: Formula) -> Derivation:
     this, other = _sides(root(d), side)
     if f in this:
         return d
-    return _WEAKENINGS[side](_sequent(side, this.add(f), other), d)
+    return RULE_FOR[None, side](_sequent(side, this.add(f), other), d)
 
 
 def _grow(rng: SplitMix64, cfg: GenConfig, d: Derivation) -> Derivation | None:
@@ -213,11 +211,11 @@ def _grow(rng: SplitMix64, cfg: GenConfig, d: Derivation) -> Derivation | None:
         if not this:
             return None
         a = rng.choice(list(this))
-        unit, axiom = _UNITS[side]
+        unit = _UNITS[side]
         b = unit if rng.below(1 + len(other)) == 0 else rng.choice(list(other))
         d1 = _weaken(d, side, row.head(a, b))
         kept = _sides(root(d1), side)[0].without(a)
-        sibling = (axiom if b == unit else Init)(_sequent(side, kept.add(b), other))
+        sibling = (RULE_FOR[type(unit), side] if b == unit else Init)(_sequent(side, kept.add(b), other))
         return row.cls(_sequent(side, kept, other), d1, sibling)
     if row.match is _match_connective:  # NotL, NotR, AndL, OrR: components from the target side
         pool = list(_sides(seq, target)[0])

@@ -77,7 +77,8 @@ def _token(text: str, pos: int, expected: str | None = None, noun: str | None = 
     """The token after ``pos`` (white space skipped), which must be
     ``expected`` when that is given, and the position after it.  ``noun``
     names what was expected when the input ends here.  Positions count from
-    the start of ``text``."""
+    the start of ``text``; the token ends at the position returned, so a
+    message about it gives that position less ``len(tok)``."""
     m = _TOKEN_RE.match(text, pos)
     if m is None:
         _expect_end(text, pos)
@@ -109,7 +110,7 @@ def _variable(text: str, pos: int) -> tuple[int, int]:
     tok, pos = _token(text, pos)
     m = _VAR_RE.fullmatch(tok)
     if m is None:
-        raise ParseError(f"expected a variable like x0, found {tok!r}")
+        raise ParseError(f"expected a variable like x0, found {tok!r} at position {pos - len(tok)}")
     return _number(m.group(1), "variable"), pos
 
 
@@ -149,13 +150,13 @@ def _formula(text: str, pos: int) -> tuple[Formula, int]:
             args = (bound.index(a) if a in bound else a + len(bound) for a in names)
             f = Atom(_number(m.group(1), "predicate"), tuple(args))
         else:
-            raise ParseError(f"expected a formula, found {tok!r}")
+            raise ParseError(f"expected a formula, found {tok!r} at position {pos - len(tok)}")
         while open_nodes:
             kind, held = open_nodes[-1]
             if kind == "(":
                 op, pos = _token(text, pos)
                 if op not in ("&", "|"):
-                    raise ParseError(f"expected '&' or '|', found {op!r}")
+                    raise ParseError(f"expected '&' or '|', found {op!r} at position {pos - len(op)}")
                 open_nodes[-1] = (op, f)
                 break  # read the right operand
             open_nodes.pop()

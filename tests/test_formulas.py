@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import pickle
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -371,10 +373,42 @@ def test_free_vars_returns_a_fresh_list():
     assert free_vars(f) == [1, 2, 2]
 
 
+def test_free_vars_and_polarity_grow_linearly_on_long_chains():
+    # Each walk takes every node once, so a chain four times as long takes
+    # about four times as long.  Copying the operands' values at every
+    # junction takes about sixteen times as long.
+    n = 4000
+
+    def chain(length: int, nest_left: bool) -> Formula:
+        f: Formula = Atom(0, (0,))
+        for i in range(1, length):
+            a = Atom(i, (i,))  # distinct predicates and variables: nothing repeats
+            f = And(f, a) if nest_left else And(a, f)
+        return f
+
+    def best_of_3(walk, length: int, nest_left: bool) -> float:
+        times = []
+        for _ in range(3):
+            f = chain(length, nest_left)  # afresh: a walk keeps its value on the root
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                walk(f)
+                times.append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+        return min(times)
+
+    for walk in (free_vars, polarity):
+        for nest_left in (True, False):
+            short, long = best_of_3(walk, n, nest_left), best_of_3(walk, 4 * n, nest_left)
+            assert long < 8 * short, (walk.__name__, nest_left, short, long)
+
+
 def test_deep_formula_without_recursion():
-    # Free variables, polarity, repr, renaming, printing, simplification and
-    # evaluation are folds without recursion, and the key behind the hash and
-    # the lockstep walk behind the matchers are flat loops, so chains far
+    # Repr, renaming, printing, simplification and evaluation are folds
+    # without recursion, and free variables, polarity, the key behind the hash
+    # and the lockstep walk behind the matchers are flat loops, so chains far
     # deeper than the recursion limit work.
     depth = 5000
 

@@ -21,6 +21,7 @@ from craigseq.calculus import (
     NotL,
     NotR,
     OrL,
+    OrR,
     Sequent,
     TopR,
     WL,
@@ -203,14 +204,57 @@ def test_andr_interpolants_combine():
         Init(Sequent(fset(p, q), fset(And(p, q), p))),
         Init(Sequent(fset(p, q), fset(And(p, q), q))),
     )
-    sp1 = split(g1=[p, q], d1=[And(p, q)])
+    pq = And(p, q)
+    sp1 = split(g1=[p, q], d1=[pq])
     res1 = interpolate_strong(d, sp1)
-    assert res1.interpolant == Or(BOT, BOT)
+    c = Or(BOT, BOT)
+    assert res1.interpolant == c
+
+    def disjoined(a):
+        # part 1 weakens in C, then the sibling's interpolant (here both are ⊥)
+        return OrR(
+            Sequent(fset(p, q), fset(a, pq, c)),
+            WR(
+                Sequent(fset(p, q), fset(a, BOT, pq, c)),
+                WR(Sequent(fset(p, q), fset(a, BOT, pq, c)), Init(Sequent(fset(p, q), fset(a, BOT, pq)))),
+            ),
+        )
+
+    assert res1.left_witness == AndR(Sequent(fset(p, q), fset(pq, c)), disjoined(p), disjoined(q))
+    assert res1.right_witness == OrL(
+        Sequent(fset(c), EMPTY),
+        WL(Sequent(fset(BOT, c), EMPTY), BotL(Sequent(fset(BOT), EMPTY))),
+        WL(Sequent(fset(BOT, c), EMPTY), BotL(Sequent(fset(BOT), EMPTY))),
+    )
     assert_verified(sp1, res1)
 
-    sp2 = split(g1=[p], g2=[q], d2=[And(p, q)])
+    sp2 = split(g1=[p], g2=[q], d2=[pq])
     res2 = interpolate_strong(d, sp2)
-    assert res2.interpolant == And(p, TOP)
+    c = And(p, TOP)
+    assert res2.interpolant == c
+    assert res2.left_witness == AndR(
+        Sequent(fset(p), fset(c)),
+        WR(Sequent(fset(p), fset(p, c)), Init(Sequent(fset(p), fset(p)))),
+        WR(Sequent(fset(p), fset(TOP, c)), TopR(Sequent(fset(p), fset(TOP)))),
+    )
+    # part 2 weakens in the sibling's interpolant, then C
+    assert res2.right_witness == AndR(
+        Sequent(fset(q, c), fset(pq)),
+        AndL(
+            Sequent(fset(q, c), fset(p, pq)),
+            WL(
+                Sequent(fset(p, q, TOP, c), fset(p, pq)),
+                WL(Sequent(fset(p, q, TOP), fset(p, pq)), Init(Sequent(fset(p, q), fset(p, pq)))),
+            ),
+        ),
+        AndL(
+            Sequent(fset(q, c), fset(q, pq)),
+            WL(
+                Sequent(fset(p, q, TOP, c), fset(q, pq)),
+                WL(Sequent(fset(p, q, TOP), fset(q, pq)), Init(Sequent(fset(q, TOP), fset(q, pq)))),
+            ),
+        ),
+    )
     assert_verified(sp2, res2)
     assert semantic_verify(sp2, res2.interpolant)
 
@@ -222,15 +266,59 @@ def test_orl_interpolants_combine():
         Init(Sequent(fset(Or(p, q), p), fset(p, q))),
         Init(Sequent(fset(Or(p, q), q), fset(p, q))),
     )
-    sp1 = split(g1=[Or(p, q)], d2=[p, q])
+    pq = Or(p, q)
+    sp1 = split(g1=[pq], d2=[p, q])
     res1 = interpolate_strong(d, sp1)
-    assert res1.interpolant == Or(p, q)
+    assert res1.interpolant == pq  # C = p ∨ q, here the principal formula itself
+
+    def disjoined(a):
+        # part 1 weakens in C, then the sibling's interpolant
+        return OrR(
+            Sequent(fset(a, pq), fset(pq)),
+            WR(
+                Sequent(fset(a, pq), fset(p, q, pq)),
+                WR(Sequent(fset(a, pq), fset(a, pq)), Init(Sequent(fset(a, pq), fset(a)))),
+            ),
+        )
+
+    assert res1.left_witness == OrL(Sequent(fset(pq), fset(pq)), disjoined(p), disjoined(q))
+    assert res1.right_witness == OrL(
+        Sequent(fset(pq), fset(p, q)),
+        WL(Sequent(fset(p, pq), fset(p, q)), Init(Sequent(fset(p), fset(p, q)))),
+        WL(Sequent(fset(q, pq), fset(p, q)), Init(Sequent(fset(q), fset(p, q)))),
+    )
     assert_verified(sp1, res1)
     assert semantic_verify(sp1, res1.interpolant)
 
-    sp2 = split(g2=[Or(p, q)], d1=[p], d2=[q])
+    sp2 = split(g2=[pq], d1=[p], d2=[q])
     res2 = interpolate_strong(d, sp2)
-    assert res2.interpolant == And(Not(p), TOP)
+    c, np = And(Not(p), TOP), Not(p)
+    assert res2.interpolant == c
+    assert res2.left_witness == AndR(
+        Sequent(EMPTY, fset(p, c)),
+        WR(Sequent(EMPTY, fset(p, np, c)), NotR(Sequent(EMPTY, fset(p, np)), Init(Sequent(fset(p), fset(p, np))))),
+        WR(Sequent(EMPTY, fset(p, TOP, c)), TopR(Sequent(EMPTY, fset(p, TOP)))),
+    )
+    assert res2.right_witness == OrL(
+        Sequent(fset(c, pq), fset(q)),
+        AndL(
+            Sequent(fset(p, c, pq), fset(q)),
+            WL(
+                Sequent(fset(p, TOP, c, pq, np), fset(q)),
+                WL(
+                    Sequent(fset(p, TOP, pq, np), fset(q)),
+                    NotL(Sequent(fset(p, pq, np), fset(q)), Init(Sequent(fset(p, pq, np), fset(p, q)))),
+                ),
+            ),
+        ),
+        AndL(
+            Sequent(fset(q, c, pq), fset(q)),
+            WL(
+                Sequent(fset(q, TOP, c, pq, np), fset(q)),
+                WL(Sequent(fset(q, TOP, pq, np), fset(q)), Init(Sequent(fset(q, TOP, pq), fset(q)))),
+            ),
+        ),
+    )
     assert_verified(sp2, res2)
     assert semantic_verify(sp2, res2.interpolant)
 
@@ -294,7 +382,28 @@ def test_allr_part1():
     d = _allr_deriv()
     sp = split(g2=[QA], d1=[QA])
     res = interpolate_strong(d, sp)
-    assert res.interpolant == FEx(Not(Atom(0, (0,))))
+    c, na = FEx(Not(Atom(0, (0,)))), Not(A0)
+    assert res.interpolant == c
+    assert res.left_witness == AllR(
+        Sequent(EMPTY, fset(QA, c)),
+        ExR(
+            Sequent(EMPTY, fset(A0, QA, c)),
+            WR(
+                Sequent(EMPTY, fset(A0, na, QA, c)),
+                NotR(Sequent(EMPTY, fset(A0, na, QA)), Init(Sequent(fset(A0), fset(A0, na, QA)))),
+            ),
+        ),
+    )
+    assert res.right_witness == ExL(
+        Sequent(fset(QA, c), EMPTY),
+        WL(
+            Sequent(fset(na, QA, c), EMPTY),
+            AllL(
+                Sequent(fset(na, QA), EMPTY),
+                NotL(Sequent(fset(A0, na, QA), EMPTY), Init(Sequent(fset(A0, na, QA), fset(A0)))),
+            ),
+        ),
+    )
     assert_verified(sp, res)
 
 
@@ -303,6 +412,14 @@ def test_allr_part2():
     sp = split(g1=[QA], d2=[QA])
     res = interpolate_strong(d, sp)
     assert res.interpolant == QA
+    assert res.left_witness == AllR(
+        Sequent(fset(QA), fset(QA)),
+        WR(Sequent(fset(QA), fset(A0, QA)), AllL(Sequent(fset(QA), fset(A0)), Init(Sequent(fset(A0, QA), fset(A0))))),
+    )
+    assert res.right_witness == AllR(
+        Sequent(fset(QA), fset(QA)),
+        AllL(Sequent(fset(QA), fset(A0, QA)), WL(Sequent(fset(A0, QA), fset(A0, QA)), Init(Sequent(fset(A0), fset(A0, QA))))),
+    )
     assert_verified(sp, res)
 
 
@@ -318,6 +435,14 @@ def test_exl_part1():
     sp = split(g1=[QE], d2=[QE])
     res = interpolate_strong(d, sp)
     assert res.interpolant == QE
+    assert res.left_witness == ExL(
+        Sequent(fset(QE), fset(QE)),
+        ExR(Sequent(fset(A0, QE), fset(QE)), WR(Sequent(fset(A0, QE), fset(A0, QE)), Init(Sequent(fset(A0, QE), fset(A0))))),
+    )
+    assert res.right_witness == ExL(
+        Sequent(fset(QE), fset(QE)),
+        WL(Sequent(fset(A0, QE), fset(QE)), ExR(Sequent(fset(A0), fset(QE)), Init(Sequent(fset(A0), fset(A0, QE))))),
+    )
     assert_verified(sp, res)
 
 
@@ -325,7 +450,28 @@ def test_exl_part2():
     d = _exl_deriv()
     sp = split(g2=[QE], d1=[QE])
     res = interpolate_strong(d, sp)
-    assert res.interpolant == FAll(Not(Atom(0, (0,))))
+    c, na = FAll(Not(Atom(0, (0,)))), Not(A0)
+    assert res.interpolant == c
+    assert res.left_witness == AllR(
+        Sequent(EMPTY, fset(c, QE)),
+        WR(
+            Sequent(EMPTY, fset(na, c, QE)),
+            ExR(
+                Sequent(EMPTY, fset(na, QE)),
+                NotR(Sequent(EMPTY, fset(A0, na, QE)), Init(Sequent(fset(A0), fset(A0, na, QE)))),
+            ),
+        ),
+    )
+    assert res.right_witness == ExL(
+        Sequent(fset(c, QE), EMPTY),
+        AllL(
+            Sequent(fset(A0, c, QE), EMPTY),
+            WL(
+                Sequent(fset(A0, na, c, QE), EMPTY),
+                NotL(Sequent(fset(A0, na, QE), EMPTY), Init(Sequent(fset(A0, na, QE), fset(A0)))),
+            ),
+        ),
+    )
     assert_verified(sp, res)
 
 

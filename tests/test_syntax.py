@@ -105,9 +105,9 @@ def test_parse_formula_errors():
         ("", "unexpected end of input (expected a formula)"),
         ("P0(x0", "unexpected end of input (expected ')')"),
         ("forall x0", "unexpected end of input (expected '.')"),
-        ("(P0() P1())", "expected '&' or '|', found 'P1'"),
+        ("(P0() P1())", "expected '&' or '|', found 'P1' at position 6"),
         ("forall x0 P0()", "expected '.' but found 'P0' at position 10"),
-        ("forall y. P0()", "expected a variable like x0, found 'y'"),
+        ("forall y. P0()", "expected a variable like x0, found 'y' at position 7"),
         ("P0(x0 x1)", "expected ')' but found 'x1' at position 6"),
         ("P0() P1()", "trailing input 'P1' at position 5"),
         ("P" + "9" * 5000 + "()", "predicate number too long (5000 digits)"),
@@ -229,8 +229,8 @@ def test_errors_inside_formula_lists_count_from_the_start_of_the_input():
         ("(Init [P0(x0 x1)] => [])", "expected ')' but found 'x1' at position 13"),
         # no formula contains ';' or ']', so a piece that ends early stops at one and names it
         ("(Init [P0(x0] => [])", "expected ')' but found ']' at position 12"),
-        ("(Init [P0(); ] => [])", "expected a formula, found ']'"),
-        ("(Init [P0(] => [])", "expected a variable like x0, found ']'"),
+        ("(Init [P0(); ] => [])", "expected a formula, found ']' at position 13"),
+        ("(Init [P0(] => [])", "expected a variable like x0, found ']' at position 10"),
     ):
         with pytest.raises(ParseError) as exc:
             parse_derivation(text)
