@@ -42,9 +42,10 @@ class FormulaSet:
     A formula is a member when its canonical key is among the set's sorted
     keys; a value that is not a formula is never a member.  Membership,
     ``add`` and ``without`` bisect the key tuples, so none of them hashes a
-    formula.  ``add`` is the one way a set grows: ``a | b`` adds the members
-    of ``b`` to ``a`` one by one, so on equal keys the left operand's
-    formula stays.
+    formula, and test the key found for identity before equality: a formula
+    keeps its key, so the same formula gives the same key object.  ``add``
+    is the one way a set grows: ``a | b`` adds the members of ``b`` to ``a``
+    one by one, so on equal keys the left operand's formula stays.
     """
 
     __slots__ = ("_keys", "_items")
@@ -69,7 +70,7 @@ class FormulaSet:
         """Where ``k`` sits or would be inserted in the keys, and whether it is there."""
         keys = self._keys
         i = bisect.bisect_left(keys, k)
-        return i, i < len(keys) and keys[i] == k
+        return i, i < len(keys) and (keys[i] is k or keys[i] == k)
 
     def __contains__(self, f: object) -> bool:
         return isinstance(f, Formula) and self._find(canonical_key(f))[1]
@@ -367,7 +368,8 @@ def _plus(fs: FormulaSet, formulas: tuple[Formula, ...]) -> FormulaSet:
 
 def _extra(small: FormulaSet, big: FormulaSet) -> tuple[Formula, ...] | None:
     """The members of ``big`` missing from ``small``, in canonical order, or
-    ``None`` when ``small`` is not a subset of ``big``: one merge of the keys."""
+    ``None`` when ``small`` is not a subset of ``big``: one merge of the keys,
+    which tests each pair of keys for identity before equality."""
     a, b = small._keys, big._keys
     n = len(a)
     if n > len(b):
@@ -378,7 +380,7 @@ def _extra(small: FormulaSet, big: FormulaSet) -> tuple[Formula, ...] | None:
     i = 0
     for j, k in enumerate(b):
         if i < n:
-            if a[i] == k:
+            if a[i] is k or a[i] == k:
                 i += 1
                 continue
             if a[i] < k:

@@ -344,6 +344,15 @@ def _opening(quantified: Formula, instance: Formula) -> VarId | None:
     One explicit-stack walk of the body of ``quantified`` and ``instance`` in
     lockstep checks each pair of atom arguments as it reaches them and stops
     at the first mismatch.
+
+    A pair that is one object, ``a is b`` below ``depth`` binders of the
+    body, is decided from the free variables of ``a`` without descending:
+    each ``v < depth`` is bound inside the body and passes, ``v == depth``
+    opens to itself and so fixes ``t`` to 0, and ``v > depth`` would have to
+    move down by one and fails.  This is the condition under which
+    ``rename_vars`` keeps a subformula as it is, so ``bind`` and ``inst``
+    hand back exactly the subformulas that meet it.  The free variables come
+    from the cached ``_fv``, or from one ``free_vars`` call that caches them.
     """
     if quantified._tag not in _QUANTIFIERS:
         return None
@@ -351,6 +360,13 @@ def _opening(quantified: Formula, instance: Formula) -> VarId | None:
     stack = [(quantified.body, instance, 0)]  # type: ignore[attr-defined]
     while stack:
         a, b, depth = stack.pop()
+        if a is b:
+            for v in a._fv if a._fv is not None else free_vars(a):
+                if v > depth or (v == depth and t > 0):
+                    return None
+                if v == depth:
+                    t = 0
+            continue
         tag = a._tag
         if tag != b._tag:
             return None

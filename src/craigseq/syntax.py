@@ -24,14 +24,18 @@ The text repeats every node's sequent, so reading and writing do their work
 once per distinct formula.  No formula contains ``[``, ``]`` or ``;``: the
 reader slices each formula list at its ``]``, splits it on ``;`` and reads
 each distinct piece once per call, in place, through a local memo.  The
-printer renders each distinct formula once per call the same way.  Both memos
-live for one call only.
+same memo is the call's node table: every node the reader builds is kept
+there under its tag and its children's identities, an atom under its
+predicate and de Bruijn arguments, so equal subformulas read within one call,
+from any piece, are one object.  The printer renders each distinct formula
+once per call.  Both memos live for one call only, so no two calls share a
+node.
 """
 from __future__ import annotations
 
 import re
 import sys
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .calculus import RULES, Derivation, FormulaSet, Rule, Sequent, root
 from .formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, fold, free_vars
@@ -114,9 +118,20 @@ def _variable(text: str, pos: int) -> tuple[int, int]:
     return _number(m.group(1), "variable"), pos
 
 
-def _formula(text: str, pos: int) -> tuple[Formula, int]:
+def _shared(memo: dict[Any, Formula], key: tuple[Any, ...], build: Callable[..., Formula], *fields: Any) -> Formula:
+    """The node kept in ``memo`` under ``key``, built as ``build(*fields)``
+    and kept there the first time.  Keys hold the ids of child nodes: the
+    memo keeps those children alive, so no id is reused while it lives."""
+    f = memo.get(key)
+    if f is None:
+        f = memo[key] = build(*fields)
+    return f
+
+
+def _formula(text: str, pos: int, memo: dict[Any, Formula]) -> tuple[Formula, int]:
     """Read one formula after ``pos`` with an explicit stack; return it and
-    the position after it."""
+    the position after it.  Its nodes come from ``memo``, the call's node
+    table, which maps a node's key to the node."""
     # An unfinished node is ("~", None), ("(", None), (op, left operand) or
     # (quantifier, enclosing binder names).  ``bound`` names the binders
     # around the current position, innermost first: a name's position is its index.
@@ -147,8 +162,9 @@ def _formula(text: str, pos: int) -> tuple[Formula, int]:
                     v, pos = _variable(text, _token(text, pos)[1])
                     names.append(v)
             _, pos = _token(text, pos, ")")
-            args = (bound.index(a) if a in bound else a + len(bound) for a in names)
-            f = Atom(_number(m.group(1), "predicate"), tuple(args))
+            pred = _number(m.group(1), "predicate")
+            args = tuple([bound.index(a) if a in bound else a + len(bound) for a in names])
+            f = _shared(memo, (Atom._tag, pred, args), Atom, pred, args)
         else:
             raise ParseError(f"expected a formula, found {tok!r} at position {pos - len(tok)}")
         while open_nodes:
@@ -160,31 +176,38 @@ def _formula(text: str, pos: int) -> tuple[Formula, int]:
                 open_nodes[-1] = (op, f)
                 break  # read the right operand
             open_nodes.pop()
+            children: tuple[Formula, ...] = (f,)
             if kind == "~":
-                f = Not(f)
+                cls: type[Formula] = Not
             elif kind in ("&", "|"):
                 _, pos = _token(text, pos, ")")
-                f = And(held, f) if kind == "&" else Or(held, f)
+                cls, children = (And if kind == "&" else Or), (held, f)
             else:
-                f = FAll(f) if kind == "forall" else FEx(f)
+                cls = FAll if kind == "forall" else FEx
                 bound = held
+            f = _shared(memo, (cls._tag, *map(id, children)), cls, *children)
         else:
             return f, pos
 
 
-def parse_formula(text: str) -> Formula:
-    """Parse one formula; the whole input must be consumed."""
-    f, pos = _formula(text, 0)
+def _parse_formula(text: str, memo: dict[Any, Formula]) -> Formula:
+    f, pos = _formula(text, 0, memo)
     _expect_end(text, pos)
     return f
 
 
-def _formula_list(text: str, pos: int, memo: dict[str, Formula]) -> tuple[FormulaSet, int]:
+def parse_formula(text: str) -> Formula:
+    """Parse one formula; the whole input must be consumed."""
+    return _parse_formula(text, {})
+
+
+def _formula_list(text: str, pos: int, memo: dict[Any, Formula]) -> tuple[FormulaSet, int]:
     """Read ``[f;...;f]`` after ``pos``; return the set and the position after ``]``.
 
     No formula contains ``[``, ``]`` or ``;``, so the list ends at the first
     ``]`` and its formulas are the pieces between the ``;``.  ``memo`` maps a
-    piece's text to its formula, so each distinct text is parsed once.
+    piece's text to its formula, so each distinct text is parsed once; it is
+    also the node table of ``_formula``, whose keys are tuples.
     """
     _, pos = _token(text, pos, "[")
     end = text.find("]", pos)
@@ -199,7 +222,7 @@ def _formula_list(text: str, pos: int, memo: dict[str, Formula]) -> tuple[Formul
         if f is None:
             # read at its place in the text, so that positions count from the start;
             # no formula reads a ';' or ']', so none reads past its piece
-            f, after = _formula(text, pos)
+            f, after = _formula(text, pos, memo)
             _expect_end(text, after, pos + len(piece))
             memo[piece] = f
         out.append(f)
@@ -207,7 +230,7 @@ def _formula_list(text: str, pos: int, memo: dict[str, Formula]) -> tuple[Formul
     return FormulaSet(out), end + 1
 
 
-def _derivation(text: str, pos: int, memo: dict[str, Formula]) -> tuple[Derivation, int]:
+def _derivation(text: str, pos: int, memo: dict[Any, Formula]) -> tuple[Derivation, int]:
     """Read ``(TAG [..] => [..] premises)`` after ``pos`` with an explicit
     stack; return the tree and the position after its ``)``."""
     open_nodes: list[tuple[Rule, Sequent, list[Derivation]]] = []  # rule, sequent, premises so far
@@ -238,7 +261,7 @@ def _derivation(text: str, pos: int, memo: dict[str, Formula]) -> tuple[Derivati
             raise ParseError("unexpected end of input inside a derivation")
 
 
-def _parse_derivation(text: str, memo: dict[str, Formula]) -> Derivation:
+def _parse_derivation(text: str, memo: dict[Any, Formula]) -> Derivation:
     d, pos = _derivation(text, 0, memo)
     _expect_end(text, pos)
     return d
@@ -339,7 +362,7 @@ def parse_problem(text: str) -> ProblemFile:
     file.  The parts must recombine to the root sequent of the derivation.
     """
     lines = text.splitlines()
-    memo: dict[str, Formula] = {}
+    memo: dict[Any, Formula] = {}
     parts: dict[str, FormulaSet] = {}
     derivation: Derivation | None = None
     for idx, line in enumerate(lines):
@@ -354,8 +377,12 @@ def parse_problem(text: str) -> ProblemFile:
             break
         if name in parts:
             raise ParseError(f"line {idx + 1}: duplicate section {name!r}")
-        parts[name], end = _formula_list(rest, 0, memo)
-        _expect_end(rest, end)
+        try:
+            # read in the line itself, after its first ':', so that positions count from its start
+            parts[name], end = _formula_list(line, line.index(":") + 1, memo)
+            _expect_end(line, end)
+        except ParseError as exc:
+            raise ParseError(f"line {idx + 1}: {name}: {exc}") from None
     if derivation is None:
         raise ParseError("missing derivation section")
     pf = ProblemFile(
@@ -411,9 +438,9 @@ def parse_result(text: str) -> InterpolationResult:
     for name in ("interpolant", "left", "right"):
         if name not in entries:
             raise ParseError(f"missing result entry {name!r}")
-    memo: dict[str, Formula] = {}
+    memo: dict[Any, Formula] = {}
     return InterpolationResult(
-        parse_formula(entries["interpolant"]),
+        _parse_formula(entries["interpolant"], memo),
         _parse_derivation(entries["left"], memo),
         _parse_derivation(entries["right"], memo),
     )

@@ -95,7 +95,9 @@ def test_formula_set_order_independent(xs):
 
 def test_formula_set_ops_hash_no_formula(monkeypatch):
     a, b, c = And(p, q), Or(q, r), Not(r)
-    for f in (p, q, r, a, b, c):
+    # equal formulas built anew: their keys are equal tuples, not the same ones
+    a2, b2, q2 = (parse_formula(print_formula(f)) for f in (a, b, q))
+    for f in (p, q, r, a, b, c, a2, b2, q2):
         canonical_key(f)  # keys are cached before hashing is switched off
 
     def no_hash(f: Formula) -> int:
@@ -111,6 +113,12 @@ def test_formula_set_ops_hash_no_formula(monkeypatch):
     assert tuple(s | fset(b, p)) == (p, a, b, c)
     assert a in s and q not in s and b not in s
     assert [] not in s and 3 not in s
+    assert canonical_key(a2) is not canonical_key(a)
+    assert a2 in s and q2 not in s and b2 not in s
+    assert s.add(a2) is s
+    assert [f is g for f, g in zip(s.add(q2), (p, q2, a, c))] == [True] * 4
+    assert tuple(s.without(a2)) == (p, c)
+    assert s.without(b2) is s
 
 
 @pytest.mark.parametrize("width", range(41))
@@ -424,6 +432,26 @@ def test_resolve_rule_digest():
                     h.update(line.encode())
                     h.update(b"\n")
     assert h.hexdigest() == RESOLVE_DIGEST_SHA256
+
+
+def _rebuilt(d):
+    """``d`` with each formula occurrence of each sequent built anew, so that
+    no two occurrences share an object, nor any occurrence one of ``d``'s."""
+    seq = Sequent(*(FormulaSet(parse_formula(print_formula(f)) for f in fs) for fs in root(d)))
+    return type(d)(seq, *map(_rebuilt, premises(d)))
+
+
+def test_resolve_rule_answers_do_not_rest_on_shared_objects():
+    # Shared formulas let _find and _extra compare keys by identity; built
+    # anew, the same formulas take the equality test on every key instead.
+    for seed in range(6):
+        d = gen_derivation(GenConfig(max_nodes=60, max_pred=1 + seed % 4, seed=seed, allow_quantifiers=True))
+        res = interpolate_strong(d, random_split(root(d), seed))
+        for tree in (d, res.left_witness, res.right_witness):
+            copy = _rebuilt(tree)
+            assert copy == tree
+            assert is_wellformed(copy) and is_wellformed(tree)
+            assert list(_rule_digest_lines(copy)) == list(_rule_digest_lines(tree))
 
 
 def test_resolve_rule_deterministic():

@@ -8,7 +8,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from craigseq.calculus import FormulaSet, fset
@@ -211,17 +211,57 @@ def _renamed_one(x: int, y: int, f: Formula) -> Formula:
     return rename_vars(lambda v: y if v == x else v, f)
 
 
-@given(quantified, st.integers(0, 4), formulas(), st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
-def test_match_inst_agrees_with_brute_force(f, t, other, x, y, pick):
+def _sharing(head: type[Formula], f: Formula, pick: int, x: int, y: int, cached: bool) -> tuple[Formula, Formula]:
+    """A quantified formula and a formula that shares an object with its
+    body, for picks 4 to 6: the body ``f`` itself; a junction of the ``y``-th
+    subformula of ``f`` and the bound index opened at ``x``; or, below one
+    more binder, a junction of the two the other way round, so that the walk
+    meets the bound index first.  The shared object is built afresh, and its
+    free variables are cached exactly when ``cached`` is true."""
+    body = _copy(f)
+    subs = [g for _, g, _ in _paths(body)]
+    shared = body if pick == 4 else subs[y % len(subs)]
+    if cached:
+        free_vars(shared)
+    assert (shared._fv is not None) == cached
+    if pick == 4:
+        return head(body), body
+    if pick == 5:
+        return head(And(shared, Atom(0, (0,)))), And(shared, Atom(0, (x,)))
+    return head(FAll(And(Atom(0, (1,)), shared))), FAll(And(Atom(0, (x + 1,)), shared))
+
+
+@given(
+    quantified,
+    st.integers(0, 4),
+    formulas(),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 6),
+    st.booleans(),
+)
+# the shared object's free variables: above the binder (the body itself is
+# no instance, not one at 0), the bound index (which fixes the term to 0,
+# against x = 1), and the bound index below one more binder
+@example(FAll(Atom(0, (1,))), 0, BOT, 0, 0, 4, False)
+@example(FAll(Atom(0, (0,))), 0, BOT, 0, 0, 4, True)
+@example(FAll(Atom(0, (0,))), 0, BOT, 1, 0, 5, False)
+@example(FAll(Atom(0, (1,))), 0, BOT, 1, 0, 6, True)
+def test_match_inst_agrees_with_brute_force(f, t, other, x, y, pick, cached):
     # an instance, a near miss, an unrelated formula, or the body opened at t
-    # beside a bound occurrence opened at x
+    # beside a bound occurrence opened at x; or, sharing an object with the
+    # body, with its free variables cached or not, one of _sharing's picks
     q = "all" if isinstance(f, FAll) else "ex"
-    e = inst(q, t, f)
-    e = (e, _renamed_one(x, y, e), other, And(e, Atom(0, (x,))))[pick]
-    if pick == 3:
-        f = type(f)(And(f.body, Atom(0, (0,))))
+    if pick < 4:
+        e = inst(q, t, f)
+        e = (e, _renamed_one(x, y, e), other, And(e, Atom(0, (x,))))[pick]
+        if pick == 3:
+            f = type(f)(And(f.body, Atom(0, (0,))))
+    else:
+        f, e = _sharing(type(f), f.body, pick, x, y, cached)
+    got = match_inst(f, e)  # before the brute force caches free variables
     brute = next((s for s in range(max(free_vars(e), default=-1) + 2) if inst(q, s, f) == e), None)
-    assert match_inst(f, e) == brute
+    assert got == brute
     if pick == 0:
         assert brute is not None
 
@@ -250,18 +290,28 @@ def _brute_match_bind(quant: Formula, body: Formula, forbidden: set[int]) -> int
     st.frozensets(st.integers(0, 5), max_size=3),
     st.integers(0, 4),
     st.integers(0, 4),
-    st.integers(0, 3),
+    st.integers(0, 6),
+    st.booleans(),
 )
-def test_match_bind_agrees_with_brute_force(f, other, q, a, forbidden, x, y, pick):
+@example(Atom(0, (1,)), BOT, "all", 0, frozenset(), 0, 0, 4, False)
+@example(Atom(0, (0,)), BOT, "ex", 0, frozenset(), 0, 0, 4, True)
+@example(Atom(0, (0,)), BOT, "all", 0, frozenset(), 1, 0, 5, False)
+@example(Atom(0, (1,)), BOT, "ex", 0, frozenset(), 1, 0, 6, True)
+def test_match_bind_agrees_with_brute_force(f, other, q, a, forbidden, x, y, pick, cached):
     # a binding (vacuous when a is not free in f), an explicitly vacuous
-    # binder, a near miss, or an unrelated quantified formula
+    # binder, a near miss, or an unrelated quantified formula; or, sharing an
+    # object with the body, with its free variables cached or not, one of
+    # _sharing's picks
     head = FAll if q == "all" else FEx
-    quant, body = (
-        (bind(q, a, f), f),
-        (head(rename_vars(lambda v: v + 1, f)), f),
-        (bind(q, a, f), _renamed_one(x, y, f)),
-        (other, f),
-    )[pick]
+    if pick < 4:
+        quant, body = (
+            (bind(q, a, f), f),
+            (head(rename_vars(lambda v: v + 1, f)), f),
+            (bind(q, a, f), _renamed_one(x, y, f)),
+            (other, f),
+        )[pick]
+    else:
+        quant, body = _sharing(head, f, pick, x, y, cached)
     assert match_bind(quant, body, forbidden) == _brute_match_bind(quant, body, set(forbidden))
 
 

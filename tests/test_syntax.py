@@ -308,6 +308,21 @@ def test_parse_problem_errors():
         parse_problem("derivation: (Init [] => [])\ngamma1: []\n")
 
 
+def test_header_errors_name_the_line_and_the_section():
+    # positions count from the start of the header's line; the derivation
+    # section's messages keep counting from the text after its colon
+    derivation = "derivation: (Init [P0()] => [P0()])\n"
+    for text, message in (
+        ("gamma1: [P0(]\n" + derivation, "line 1: gamma1: expected a variable like x0, found ']' at position 12"),
+        ("\n  delta2 : [P0()] x\n" + derivation, "line 2: delta2: trailing input 'x' at position 18"),
+        ("gamma2: [P0()\n" + derivation, "line 1: gamma2: unexpected end of input (expected ']')"),
+        ("delta1: [P0()]\nderivation: (Init [P0(] => [])\n", "expected a variable like x0, found ']' at position 11"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_problem(text)
+        assert str(exc.value) == message
+
+
 def test_parse_problem_root_mismatch():
     text = "gamma1: [P1()]\nderivation: (Init [P0()] => [P0()])\n"
     with pytest.raises(RootMismatchError) as exc:
@@ -415,6 +430,19 @@ def test_parse_result_shares_equal_formulas_within_one_call_only():
     assert left & {id(f) for f in _listed(first.right_witness)}, "the witnesses hold no formula in common"
     ids = {id(f) for f in _listed(first.left_witness, first.right_witness)}
     assert ids.isdisjoint(id(f) for f in _listed(second.left_witness, second.right_witness))
+    # so are equal subformulas, the interpolant's among them, read from any piece
+    subformulas = []
+    for parsed in (first, second):
+        subs, todo = [], [parsed.interpolant, *_listed(parsed.left_witness, parsed.right_witness)]
+        while todo:
+            g = todo.pop()
+            subs.append(g)
+            todo += [getattr(g, name) for name in ("left", "right", "sub", "body") if hasattr(g, name)]
+        subformulas.append([g for g in subs if g is not BOT and g is not TOP])
+    by_key = {}
+    for g in subformulas[0]:
+        assert by_key.setdefault(canonical_key(g), g) is g
+    assert {id(g) for g in subformulas[0]}.isdisjoint(id(g) for g in subformulas[1])
 
 
 @pytest.mark.xfail(
