@@ -368,8 +368,11 @@ def _plus(fs: FormulaSet, formulas: tuple[Formula, ...]) -> FormulaSet:
 
 def _extra(small: FormulaSet, big: FormulaSet) -> tuple[Formula, ...] | None:
     """The members of ``big`` missing from ``small``, in canonical order, or
-    ``None`` when ``small`` is not a subset of ``big``: one merge of the keys,
-    which tests each pair of keys for identity before equality."""
+    ``None`` when ``small`` is not a subset of ``big``.  Two sets that are one
+    object give ``()`` at once; otherwise one merge of the keys, which tests
+    each pair of keys for identity before equality."""
+    if small is big:
+        return ()
     a, b = small._keys, big._keys
     n = len(a)
     if n > len(b):
@@ -407,7 +410,7 @@ def _match_connective(row: Rule, d: Derivation) -> RuleInstance | None:
     grown: list[tuple[FormulaSet, tuple[Formula, ...]]] = []  # per premise: its side and what that adds to kept
     for sub in d.premises:
         side, same = _sides(sub.seq, row.target)
-        extra = _extra(kept, side) if same._keys == other._keys else None
+        extra = _extra(kept, side) if same is other or same._keys == other._keys else None
         if extra is None:
             return None
         grown.append((side, extra))
@@ -442,7 +445,7 @@ def _instances(row: Rule, seq: Sequent, sub: Sequent) -> Iterator[tuple[Formula,
     formula ``e`` the premise adds beside it; the other side is unchanged."""
     principal, other = _sides(seq, row.side)
     extended, same = _sides(sub, row.side)
-    extra = _extra(principal, extended) if same._keys == other._keys else None
+    extra = _extra(principal, extended) if same is other or same._keys == other._keys else None
     if extra is None or len(extra) > 1:
         return
     # With nothing added, any formula of the premise's side can be the one.
@@ -479,7 +482,7 @@ def _match_weakening(row: Rule, d: Derivation) -> RuleInstance | None:
     """WL, WR: the conclusion adds one formula to the premise's side."""
     principal, other = _sides(d.seq, row.side)
     kept, same = _sides(d.sub.seq, row.side)  # type: ignore[attr-defined]
-    extra = _extra(kept, principal) if same._keys == other._keys else None
+    extra = _extra(kept, principal) if same is other or same._keys == other._keys else None
     if extra is None or len(extra) > 1:
         return None
     # With nothing added, the weakened formula is one the premise already has.

@@ -25,6 +25,16 @@ Each step is written once, with the owning part k (0: part 1, 1: part 2) as
 its parameter: part 2's construction mirrors part 1's, with ⊥/⊤, ∨/∧, ∃/∀
 and C's side (Δ1 or Γ2) swapped.  The rules a witness is built with come
 from ``calculus.RULE_FOR``, derived from ``RULES``.
+
+Each witness node's root is built from the root of the witness below it, so
+the work per node follows what the rule changes.  The invariant: for a node
+whose split is S, part k's witness has root ``_root(S, k, C)``, down to the
+formula objects in each set.  A witness node whose part of C's side is the
+same object in its split as in its premise's (the rule changed neither the
+principal side nor the target side that C sits on, for instance ∃L or ∨L
+for part 1 and ∀R or ∧R for part 2) takes C's side from its premise's root
+as that same object; any other node adds to its premise's side only what
+changed.
 """
 from __future__ import annotations
 
@@ -220,11 +230,23 @@ _C_SIDE = ("d", "g")
 _ALONE = tuple((c, RULE_FOR[type(c), _C_SIDE[1 - k]]) for k, c in enumerate((BOT, TOP)))
 
 
+def _on(split: SplitSequent, k: int, cs: FormulaSet) -> Sequent:
+    """Part ``k``'s sequent with ``cs`` as C's side.  C's side of part ``k``
+    is ``split[2 - k]`` (Δ1 or Γ2) in a split, ``seq[1 - k]`` in its sequent."""
+    return Sequent(split.gamma1, cs) if k == 0 else Sequent(cs, split.delta2)
+
+
 def _root(split: SplitSequent, k: int, *cs: Formula) -> Sequent:
     """Part ``k``'s sequent with ``cs`` added on C's side: Δ1 for part 1, Γ2 for part 2."""
-    if k == 0:
-        return Sequent(split.gamma1, _plus(split.delta1, cs))
-    return Sequent(_plus(split.gamma2, cs), split.delta2)
+    return _on(split, k, _plus(split[2 - k], cs))
+
+
+def _above(split: SplitSequent, k: int, premise: SplitSequent, w: Derivation, c: Formula) -> Sequent:
+    """``_root(split, k, c)`` for a node over ``w``, part ``k``'s witness for
+    ``premise``: where both splits hold C's side of part ``k`` as one object,
+    the node takes the side of ``w``'s root, which adds ``c`` to it."""
+    i = 2 - k
+    return _on(split, k, w.seq[1 - k] if split[i] is premise[i] else split[i].add(c))
 
 
 def _result(c: Formula, k: int, own: Derivation, other: Derivation) -> InterpolationResult:
@@ -232,13 +254,15 @@ def _result(c: Formula, k: int, own: Derivation, other: Derivation) -> Interpola
     return InterpolationResult(c, own, other) if k == 0 else InterpolationResult(c, other, own)
 
 
-def _wrap(rule: type, split: SplitSequent, res: InterpolationResult, left: bool, right: bool) -> InterpolationResult:
-    """Re-apply ``rule`` below the left and/or right witness of ``res``."""
-    c = res.interpolant
+def _wrap(
+    rule: type, split: SplitSequent, premise: SplitSequent, res: InterpolationResult, left: bool, right: bool
+) -> InterpolationResult:
+    """Re-apply ``rule`` below the left and/or right witness of ``res``, the result for ``premise``."""
+    c, lw, rw = res
     return InterpolationResult(
         c,
-        rule(Sequent(split.gamma1, split.delta1.add(c)), res.left_witness) if left else res.left_witness,
-        rule(Sequent(split.gamma2.add(c), split.delta2), res.right_witness) if right else res.right_witness,
+        rule(_above(split, 0, premise, lw, c), lw) if left else lw,
+        rule(_above(split, 1, premise, rw, c), rw) if right else rw,
     )
 
 
@@ -249,13 +273,16 @@ def _alone(split: SplitSequent, k: int, rule: type) -> InterpolationResult:
     return _result(c, k, rule(_root(split, k, c)), axiom(_root(split, 1 - k, c)))
 
 
-def _introduce(split: SplitSequent, k: int, c: Formula, subs: tuple[tuple[Formula, Derivation], ...]) -> Derivation:
-    """Part ``k``'s witness that introduces ``c`` from ``subs``: pairs of a
-    formula ``ci`` and a witness with ``ci`` on C's side.  Each witness gets
-    ``c`` weakened in, then the rule for ``c``'s head on that side joins them."""
+def _introduce(split: SplitSequent, k: int, c: Formula, *witnesses: Derivation) -> Derivation:
+    """Part ``k``'s witness that introduces ``c`` from ``witnesses``, each with
+    a component of ``c`` (or the body of ``c`` opened) on C's side.  Each
+    witness gets ``c`` weakened in, then the rule for ``c``'s head on that side
+    joins them.  Every caller's witnesses have splits that agree with
+    ``split`` on part ``k``, so a weakening's C's side is its witness's plus ``c``."""
     side = _C_SIDE[k]
     weaken = RULE_FOR[None, side]
-    return RULE_FOR[type(c), side](_root(split, k, c), *(weaken(_root(split, k, ci, c), w) for ci, w in subs))
+    subs = (weaken(_on(split, k, w.seq[1 - k].add(c)), w) for w in witnesses)
+    return RULE_FOR[type(c), side](_root(split, k, c), *subs)
 
 
 def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> InterpolationResult:
@@ -276,10 +303,11 @@ def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> Interp
         if a in d1:
             _hit("init-g2d1")
             c = Not(a)
+            d1c, g2c = d1.add(c), g2.add(c)
             return InterpolationResult(
                 c,
-                NotR(Sequent(g1, d1.add(c)), Init(Sequent(g1.add(a), d1.add(c)))),
-                NotL(Sequent(g2.add(c), d2), Init(Sequent(g2.add(c), d2.add(a)))),
+                NotR(Sequent(g1, d1c), Init(Sequent(g1.add(a), d1c))),
+                NotL(Sequent(g2c, d2), Init(Sequent(g2c, d2.add(a)))),
             )
     for a in g2:
         if a in d2:
@@ -300,8 +328,9 @@ def _unary(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) ->
     part that owns the principal formula, and that part's witness re-applies
     the rule."""
     k = _owner(d, row.side, rule.analysed, split)
-    res = yield d.sub, _extend(split, _PARTS[row.target][k], rule.adds)
-    return _wrap(row.cls, split, res, k == 0, k == 1)
+    premise = _extend(split, _PARTS[row.target][k], rule.adds)
+    res = yield d.sub, premise
+    return _wrap(row.cls, split, premise, res, k == 0, k == 1)
 
 
 def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
@@ -317,15 +346,18 @@ def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -
         _hit(neither)
         side = "antecedent" if row.side == "g" else "succedent"
         raise UnreachableCaseError(f"weakened formula missing from both {side} parts")
-    # Each part lies within the conclusion's side, the premise's side plus f.
-    kept = _sides(d.sub.seq, row.side)[0]
+    # Each part lies within the conclusion's side, the premise's side plus f,
+    # so f is new exactly when that side is the longer.
     premise = split
-    if f not in kept:
+    if len(_sides(d.sub.seq, row.side)[0]) < len(_sides(d.seq, row.side)[0]):
         parts = list(split)
-        parts[i], parts[j] = split[i].without(f), split[j].without(f)
+        if in1:
+            parts[i] = split[i].without(f)
+        if in2:
+            parts[j] = split[j].without(f)
         premise = SplitSequent(*parts)
     res = yield d.sub, premise
-    return _wrap(row.cls, split, res, in1, in2)
+    return _wrap(row.cls, split, premise, res, in1, in2)
 
 
 def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
@@ -345,15 +377,18 @@ def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent
     side = _C_SIDE[k]
     weaken, join = RULE_FOR[None, side], RULE_FOR[type(c), side]
 
-    def owned(premise: SplitSequent, w: Derivation, ci: Formula, cj: Formula) -> Derivation:
-        # Part 1 weakens in C first, part 2 the sibling's interpolant first.
+    def owned(premise: SplitSequent, w: Derivation, cj: Formula) -> Derivation:
+        # w's root holds the premise's interpolant on C's side.  Part 1
+        # weakens in C first, part 2 the sibling's interpolant cj first.
         first, second = (c, cj) if k == 0 else (cj, c)
-        w = weaken(_root(premise, k, ci, first), w)
-        w = weaken(_root(premise, k, ci, first, second), w)
+        once = w.seq[1 - k].add(first)
+        w = weaken(_on(premise, k, once), w)
+        w = weaken(_on(premise, k, once.add(second)), w)
         return join(_root(premise, k, c), w)
 
-    own = row.cls(_root(split, k, c), owned(left, resl[1 + k], cl, cr), owned(right, resr[1 + k], cr, cl))
-    return _result(c, k, own, _introduce(split, 1 - k, c, ((cl, resl[2 - k]), (cr, resr[2 - k]))))
+    ownl = owned(left, resl[1 + k], cr)
+    own = row.cls(_above(split, k, left, ownl, c), ownl, owned(right, resr[1 + k], cl))
+    return _result(c, k, own, _introduce(split, 1 - k, c, resl[2 - k], resr[2 - k]))
 
 
 def _eigen(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
@@ -365,8 +400,8 @@ def _eigen(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) ->
     res = yield d.sub, premise
     cp = res.interpolant
     c = bind(("ex", "all")[k], rule.eigen, cp)
-    own = row.cls(_root(split, k, c), _introduce(premise, k, c, ((cp, res[1 + k]),)))
-    return _result(c, k, own, _introduce(split, 1 - k, c, ((cp, res[2 - k]),)))
+    intro = _introduce(premise, k, c, res[1 + k])
+    return _result(c, k, row.cls(_above(split, k, premise, intro, c), intro), _introduce(split, 1 - k, c, res[2 - k]))
 
 
 _CASES = {

@@ -27,9 +27,11 @@ each distinct piece once per call, in place, through a local memo.  The
 same memo is the call's node table: every node the reader builds is kept
 there under its tag and its children's identities, an atom under its
 predicate and de Bruijn arguments, so equal subformulas read within one call,
-from any piece, are one object.  The printer renders each distinct formula
-once per call.  Both memos live for one call only, so no two calls share a
-node.
+from any piece, are one object.  It also keeps each list's set under the
+list's text, so a list text read again within the call, as a node's
+unchanged side repeats its premise's, gives the same set object.  The
+printer renders each distinct formula once per call.  Both memos live for
+one call only, so no two calls share a node or a set.
 """
 from __future__ import annotations
 
@@ -118,7 +120,7 @@ def _variable(text: str, pos: int) -> tuple[int, int]:
     return _number(m.group(1), "variable"), pos
 
 
-def _shared(memo: dict[Any, Formula], key: tuple[Any, ...], build: Callable[..., Formula], *fields: Any) -> Formula:
+def _shared(memo: dict[Any, Any], key: tuple[Any, ...], build: Callable[..., Formula], *fields: Any) -> Formula:
     """The node kept in ``memo`` under ``key``, built as ``build(*fields)``
     and kept there the first time.  Keys hold the ids of child nodes: the
     memo keeps those children alive, so no id is reused while it lives."""
@@ -128,7 +130,7 @@ def _shared(memo: dict[Any, Formula], key: tuple[Any, ...], build: Callable[...,
     return f
 
 
-def _formula(text: str, pos: int, memo: dict[Any, Formula]) -> tuple[Formula, int]:
+def _formula(text: str, pos: int, memo: dict[Any, Any]) -> tuple[Formula, int]:
     """Read one formula after ``pos`` with an explicit stack; return it and
     the position after it.  Its nodes come from ``memo``, the call's node
     table, which maps a node's key to the node."""
@@ -190,7 +192,7 @@ def _formula(text: str, pos: int, memo: dict[Any, Formula]) -> tuple[Formula, in
             return f, pos
 
 
-def _parse_formula(text: str, memo: dict[Any, Formula]) -> Formula:
+def _parse_formula(text: str, memo: dict[Any, Any]) -> Formula:
     f, pos = _formula(text, 0, memo)
     _expect_end(text, pos)
     return f
@@ -201,21 +203,27 @@ def parse_formula(text: str) -> Formula:
     return _parse_formula(text, {})
 
 
-def _formula_list(text: str, pos: int, memo: dict[Any, Formula]) -> tuple[FormulaSet, int]:
+def _formula_list(text: str, pos: int, memo: dict[Any, Any]) -> tuple[FormulaSet, int]:
     """Read ``[f;...;f]`` after ``pos``; return the set and the position after ``]``.
 
     No formula contains ``[``, ``]`` or ``;``, so the list ends at the first
     ``]`` and its formulas are the pieces between the ``;``.  ``memo`` maps a
     piece's text to its formula, so each distinct text is parsed once; it is
-    also the node table of ``_formula``, whose keys are tuples.
+    also the node table of ``_formula``, whose keys are tuples headed by a
+    tag, and it keeps each list's set under ``("[", text between the
+    brackets)``, so a list text read again gives the same set.
     """
     _, pos = _token(text, pos, "[")
     end = text.find("]", pos)
     if end < 0:
         raise ParseError("unexpected end of input (expected ']')")
-    pieces = text[pos:end].split(";")
+    key = ("[", text[pos:end])
+    fs = memo.get(key)
+    if fs is not None:  # it read without a fault before, so it reads so again
+        return fs, end + 1
+    pieces = key[1].split(";")
     if len(pieces) == 1 and not pieces[0].strip(_WS):
-        return FormulaSet(), end + 1
+        pieces = []  # the empty list
     out: list[Formula] = []
     for piece in pieces:
         f = memo.get(piece)
@@ -227,10 +235,11 @@ def _formula_list(text: str, pos: int, memo: dict[Any, Formula]) -> tuple[Formul
             memo[piece] = f
         out.append(f)
         pos += len(piece) + 1
-    return FormulaSet(out), end + 1
+    fs = memo[key] = FormulaSet(out)
+    return fs, end + 1
 
 
-def _derivation(text: str, pos: int, memo: dict[Any, Formula]) -> tuple[Derivation, int]:
+def _derivation(text: str, pos: int, memo: dict[Any, Any]) -> tuple[Derivation, int]:
     """Read ``(TAG [..] => [..] premises)`` after ``pos`` with an explicit
     stack; return the tree and the position after its ``)``."""
     open_nodes: list[tuple[Rule, Sequent, list[Derivation]]] = []  # rule, sequent, premises so far
@@ -261,7 +270,7 @@ def _derivation(text: str, pos: int, memo: dict[Any, Formula]) -> tuple[Derivati
             raise ParseError("unexpected end of input inside a derivation")
 
 
-def _parse_derivation(text: str, memo: dict[Any, Formula]) -> Derivation:
+def _parse_derivation(text: str, memo: dict[Any, Any]) -> Derivation:
     d, pos = _derivation(text, 0, memo)
     _expect_end(text, pos)
     return d
@@ -362,7 +371,7 @@ def parse_problem(text: str) -> ProblemFile:
     file.  The parts must recombine to the root sequent of the derivation.
     """
     lines = text.splitlines()
-    memo: dict[Any, Formula] = {}
+    memo: dict[Any, Any] = {}
     parts: dict[str, FormulaSet] = {}
     derivation: Derivation | None = None
     for idx, line in enumerate(lines):
@@ -438,7 +447,7 @@ def parse_result(text: str) -> InterpolationResult:
     for name in ("interpolant", "left", "right"):
         if name not in entries:
             raise ParseError(f"missing result entry {name!r}")
-    memo: dict[Any, Formula] = {}
+    memo: dict[Any, Any] = {}
     return InterpolationResult(
         _parse_formula(entries["interpolant"], memo),
         _parse_derivation(entries["left"], memo),

@@ -611,6 +611,43 @@ def test_weakening_defensive_cases():
     assert case_counters()["wr-impossible"] == 1
 
 
+def test_weakening_that_adds_nothing():
+    # each premise already holds the weakened formula p, so the conclusion is
+    # the premise; the split puts p in part 1, in part 2 and in both
+    wl = WL(Sequent(fset(p, q), fset(p)), Init(Sequent(fset(p, q), fset(p))))
+    wr = WR(Sequent(fset(p), fset(p, q)), Init(Sequent(fset(p), fset(p, q))))
+    np = Not(p)
+    cases = [
+        (wl, split(g1=[p], g2=[q], d2=[p]), "wl-g1-only", p,
+         WL(Sequent(fset(p), fset(p)), Init(Sequent(fset(p), fset(p)))),
+         Init(Sequent(fset(p, q), fset(p)))),
+        (wl, split(g1=[q], g2=[p], d1=[p]), "wl-g2-only", np,
+         NotR(Sequent(fset(q), fset(p, np)), Init(Sequent(fset(p, q), fset(p, np)))),
+         WL(Sequent(fset(p, np), EMPTY), NotL(Sequent(fset(p, np), EMPTY), Init(Sequent(fset(p, np), fset(p)))))),
+        (wl, split(g1=[p], g2=[p, q], d2=[p]), "wl-both", p,
+         WL(Sequent(fset(p), fset(p)), Init(Sequent(fset(p), fset(p)))),
+         WL(Sequent(fset(p, q), fset(p)), Init(Sequent(fset(p, q), fset(p))))),
+        (wr, split(g1=[p], d1=[p], d2=[q]), "wr-d1-only", BOT,
+         WR(Sequent(fset(p), fset(p, BOT)), Init(Sequent(fset(p), fset(p, BOT)))),
+         BotL(Sequent(fset(BOT), fset(q)))),
+        (wr, split(g2=[p], d1=[q], d2=[p]), "wr-d2-only", TOP,
+         TopR(Sequent(EMPTY, fset(q, TOP))),
+         WR(Sequent(fset(p, TOP), fset(p)), Init(Sequent(fset(p, TOP), fset(p))))),
+        (wr, split(g1=[p], d1=[p], d2=[p, q]), "wr-both", BOT,
+         WR(Sequent(fset(p), fset(p, BOT)), Init(Sequent(fset(p), fset(p, BOT)))),
+         WR(Sequent(fset(BOT), fset(p, q)), BotL(Sequent(fset(BOT), fset(p, q))))),
+    ]
+    for d, sp, case, c, left, right in cases:
+        assert root(d) == root(premises(d)[0])
+        reset_case_counters()
+        res = interpolate_strong(d, sp)
+        assert case_counters()[case] == 1
+        assert res.interpolant == c
+        assert res.left_witness == left
+        assert res.right_witness == right
+        assert_verified(sp, res)
+
+
 # ------------------------------------------------------------------- verify
 
 def test_verify_detects_corrupt_witness():
@@ -778,3 +815,24 @@ def test_bound_interpolants_keep_the_free_variables_a_walk_finds():
                 assert b._fv == tuple(free_vars(_uncached(b)))
     assert bound > 40  # the corpus closes interpolants over eigenvariables
 
+
+# ------------------------------------------------------------ witness roots
+
+def test_witness_nodes_share_the_side_their_rule_leaves_alone():
+    # C sits in the succedent of the left witness and in the antecedent of the
+    # right one; a node whose rule puts neither its principal formula nor its
+    # premise's new formulas on C's side holds its premise's set there
+    checked: Counter[str] = Counter()
+    for seed in range(20):
+        d = gen_derivation(GenConfig(60, 4, seed, True))
+        res = interpolate_strong(d, random_split(root(d), seed))
+        for w, c_side, i in ((res.left_witness, "d", 1), (res.right_witness, "g", 0)):
+            stack = [w]
+            while stack:
+                node = stack.pop()
+                row = calculus.RULES[node.tag]
+                if node.premises and c_side not in (row.side, row.target):
+                    assert node.seq[i] is node.premises[0].seq[i], (seed, node.tag)
+                    checked[node.tag] += 1
+                stack += node.premises
+    assert set(checked) == {"AndL", "OrL", "AllL", "ExL", "WL", "AndR", "OrR", "AllR", "ExR", "WR"}, checked

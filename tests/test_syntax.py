@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from craigseq.calculus import (
+    RULES,
     AndL,
     FormulaSet,
     Init,
@@ -443,6 +444,23 @@ def test_parse_result_shares_equal_formulas_within_one_call_only():
     for g in subformulas[0]:
         assert by_key.setdefault(canonical_key(g), g) is g
     assert {id(g) for g in subformulas[0]}.isdisjoint(id(g) for g in subformulas[1])
+    # so is a list text read again: a one-premise node's side that its rule
+    # leaves alone is its premise's set, and two calls share no set
+    sets: list[list] = [[], []]
+    kept = 0
+    for parsed, out in zip((first, second), sets):
+        todo = [parsed.left_witness, parsed.right_witness]
+        while todo:
+            node = todo.pop()
+            out += node.seq
+            row = RULES[node.tag]
+            if row.arity == 1 and row.side == row.target:
+                i = 1 if row.side == "g" else 0
+                assert node.seq[i] is node.premises[0].seq[i], node.tag
+                kept += 1
+            todo += node.premises
+    assert kept
+    assert {id(fs) for fs in sets[0]}.isdisjoint(id(fs) for fs in sets[1])
 
 
 @pytest.mark.xfail(
