@@ -1,13 +1,14 @@
 """Sequents, derivation trees, and the wellformedness checker.
 
-A sequent is a pair of canonically ordered formula sets.  A derivation is a
+A sequent is a pair of formula sets, each one sorted tuple of its members,
+and a side is an index into it: ``G`` (Γ) or ``D`` (Δ).  A derivation is a
 tree in which every node records the sequent it claims to derive.  A node has
 none, one or two premises, each of these three shapes is declared once, and
 the 15 rule classes only name their rule.  The checker ``resolve_rule``
 reconstructs, for a single node, the rule instance that justifies the node
 from its premises.  Each of the 15 rules is stated once, as a row of the
 table ``RULES`` that the checker, the interpolator and the parser read, and
-that ``RULE_FOR`` is derived from.
+that ``RULE_FOR`` is derived from; ``_adds`` reads what a premise adds.
 ``is_wellformed`` resolves the nodes of a tree in one explicit-stack pass
 and stops at the first one that fails; ``_resolved_preorder`` also names each
 node's path, for ``craigseq check``; the interpolator resolves each node as
@@ -16,6 +17,7 @@ its own walk reaches it.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -39,41 +41,38 @@ from .formulas import (
 class FormulaSet:
     """Immutable formula set kept sorted and deduplicated in canonical order.
 
-    A formula is a member when its canonical key is among the set's sorted
-    keys; a value that is not a formula is never a member.  Membership,
-    ``add`` and ``without`` bisect the key tuples, so none of them hashes a
-    formula, and test the key found for identity before equality: a formula
-    keeps its key, so the same formula gives the same key object.  ``add``
-    is the one way a set grows: ``a | b`` adds the members of ``b`` to ``a``
-    one by one, so on equal keys the left operand's formula stays.
+    The set is one tuple of its members, and a value is a member when it is a
+    formula whose canonical key is a member's.  Each member keeps its key,
+    computed before it enters, so membership, ``add`` and ``without`` bisect
+    the members by that key, hash no formula, and test the member found for
+    identity before they compare keys.  ``add`` is the one way a set grows:
+    ``a | b`` adds the members of ``b`` to ``a`` one by one, so on equal keys
+    the left operand's formula stays.
     """
 
-    __slots__ = ("_keys", "_items")
+    __slots__ = ("_items",)
 
-    _keys: tuple[tuple[int, ...], ...]
     _items: tuple[Formula, ...]
 
     def __init__(self, formulas: Iterable[Formula] = ()):
         by_key = {canonical_key(f): f for f in formulas}
-        pairs = sorted(by_key.items())
-        self._keys = tuple(k for k, _ in pairs)
-        self._items = tuple(f for _, f in pairs)
+        self._items = tuple(by_key[k] for k in sorted(by_key))
 
     @staticmethod
-    def _build(keys: tuple[tuple[int, ...], ...], items: tuple[Formula, ...]) -> "FormulaSet":
+    def _build(items: tuple[Formula, ...]) -> "FormulaSet":
         fs = FormulaSet.__new__(FormulaSet)
-        fs._keys = keys
         fs._items = items
         return fs
 
-    def _find(self, k: tuple[int, ...]) -> tuple[int, bool]:
-        """Where ``k`` sits or would be inserted in the keys, and whether it is there."""
-        keys = self._keys
-        i = bisect.bisect_left(keys, k)
-        return i, i < len(keys) and (keys[i] is k or keys[i] == k)
+    def _find(self, f: Formula) -> tuple[int, bool]:
+        """Where ``f`` sits or would be inserted in the members, and whether it is there."""
+        items = self._items
+        k = canonical_key(f)
+        i = bisect.bisect_left(items, k, key=_KEY)
+        return i, i < len(items) and (items[i] is f or items[i]._key == k)
 
     def __contains__(self, f: object) -> bool:
-        return isinstance(f, Formula) and self._find(canonical_key(f))[1]
+        return isinstance(f, Formula) and self._find(f)[1]
 
     def __iter__(self) -> Iterator[Formula]:
         return iter(self._items)
@@ -81,38 +80,36 @@ class FormulaSet:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FormulaSet) and self._keys == other._keys
+        # tuple == tests each pair for identity, then with Formula.__eq__ by key
+        return isinstance(other, FormulaSet) and self._items == other._items
 
     def __hash__(self) -> int:
-        return hash(self._keys)
+        return hash(self._items)
 
     def __repr__(self) -> str:
         return f"FormulaSet({list(self._items)!r})"
 
     def add(self, f: Formula) -> "FormulaSet":
-        k = canonical_key(f)
-        i, found = self._find(k)
+        i, found = self._find(f)
         if found:
             return self
-        return FormulaSet._build(
-            self._keys[:i] + (k,) + self._keys[i:],
-            self._items[:i] + (f,) + self._items[i:],
-        )
+        return FormulaSet._build(self._items[:i] + (f,) + self._items[i:])
 
     def without(self, f: Formula) -> "FormulaSet":
-        i, found = self._find(canonical_key(f))
+        i, found = self._find(f)
         if not found:
             return self
-        return FormulaSet._build(self._keys[:i] + self._keys[i + 1 :], self._items[:i] + self._items[i + 1 :])
+        return FormulaSet._build(self._items[:i] + self._items[i + 1 :])
 
     def __or__(self, other: "FormulaSet") -> "FormulaSet":
         if not isinstance(other, FormulaSet):
             return NotImplemented
         return _plus(self, other._items)
+
+
+#: The key a member keeps, which ``FormulaSet`` bisects by.
+_KEY = operator.attrgetter("_key")
 
 
 def fset(*formulas: Formula) -> FormulaSet:
@@ -121,6 +118,9 @@ def fset(*formulas: Formula) -> FormulaSet:
 
 
 EMPTY = FormulaSet()
+
+#: The sides of a sequent, as indices into ``Sequent``: Γ, the antecedent, and Δ, the succedent.
+G, D = 0, 1
 
 
 class Sequent(NamedTuple):
@@ -332,28 +332,19 @@ class RuleInstance(NamedTuple):
 class Rule(NamedTuple):
     """One row of the rule table ``RULES``.
 
-    ``side`` ("g" antecedent, "d" succedent) is where the principal formula
-    sits, ``head`` the connective that heads it (``None``: any formula), and
-    ``target`` the side that the premise's new formulas go to (empty for the
-    leaf rules).  ``match`` recovers the ``RuleInstance`` of a node.
+    ``side`` is where the principal formula sits, ``head`` the connective
+    that heads it (``None``: any formula), and ``target`` the side that the
+    premise's new formulas go to (``None`` for the leaf rules).  A side is
+    an index into ``Sequent``: ``G`` or ``D``.  ``match`` recovers the
+    ``RuleInstance`` of a node.
     """
 
     cls: type[Derivation]
     arity: int
-    side: str
+    side: int
     head: type[Formula] | None
-    target: str
+    target: int | None
     match: Callable[["Rule", Derivation], RuleInstance | None]
-
-
-def _sides(seq: Sequent, side: str) -> tuple[FormulaSet, FormulaSet]:
-    """The formulas on ``side`` of ``seq``, then those on the other side."""
-    return seq if side == "g" else (seq.succedent, seq.antecedent)
-
-
-def _sequent(side: str, this: FormulaSet, other: FormulaSet) -> Sequent:
-    """The sequent with ``this`` on ``side`` and ``other`` opposite: ``_sides`` inverted."""
-    return Sequent(this, other) if side == "g" else Sequent(other, this)
 
 
 def _plus(fs: FormulaSet, formulas: tuple[Formula, ...]) -> FormulaSet:
@@ -369,11 +360,11 @@ def _plus(fs: FormulaSet, formulas: tuple[Formula, ...]) -> FormulaSet:
 def _extra(small: FormulaSet, big: FormulaSet) -> tuple[Formula, ...] | None:
     """The members of ``big`` missing from ``small``, in canonical order, or
     ``None`` when ``small`` is not a subset of ``big``.  Two sets that are one
-    object give ``()`` at once; otherwise one merge of the keys, which tests
-    each pair of keys for identity before equality."""
+    object give ``()`` at once; otherwise one merge of the members, which
+    tests each pair for identity before it compares their keys."""
     if small is big:
         return ()
-    a, b = small._keys, big._keys
+    a, b = small._items, big._items
     n = len(a)
     if n > len(b):
         return None
@@ -381,22 +372,34 @@ def _extra(small: FormulaSet, big: FormulaSet) -> tuple[Formula, ...] | None:
         return ()
     out: list[Formula] = []
     i = 0
-    for j, k in enumerate(b):
+    for g in b:
         if i < n:
-            if a[i] is k or a[i] == k:
+            f = a[i]
+            if f is g or f._key == g._key:
                 i += 1
                 continue
-            if a[i] < k:
+            if f._key < g._key:  # type: ignore[operator]
                 return None
-        out.append(big._items[j])
+        out.append(g)
     return tuple(out) if i == n else None
+
+
+def _adds(seq: Sequent, sub: Sequent, side: int) -> tuple[Formula, ...] | None:
+    """The members of ``sub[side]`` that ``seq[side]`` lacks, in canonical
+    order, or ``None`` unless ``sub`` keeps all of ``seq[side]`` and the same
+    other side.  The other sides are compared as one object first."""
+    other, same = seq[1 - side], sub[1 - side]
+    if same is not other and same != other:
+        return None
+    return _extra(seq[side], sub[side])
 
 
 def _match_axiom(row: Rule, d: Derivation) -> RuleInstance | None:
     """Init, BotL, TopR: a formula of the principal side that is the rule's
     constant, or for Init one that also sits on the other side."""
-    principal, other = _sides(d.seq, row.side)
-    for f in principal._items:
+    seq = d.seq
+    other = seq[1 - row.side]
+    for f in seq[row.side]._items:
         if f._tag == row.head._tag if row.head else f in other:
             return RuleInstance(row.cls.tag, f)
     return None
@@ -405,16 +408,14 @@ def _match_axiom(row: Rule, d: Derivation) -> RuleInstance | None:
 def _match_connective(row: Rule, d: Derivation) -> RuleInstance | None:
     """AndL, OrR, NotL, NotR: the premise adds every component of the
     principal formula; AndR, OrL: premise i adds component i."""
-    seq = d.seq
-    kept, other = _sides(seq, row.target)
-    grown: list[tuple[FormulaSet, tuple[Formula, ...]]] = []  # per premise: its side and what that adds to kept
+    seq, target = d.seq, row.target
+    grown: list[tuple[FormulaSet, tuple[Formula, ...]]] = []  # per premise: its target side and what that adds
     for sub in d.premises:
-        side, same = _sides(sub.seq, row.target)
-        extra = _extra(kept, side) if same is other or same._keys == other._keys else None
+        extra = _adds(seq, sub.seq, target)  # type: ignore[arg-type]
         if extra is None:
             return None
-        grown.append((side, extra))
-    for f in _sides(seq, row.side)[0]._items:
+        grown.append((sub.seq[target], extra))  # type: ignore[index]
+    for f in seq[row.side]._items:
         if f._tag == row.head._tag:  # type: ignore[union-attr]
             parts = (f.sub,) if f._tag == Not._tag else (f.left, f.right)  # type: ignore[attr-defined]
             if row.arity == 1:
@@ -443,14 +444,12 @@ def _grows_by(side: FormulaSet, extra: tuple[Formula, ...], parts: tuple[Formula
 def _instances(row: Rule, seq: Sequent, sub: Sequent) -> Iterator[tuple[Formula, Formula]]:
     """AllL, ExR, AllR, ExL: pairs of a principal candidate ``f`` and the one
     formula ``e`` the premise adds beside it; the other side is unchanged."""
-    principal, other = _sides(seq, row.side)
-    extended, same = _sides(sub, row.side)
-    extra = _extra(principal, extended) if same is other or same._keys == other._keys else None
+    extra = _adds(seq, sub, row.side)
     if extra is None or len(extra) > 1:
         return
     # With nothing added, any formula of the premise's side can be the one.
-    added = extra or extended._items
-    for f in principal._items:
+    added = extra or sub[row.side]._items
+    for f in seq[row.side]._items:
         if f._tag == row.head._tag:  # type: ignore[union-attr]
             for e in added:
                 yield f, e
@@ -480,13 +479,11 @@ def _match_eigen(row: Rule, d: Derivation) -> RuleInstance | None:
 
 def _match_weakening(row: Rule, d: Derivation) -> RuleInstance | None:
     """WL, WR: the conclusion adds one formula to the premise's side."""
-    principal, other = _sides(d.seq, row.side)
-    kept, same = _sides(d.sub.seq, row.side)  # type: ignore[attr-defined]
-    extra = _extra(kept, principal) if same is other or same._keys == other._keys else None
+    extra = _adds(d.sub.seq, d.seq, row.side)  # type: ignore[attr-defined]
     if extra is None or len(extra) > 1:
         return None
     # With nothing added, the weakened formula is one the premise already has.
-    added = extra or principal._items
+    added = extra or d.seq[row.side]._items
     return RuleInstance(row.cls.tag, added[0]) if added else None
 
 
@@ -494,28 +491,28 @@ def _match_weakening(row: Rule, d: Derivation) -> RuleInstance | None:
 RULES: dict[str, Rule] = {
     row.cls.tag: row
     for row in (
-        Rule(Init, 0, "g", None, "", _match_axiom),
-        Rule(BotL, 0, "g", Bot, "", _match_axiom),
-        Rule(TopR, 0, "d", Top, "", _match_axiom),
-        Rule(AndL, 1, "g", And, "g", _match_connective),
-        Rule(OrR, 1, "d", Or, "d", _match_connective),
-        Rule(NotL, 1, "g", Not, "d", _match_connective),
-        Rule(NotR, 1, "d", Not, "g", _match_connective),
-        Rule(AndR, 2, "d", And, "d", _match_connective),
-        Rule(OrL, 2, "g", Or, "g", _match_connective),
-        Rule(AllL, 1, "g", FAll, "g", _match_term),
-        Rule(ExR, 1, "d", FEx, "d", _match_term),
-        Rule(AllR, 1, "d", FAll, "d", _match_eigen),
-        Rule(ExL, 1, "g", FEx, "g", _match_eigen),
-        Rule(WL, 1, "g", None, "g", _match_weakening),
-        Rule(WR, 1, "d", None, "d", _match_weakening),
+        Rule(Init, 0, G, None, None, _match_axiom),
+        Rule(BotL, 0, G, Bot, None, _match_axiom),
+        Rule(TopR, 0, D, Top, None, _match_axiom),
+        Rule(AndL, 1, G, And, G, _match_connective),
+        Rule(OrR, 1, D, Or, D, _match_connective),
+        Rule(NotL, 1, G, Not, D, _match_connective),
+        Rule(NotR, 1, D, Not, G, _match_connective),
+        Rule(AndR, 2, D, And, D, _match_connective),
+        Rule(OrL, 2, G, Or, G, _match_connective),
+        Rule(AllL, 1, G, FAll, G, _match_term),
+        Rule(ExR, 1, D, FEx, D, _match_term),
+        Rule(AllR, 1, D, FAll, D, _match_eigen),
+        Rule(ExL, 1, G, FEx, G, _match_eigen),
+        Rule(WL, 1, G, None, G, _match_weakening),
+        Rule(WR, 1, D, None, D, _match_weakening),
     )
 }
 
 
-#: The rule that introduces a formula headed by ``head`` on ``side``, keyed
-#: by ``(head, side)``; ``(None, side)`` is the weakening of that side.  Init
-#: introduces no one formula, so it has no key.
+#: The rule that introduces a formula headed by ``head`` on ``side`` (``G`` or
+#: ``D``), keyed by ``(head, side)``; ``(None, side)`` is the weakening of
+#: that side.  Init introduces no one formula, so it has no key.
 RULE_FOR = {(row.head, row.side): row.cls for row in RULES.values() if row.cls is not Init}
 
 

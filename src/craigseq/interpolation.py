@@ -10,13 +10,15 @@ trusting the construction.
 The construction is an induction on the derivation, which ``_interpolate``
 runs as one explicit-stack walk.  It resolves each node through
 ``calculus.resolve_rule`` as the node's step starts and dispatches on its tag
-through ``_CASES`` to one of six steps, which read the side ("g" antecedent,
-"d" succedent) of the principal formula and the side of the premise's new
-formulas from the rule's row of ``calculus.RULES``, and the new formulas
-from the rule instance.  The steps cover the mirror pairs once each:
-``_init``; ``_axiom`` (BotL, TopR); ``_unary`` (AndL, OrR, NotL, NotR, AllL,
-ExR); ``_weaken`` (WL, WR); ``_branching`` (AndR, OrL); ``_eigen`` (AllR,
-ExL).  All but the first two are generators: they yield each premise with its
+through ``_CASES`` to one of six steps, which read the side of the
+principal formula and the side of the premise's new formulas from the rule's
+row of ``calculus.RULES``, and the new formulas from the rule instance.  A
+side is an index into ``Sequent`` (``G`` antecedent, ``D`` succedent): part
+k of side s is field ``2 * s + k`` of a ``SplitSequent`` (Γ1, Γ2, Δ1, Δ2),
+and C sits on side ``1 - k`` of part k's witness.  The steps cover the
+mirror pairs once each: ``_init``; ``_axiom`` (BotL, TopR); ``_unary``
+(AndL, OrR, NotL, NotR, AllL, ExR); ``_weaken`` (WL, WR); ``_branching``
+(AndR, OrL); ``_eigen`` (AllR, ExL).  All but the first two are generators: they yield each premise with its
 split and are sent back its result.  In each step the part of the split that
 owns the principal formula decides the case, named ``<rule>-<side><part>`` in
 ``CASE_NAMES``.
@@ -53,7 +55,6 @@ from .calculus import (
     RuleInstance,
     Sequent,
     _plus,
-    _sides,
     is_wellformed,
     resolve_rule,
     root,
@@ -200,18 +201,15 @@ def _interpolate(d: Derivation, split: SplitSequent) -> InterpolationResult:
             res = done.value
 
 
-#: Where the two parts of each side ("g" antecedent, "d" succedent) sit in a split.
-_PARTS = {"g": (0, 1), "d": (2, 3)}
-
 #: Each rule's case names in the order of ``CASE_NAMES``: one per owning part,
 #: or for WL/WR both parts, part 1 only, part 2 only, neither.
 _BRANCHES = {tag: tuple(n for n in CASE_NAMES if n.split("-")[0] == tag.lower()) for tag in RULES}
 
 
-def _owner(d: Derivation, side: str, f: Formula, split: SplitSequent) -> int:
+def _owner(d: Derivation, side: int, f: Formula, split: SplitSequent) -> int:
     """Count and return the part of ``side`` that holds ``f``: 0 for part 1,
     1 for part 2.  A formula in both parts belongs to part 1."""
-    k = 0 if f in split[_PARTS[side][0]] else 1
+    k = 0 if f in split[2 * side] else 1
     _hit(_BRANCHES[d.tag][k])
     return k
 
@@ -223,11 +221,10 @@ def _extend(split: SplitSequent, i: int, formulas: tuple[Formula, ...]) -> Split
     return SplitSequent(*parts)
 
 
-#: Per owning part k (0: part 1, 1: part 2): the side C takes in part k's
-#: witness root, and the interpolant of a node that part k closes alone with
-#: the axiom that gives the other part's witness.
-_C_SIDE = ("d", "g")
-_ALONE = tuple((c, RULE_FOR[type(c), _C_SIDE[1 - k]]) for k, c in enumerate((BOT, TOP)))
+#: Per owning part k (0: part 1, 1: part 2): the interpolant of a node that
+#: part k closes alone, with the axiom that gives the other part's witness,
+#: whose C sits on side k.
+_ALONE = tuple((c, RULE_FOR[type(c), k]) for k, c in enumerate((BOT, TOP)))
 
 
 def _on(split: SplitSequent, k: int, cs: FormulaSet) -> Sequent:
@@ -279,10 +276,9 @@ def _introduce(split: SplitSequent, k: int, c: Formula, *witnesses: Derivation) 
     witness gets ``c`` weakened in, then the rule for ``c``'s head on that side
     joins them.  Every caller's witnesses have splits that agree with
     ``split`` on part ``k``, so a weakening's C's side is its witness's plus ``c``."""
-    side = _C_SIDE[k]
-    weaken = RULE_FOR[None, side]
+    weaken = RULE_FOR[None, 1 - k]
     subs = (weaken(_on(split, k, w.seq[1 - k].add(c)), w) for w in witnesses)
-    return RULE_FOR[type(c), side](_root(split, k, c), *subs)
+    return RULE_FOR[type(c), 1 - k](_root(split, k, c), *subs)
 
 
 def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> InterpolationResult:
@@ -318,7 +314,7 @@ def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> Interp
 
 def _axiom(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> InterpolationResult:
     """BotL, TopR: the part that owns the constant closes alone."""
-    if all(rule.analysed not in split[i] for i in _PARTS[row.side]):
+    if all(rule.analysed not in split[2 * row.side + k] for k in (0, 1)):
         raise UnreachableCaseError(f"{d.tag} node with its constant in neither part")
     return _alone(split, _owner(d, row.side, rule.analysed, split), row.cls)
 
@@ -328,7 +324,7 @@ def _unary(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) ->
     part that owns the principal formula, and that part's witness re-applies
     the rule."""
     k = _owner(d, row.side, rule.analysed, split)
-    premise = _extend(split, _PARTS[row.target][k], rule.adds)
+    premise = _extend(split, 2 * row.target + k, rule.adds)
     res = yield d.sub, premise
     return _wrap(row.cls, split, premise, res, k == 0, k == 1)
 
@@ -337,19 +333,18 @@ def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -
     """WL, WR: each part keeps only the premise's formulas, and every part that
     holds the weakened formula re-weakens its witness."""
     f = rule.analysed
-    i, j = _PARTS[row.side]
+    i, j = 2 * row.side, 2 * row.side + 1
     in1, in2 = f in split[i], f in split[j]
     both, only1, only2, neither = _BRANCHES[d.tag]
     if in1 or in2:
         _hit(both if in1 and in2 else only1 if in1 else only2)
     else:
         _hit(neither)
-        side = "antecedent" if row.side == "g" else "succedent"
-        raise UnreachableCaseError(f"weakened formula missing from both {side} parts")
+        raise UnreachableCaseError(f"weakened formula missing from both {Sequent._fields[row.side]} parts")
     # Each part lies within the conclusion's side, the premise's side plus f,
     # so f is new exactly when that side is the longer.
     premise = split
-    if len(_sides(d.sub.seq, row.side)[0]) < len(_sides(d.seq, row.side)[0]):
+    if len(d.sub.seq[row.side]) < len(d.seq[row.side]):
         parts = list(split)
         if in1:
             parts[i] = split[i].without(f)
@@ -369,13 +364,12 @@ def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent
     other part's witness introduces C from both premise witnesses.
     """
     k = _owner(d, row.side, rule.analysed, split)
-    left, right = (_extend(split, _PARTS[row.target][k], (a,)) for a in rule.adds)
+    left, right = (_extend(split, 2 * row.target + k, (a,)) for a in rule.adds)
     resl = yield d.left, left
     resr = yield d.right, right
     cl, cr = resl.interpolant, resr.interpolant
     c = (Or, And)[k](cl, cr)
-    side = _C_SIDE[k]
-    weaken, join = RULE_FOR[None, side], RULE_FOR[type(c), side]
+    weaken, join = RULE_FOR[None, 1 - k], RULE_FOR[type(c), 1 - k]
 
     def owned(premise: SplitSequent, w: Derivation, cj: Formula) -> Derivation:
         # w's root holds the premise's interpolant on C's side.  Part 1
@@ -396,7 +390,7 @@ def _eigen(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) ->
     owning part k.  Part 1 closes the premise interpolant C' to ∃a.C', part 2
     to ∀a.C'; each witness introduces C, and part k's then re-applies the rule."""
     k = _owner(d, row.side, rule.analysed, split)
-    premise = _extend(split, _PARTS[row.target][k], rule.adds)
+    premise = _extend(split, 2 * row.target + k, rule.adds)
     res = yield d.sub, premise
     cp = res.interpolant
     c = bind(("ex", "all")[k], rule.eigen, cp)

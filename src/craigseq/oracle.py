@@ -20,6 +20,7 @@ from .calculus import (
     EMPTY,
     RULE_FOR,
     RULES,
+    G,
     BotL,
     Derivation,
     FormulaSet,
@@ -28,8 +29,6 @@ from .calculus import (
     TopR,
     _match_connective,
     _match_term,
-    _sequent,
-    _sides,
     fset,
     root,
 )
@@ -181,16 +180,18 @@ def _gen_leaf(rng: SplitMix64, cfg: GenConfig) -> Derivation:
 #: quantifiers are allowed.  The order is the generator's distribution.
 _GROW_RULES = ("WL", "WR", "NotL", "NotR", "AndL", "AndR", "OrL", "OrR", "AllL", "AllR", "ExL", "ExR")
 
-#: Per side, the unit that may close AndR's/OrL's sibling premise.
-_UNITS = {"d": TOP, "g": BOT}
+
+def _sequent(side: int, this: FormulaSet, other: FormulaSet) -> Sequent:
+    """The sequent with ``this`` on ``side`` and ``other`` opposite."""
+    return Sequent(this, other) if side == G else Sequent(other, this)
 
 
-def _weaken(d: Derivation, side: str, f: Formula) -> Derivation:
+def _weaken(d: Derivation, side: int, f: Formula) -> Derivation:
     """``d`` under a weakening that adds ``f`` on ``side``, unless it is there."""
-    this, other = _sides(root(d), side)
-    if f in this:
+    seq = root(d)
+    if f in seq[side]:
         return d
-    return RULE_FOR[None, side](_sequent(side, this.add(f), other), d)
+    return RULE_FOR[None, side](_sequent(side, seq[side].add(f), seq[1 - side]), d)
 
 
 def _grow(rng: SplitMix64, cfg: GenConfig, d: Derivation) -> Derivation | None:
@@ -204,21 +205,21 @@ def _grow(rng: SplitMix64, cfg: GenConfig, d: Derivation) -> Derivation | None:
     row = RULES[rng.choice(_GROW_RULES if cfg.allow_quantifiers else _GROW_RULES[:8])]
     side, target = row.side, row.target
     seq = root(d)
-    this, other = _sides(seq, side)
+    this, other = seq[side], seq[1 - side]
     if row.head is None:  # WL, WR
         return row.cls(_sequent(side, this.add(_random_formula(rng, cfg.max_pred)), other), d)
     if row.arity == 2:  # AndR, OrL: the sibling premise holds the unit or a formula of the other side
         if not this:
             return None
         a = rng.choice(list(this))
-        unit = _UNITS[side]
+        unit = (BOT, TOP)[side]  # the unit that may close the sibling premise
         b = unit if rng.below(1 + len(other)) == 0 else rng.choice(list(other))
         d1 = _weaken(d, side, row.head(a, b))
-        kept = _sides(root(d1), side)[0].without(a)
+        kept = root(d1)[side].without(a)
         sibling = (RULE_FOR[type(unit), side] if b == unit else Init)(_sequent(side, kept.add(b), other))
         return row.cls(_sequent(side, kept, other), d1, sibling)
     if row.match is _match_connective:  # NotL, NotR, AndL, OrR: components from the target side
-        pool = list(_sides(seq, target)[0])
+        pool = list(seq[target])
         if not pool:
             return None
         parts = [rng.choice(pool) for _ in range(1 if row.head is Not else 2)]
@@ -229,7 +230,7 @@ def _grow(rng: SplitMix64, cfg: GenConfig, d: Derivation) -> Derivation | None:
         parts = [Atom(pred, (v,))]
         # Binding v in P(v) leaves P applied to de Bruijn index 0.
         d1 = _weaken(_weaken(d, target, parts[0]), side, row.head(Atom(pred, (0,))))
-    grown, other = _sides(root(d1), target)
+    grown, other = root(d1)[target], root(d1)[1 - target]
     for a in parts:
         grown = grown.without(a)
     return row.cls(_sequent(target, grown, other), d1)

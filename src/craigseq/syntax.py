@@ -10,6 +10,8 @@ derivation; result files label an interpolant and the two witnesses.
 Parsing canonicalizes all formula sets.  ``parse_formula``/``parse_derivation``
 require full consumption of their input; unknown lines in result files are
 ignored so that ``interpolate`` output can be piped back into ``verify``.
+Both break lines only at ``\r\n``, ``\r`` and ``\n`` and trim only the
+reader's white space, so any other character reaches the reader.
 
 Every token is read through one cursor (``_token``/``_expect_end``), in
 reading order, so an input is reported at its first fault, at a position
@@ -359,7 +361,8 @@ class ProblemFile(NamedTuple):
         return SplitSequent(self.gamma1, self.gamma2, self.delta1, self.delta2)
 
 
-_HEADER_RE = re.compile(r"(gamma1|gamma2|delta1|delta2|derivation)\s*:(.*)", re.DOTALL)
+_HEADER_RE = re.compile(r"(gamma1|gamma2|delta1|delta2|derivation)[ \t]*:(.*)", re.DOTALL)
+_LINE_END_RE = re.compile(r"\r\n|\r|\n")
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -370,14 +373,14 @@ def parse_problem(text: str) -> ProblemFile:
     ``derivation:`` and a derivation s-expression covering the rest of the
     file.  The parts must recombine to the root sequent of the derivation.
     """
-    lines = text.splitlines()
+    lines = _LINE_END_RE.split(text)
     memo: dict[Any, Any] = {}
     parts: dict[str, FormulaSet] = {}
     derivation: Derivation | None = None
     for idx, line in enumerate(lines):
-        if not line.strip():
+        if not line.strip(_WS):
             continue
-        m = _HEADER_RE.fullmatch(line.strip())
+        m = _HEADER_RE.fullmatch(line.strip(_WS))
         if m is None:
             raise ParseError(f"line {idx + 1}: expected a section header")
         name, rest = m.group(1), m.group(2)
@@ -425,7 +428,7 @@ def print_problem(pf: ProblemFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RESULT_RE = re.compile(r"(interpolant|left|right)\s*:(.*)", re.DOTALL)
+_RESULT_RE = re.compile(r"(interpolant|left|right)[ \t]*:(.*)", re.DOTALL)
 
 
 def parse_result(text: str) -> InterpolationResult:
@@ -436,8 +439,8 @@ def parse_result(text: str) -> InterpolationResult:
     verification report) parses as a result file.
     """
     entries: dict[str, str] = {}
-    for idx, line in enumerate(text.splitlines()):
-        m = _RESULT_RE.fullmatch(line.strip())
+    for idx, line in enumerate(_LINE_END_RE.split(text)):
+        m = _RESULT_RE.fullmatch(line.strip(_WS))
         if m is None:
             continue
         name, rest = m.group(1), m.group(2)

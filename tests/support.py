@@ -3,9 +3,14 @@ random samplers, and hypothesis strategies.
 
 ``brute_is_deriv`` re-states every rule clause directly, with existential
 quantifiers enumerated by brute force, so it shares no candidate-scanning or
-matching logic with the library checker.
+matching logic with the library checker.  ``recursion_limit`` runs a block
+at a given recursion limit.
 """
 from __future__ import annotations
+
+import sys
+from contextlib import contextmanager
+from typing import Iterator
 
 from hypothesis import strategies as st
 
@@ -47,6 +52,17 @@ from craigseq.formulas import (
     inst,
 )
 from craigseq.oracle import SplitMix64
+
+
+@contextmanager
+def recursion_limit(n: int) -> Iterator[None]:
+    """Set the recursion limit to ``n`` for the block, and restore it on exit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(n)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _max_var(*seqs: Sequent) -> int:

@@ -33,6 +33,10 @@ from craigseq.calculus import (
     TopR,
     WL,
     WR,
+    D,
+    G,
+    _adds,
+    _extra,
     _plus,
     fset,
     is_wellformed,
@@ -45,7 +49,7 @@ from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, 
 from craigseq.interpolation import interpolate_strong
 from craigseq.oracle import GenConfig, SplitMix64, _random_formula, gen_derivation, random_split
 from craigseq.syntax import parse_formula, print_formula
-from support import brute_is_deriv, derivations, formula_sets, formulas
+from support import brute_is_deriv, derivations, formula_sets, formulas, recursion_limit
 
 p = Atom(0)
 q = Atom(1)
@@ -154,6 +158,52 @@ def test_plus_adds_like_a_union():
             assert all(f is ref[canonical_key(f)] for f in plus)
 
 
+def _drawn_set(rng: SplitMix64, pool: list[Formula], width: int) -> FormulaSet:
+    """Up to ``width`` draws from ``pool``, about half of them built anew, so
+    that a member and an equal formula elsewhere need not be one object."""
+    drawn = (pool[rng.below(len(pool))] for _ in range(width))
+    return FormulaSet(parse_formula(print_formula(f)) if rng.below(2) else f for f in drawn)
+
+
+def _reference_extra(small: FormulaSet, big: FormulaSet) -> tuple[Formula, ...] | None:
+    keys = {canonical_key(f) for f in small}
+    if not keys <= {canonical_key(f) for f in big}:
+        return None
+    return tuple(f for f in big if canonical_key(f) not in keys)
+
+
+def _same(got: tuple[Formula, ...] | None, want: tuple[Formula, ...] | None) -> bool:
+    """Whether ``got`` is ``want``, down to the formula objects."""
+    if got is None or want is None:
+        return got is want
+    return len(got) == len(want) and all(f is g for f, g in zip(got, want))
+
+
+def test_extra_and_adds_agree_with_a_reference():
+    rng = SplitMix64(11)
+    pool = [_random_formula(rng, 3) for _ in range(12)]
+    outcomes = set()
+    for _ in range(300):
+        small = _drawn_set(rng, pool, rng.below(6))
+        big = _drawn_set(rng, pool, rng.below(8))
+        if rng.below(2):  # a superset of small, whose own objects may differ from small's
+            big = _plus(big, tuple(_drawn_set(rng, list(small), 2 * len(small))) + tuple(small))
+        want = _reference_extra(small, big)
+        outcomes.add(None if want is None else min(len(want), 2))
+        assert _same(_extra(small, big), want), (small, big)
+        other = _drawn_set(rng, pool, rng.below(4))
+        rebuilt = FormulaSet(parse_formula(print_formula(f)) for f in other)  # equal, not one object
+        changed = other.without(next(iter(other))) if other else fset(TOP)
+        for side in (G, D):
+            seq = Sequent(small, other) if side == G else Sequent(other, small)
+            for opposite in (other, rebuilt):
+                sub = Sequent(big, opposite) if side == G else Sequent(opposite, big)
+                assert _same(_adds(seq, sub, side), want)
+            sub = Sequent(big, changed) if side == G else Sequent(changed, big)
+            assert _adds(seq, sub, side) is None
+    assert outcomes == {None, 0, 1, 2}
+
+
 # ----------------------------------------------------------- tree structure
 
 def test_root_premises_size():
@@ -194,9 +244,7 @@ def test_derivation_eq_and_hash_without_recursion():
             d = WL(s, d)
         return d
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
+    with recursion_limit(1000):
         a, b, c = chain(Init(s)), chain(Init(s)), chain(BotL(s))
         assert "_hash" not in vars(a)  # nothing is hashed when a tree is built
         assert a == b and a is not b
@@ -204,8 +252,6 @@ def test_derivation_eq_and_hash_without_recursion():
         assert a != c and not a == c
         assert a != WR(s, a.sub)
         assert len({a, b, c}) == 2
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 #: Builds ``values``: a few formulas and a seeded derivation, the same in every process.
@@ -255,12 +301,8 @@ def test_derivation_repr_without_recursion():
     d = Init(s)
     for _ in range(5000):
         d = WL(s, d)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
+    with recursion_limit(1000):
         text = repr(d)
-    finally:
-        sys.setrecursionlimit(limit)
     assert text == f"WL(seq={s!r}, sub=" * 5000 + f"Init(seq={s!r})" + ")" * 5000
 
 
@@ -505,12 +547,8 @@ def test_is_wellformed_stops_at_a_bad_leaf_without_recursion():
     d = Init(s)  # no rule justifies P0() ⊢ P1()
     for _ in range(5000):
         d = WL(s, d)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
+    with recursion_limit(1000):
         assert not is_wellformed(d)
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 @settings(max_examples=200)

@@ -14,6 +14,7 @@ from craigseq.calculus import EMPTY, WL, Init, Sequent, fset, root
 from craigseq.cli import main
 from craigseq.formulas import Atom, Not
 from craigseq.syntax import ProblemFile, print_problem
+from support import recursion_limit
 
 INIT_PROBLEM = "gamma1: [P0()]\ndelta2: [P0()]\nderivation: (Init [P0()] => [P0()])\n"
 
@@ -176,6 +177,19 @@ def test_verify_round_trip(problem_file, tmp_path, capsys):
     assert out2.splitlines()[-1] == "summary: PASS"
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_problem_with_other_line_ends_interpolates_and_verifies(tmp_path, capsys, end):
+    problem = tmp_path / "problem.txt"
+    problem.write_bytes(INIT_PROBLEM.replace("\n", end).encode())
+    assert main(["interpolate", str(problem)]) == 0
+    out = capsys.readouterr().out
+    assert out == INIT_STDOUT
+    result = tmp_path / "result.txt"
+    result.write_bytes(out.replace("\n", end).encode())
+    assert main(["verify", str(problem), str(result)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "summary: PASS"
+
+
 def test_verify_detects_tampering(problem_file, tmp_path, capsys):
     result_file = tmp_path / "result.txt"
     result_file.write_text(
@@ -279,16 +293,12 @@ def test_deep_input_interpolates_and_verifies(tmp_path, capsys):
     problem = tmp_path / "problem.txt"
     problem.write_text(print_problem(ProblemFile(seq.antecedent, EMPTY, EMPTY, seq.succedent, d)))
     out = tmp_path / "result.txt"
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
+    with recursion_limit(1000):
         assert main(["interpolate", str(problem)]) == 0
         printed = capsys.readouterr().out
         assert printed.splitlines()[-1] == "summary: PASS"
         out.write_text(printed)
         assert main(["verify", str(problem), str(out)]) == 0
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def test_cli_import_leaves_the_oracle_and_json_unloaded():

@@ -4,7 +4,6 @@ from __future__ import annotations
 import dataclasses
 import gc
 import pickle
-import sys
 import time
 
 import pytest
@@ -40,7 +39,7 @@ from craigseq.formulas import (
 from craigseq.interpolation import simplify_bool
 from craigseq.oracle import SplitMix64, atom_keys, eval_formula
 from craigseq.syntax import print_formula
-from support import formulas, sample_formula
+from support import formulas, recursion_limit, sample_formula
 
 quantified = st.one_of(
     formulas().map(FAll),
@@ -500,9 +499,7 @@ def test_deep_formula_without_recursion():
                 f, value = Or(f, Atom(2, (i % 2,))), value or valuation[(2, (i % 2,))]
         return f, value
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
+    with recursion_limit(1000):
         a, b = chain(), chain()
         assert a is not b
         assert a == b
@@ -527,5 +524,3 @@ def test_deep_formula_without_recursion():
         qf, value = quantifier_free()
         assert atom_keys(qf) == set(valuation)
         assert eval_formula(qf, valuation) is value
-    finally:
-        sys.setrecursionlimit(limit)

@@ -1,7 +1,6 @@
 """Interpolation: case-by-case expected results, verifier, simplification."""
 from __future__ import annotations
 
-import sys
 from collections import Counter
 
 import pytest
@@ -55,7 +54,7 @@ from craigseq.oracle import (
     semantic_verify,
 )
 from craigseq.syntax import parse_formula, print_formula
-from support import formulas
+from support import formulas, recursion_limit
 
 p = Atom(0)
 q = Atom(1)
@@ -532,15 +531,11 @@ def test_errors_name_a_formula_deeper_than_the_recursion_limit():
     chain: Formula = p
     for _ in range(5000):
         chain = Not(chain)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
+    with recursion_limit(1000):
         with pytest.raises(SplitMismatchError):
             interpolate_strong(Init(Sequent(fset(chain), fset(chain))), split(g1=[chain]))
         with pytest.raises(ValueError):
             inst("all", 0, chain)
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def test_overlapping_split_accepted():
@@ -761,12 +756,8 @@ def test_each_node_resolved_once(monkeypatch):
 
 
 def _verified_at_recursion_limit_1000(d, sp):
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
+    with recursion_limit(1000):
         return verify(sp, interpolate_strong(d, sp)).ok
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def test_interpolates_deep_chain_without_recursion():
@@ -826,7 +817,7 @@ def test_witness_nodes_share_the_side_their_rule_leaves_alone():
     for seed in range(20):
         d = gen_derivation(GenConfig(60, 4, seed, True))
         res = interpolate_strong(d, random_split(root(d), seed))
-        for w, c_side, i in ((res.left_witness, "d", 1), (res.right_witness, "g", 0)):
+        for w, c_side, i in ((res.left_witness, calculus.D, 1), (res.right_witness, calculus.G, 0)):
             stack = [w]
             while stack:
                 node = stack.pop()

@@ -5,7 +5,6 @@ import hashlib
 import inspect
 import random
 import re
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +39,7 @@ from craigseq.syntax import (
     print_result,
     print_sequent,
 )
-from support import derivations, formulas
+from support import derivations, formulas, recursion_limit
 
 p = Atom(0)
 q = Atom(1)
@@ -148,12 +147,8 @@ def test_formulas_at_the_nesting_limit_parse_without_recursion():
         "(P0() & " * MAX_NESTING + "P1()" + ")" * MAX_NESTING,
         "forall x0. " * MAX_NESTING + "P0(x0)",
     )
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
-    try:
+    with recursion_limit(len(inspect.stack(0)) + 100):
         printed = [print_formula(parse_formula(text)) for text in texts]
-    finally:
-        sys.setrecursionlimit(limit)
     assert printed == list(texts)
 
 
@@ -191,12 +186,8 @@ def test_print_derivation_without_recursion():
     d = Init(seq)
     for _ in range(5000):
         d = WL(seq, d)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
+    with recursion_limit(1000):
         text = print_derivation(d)
-    finally:
-        sys.setrecursionlimit(limit)
     assert text == "(WL [P0()] => [P0()] " * 5000 + "(Init [P0()] => [P0()])" + ")" * 5000
 
 
@@ -293,6 +284,30 @@ def test_parse_problem_crlf_and_blank_lines():
     pf = parse_problem(text)
     assert pf.gamma1 == fset(p)
     assert pf.delta2 == fset(p)
+
+
+#: The characters ``str.splitlines`` breaks lines at that the token reader
+#: does not take for white space.
+_NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("ch", _NOT_LINE_ENDS, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_files_break_lines_only_where_the_reader_sees_white_space(ch):
+    derivation = "derivation: (Init [P0()] => [P0()])\n"
+    names = re.escape(repr(ch))
+    for text in (
+        f"gamma1: [P0()]{ch}delta2: [P0()]\n" + derivation,  # one header line, not two
+        f"gamma1:{ch}[P0()]\ndelta2: [P0()]\n" + derivation,
+        f"gamma1: [P0()]\ndelta2: [P0()]{ch}\n" + derivation,
+        f"gamma1: [P0()]\ndelta2: [P0()]\nderivation: (Init [P0()] =>{ch}[P0()])\n",
+        f"gamma1: [P0()]\ndelta2: [P0()]\nderivation: (Init [P0()] => [P0()]){ch}\n",
+    ):
+        with pytest.raises(ParseError, match=names):
+            parse_problem(text)
+    witness = "(Init [P0()] => [P0()])"
+    for left in (f"(Init [P0()] =>{ch}[P0()])", f"{witness}{ch}"):
+        with pytest.raises(ParseError, match=names):
+            parse_result(f"interpolant: P0()\nleft: {left}\nright: {witness}\n")
 
 
 def test_parse_problem_errors():
@@ -455,7 +470,7 @@ def test_parse_result_shares_equal_formulas_within_one_call_only():
             out += node.seq
             row = RULES[node.tag]
             if row.arity == 1 and row.side == row.target:
-                i = 1 if row.side == "g" else 0
+                i = 1 - row.side
                 assert node.seq[i] is node.premises[0].seq[i], node.tag
                 kept += 1
             todo += node.premises
