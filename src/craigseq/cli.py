@@ -2,9 +2,10 @@
 
 Three subcommands: ``check`` walks a derivation and reports the rule instance
 justifying every node, ``interpolate`` runs interpolation on a problem file
-(or a bare derivation with ``--weak``) and prints the result plus its
-verification report, and ``verify`` re-checks a stored result against a
-problem file.  Exit status: 0 success, 1 contract failure (bad derivation,
+and prints the result plus its verification report, and ``verify`` re-checks
+a stored result against a problem file.  A problem file may be a bare
+derivation, which gets the weak split: its whole antecedent against its
+whole succedent.  Exit status: 0 success, 1 contract failure (bad derivation,
 mismatched split, failing report), 2 usage or parse error, or an input too
 deep or too large for the interpreter's stack or memory.
 """
@@ -14,11 +15,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .calculus import EMPTY, _resolved_preorder, root
+from .calculus import _resolved_preorder
 from .formulas import Formula
 from .interpolation import (
     InterpolationError,
-    SplitSequent,
     VerifyReport,
     interpolate_strong,
     simplify_bool,
@@ -80,18 +80,11 @@ def _print_report(report: VerifyReport, json_out: bool) -> None:
     print(f"summary: {'PASS' if report.ok else 'FAIL'}")
 
 
-def cmd_interpolate(path: str, weak: bool, simplify: bool, json_out: bool) -> int:
-    """Interpolate a problem file (or bare derivation with ``--weak``)."""
-    text = _read(path)
-    if weak:
-        d = parse_derivation(text)
-        seq = root(d)
-        split = SplitSequent(seq.antecedent, EMPTY, EMPTY, seq.succedent)
-    else:
-        problem = parse_problem(text)
-        d = problem.derivation
-        split = problem.split()
-    result = interpolate_strong(d, split)
+def cmd_interpolate(path: str, simplify: bool, json_out: bool) -> int:
+    """Interpolate a problem file."""
+    problem = parse_problem(_read(path))
+    split = problem.split()
+    result = interpolate_strong(problem.derivation, split)
     print(f"interpolant: {print_formula(result.interpolant)}")
     if simplify:
         print(f"simplified: {print_formula(simplify_bool(result.interpolant))}")
@@ -123,13 +116,12 @@ def main(argv: list[str] | None = None) -> int:
     p_check.add_argument("file", help="derivation s-expression file")
 
     p_interp = sub.add_parser("interpolate", help="interpolate a problem file")
-    p_interp.add_argument("file", help="problem file (or derivation file with --weak)")
-    p_interp.add_argument("--weak", action="store_true", help="read a bare derivation and use the antecedent/succedent split")
+    p_interp.add_argument("file", help="problem file, or a bare derivation for the antecedent/succedent split")
     p_interp.add_argument("--simplify", action="store_true", help="also print the interpolant with constants simplified away")
     p_interp.add_argument("--json", action="store_true", help="print the verification report as JSON")
 
     p_verify = sub.add_parser("verify", help="verify a stored result against a problem file")
-    p_verify.add_argument("problem", help="problem file")
+    p_verify.add_argument("problem", help="problem file, or a bare derivation")
     p_verify.add_argument("result", help="result file")
     p_verify.add_argument("--json", action="store_true", help="print the verification report as JSON")
 
@@ -138,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return cmd_check(args.file)
         if args.command == "interpolate":
-            return cmd_interpolate(args.file, args.weak, args.simplify, args.json)
+            return cmd_interpolate(args.file, args.simplify, args.json)
         return cmd_verify(args.problem, args.result, args.json)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

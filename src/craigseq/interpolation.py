@@ -59,7 +59,7 @@ from .calculus import (
     resolve_rule,
     root,
 )
-from .formulas import BOT, REBUILD, TOP, And, Formula, Not, Or, bind, fold, polarity
+from .formulas import BOT, REBUILD, TOP, And, Bot, Formula, Not, Or, Top, bind, fold, polarity
 
 
 class InterpolationError(Exception):
@@ -458,10 +458,11 @@ def verify(split: SplitSequent, result: InterpolationResult) -> VerifyReport:
 
 
 def _simplify_binary(g: Formula, c: None, left: Formula, right: Formula) -> Formula:
-    unit = 2 if g._tag == 3 else 1  # ⊤ for ∧, ⊥ for ∨; the other constant absorbs
-    if left._tag == 3 - unit:
+    # ⊤ is the unit of ∧ and ⊥ absorbs it; the other way round for ∨
+    unit, zero = (Top._tag, Bot._tag) if g._tag == And._tag else (Bot._tag, Top._tag)
+    if left._tag == zero:
         return left
-    if right._tag == 3 - unit:
+    if right._tag == zero:
         return right
     if left._tag == unit:
         return right
@@ -471,9 +472,9 @@ def _simplify_binary(g: Formula, c: None, left: Formula, right: Formula) -> Form
 
 
 def _simplify_unary(g: Formula, c: None, sub: Formula) -> Formula:
-    if sub._tag not in (1, 2):  # neither ⊥ nor ⊤
+    if sub._tag not in (Bot._tag, Top._tag):
         return REBUILD[g._tag](g, c, sub)
-    return sub if g._tag > 5 else TOP if sub._tag == 1 else BOT
+    return sub if g._tag != Not._tag else TOP if sub._tag == Bot._tag else BOT  # a quantifier keeps its constant
 
 
 def simplify_bool(f: Formula) -> Formula:

@@ -4,8 +4,10 @@ Formulas use a bracketed infix grammar (``bot``, ``top``, ``P0(x1,x2)``,
 ``~A``, ``(A & B)``, ``(A | B)``, ``forall x0. A``, ``exists x0. A``) with
 binders printed and parsed through named variables, so files never contain raw
 de Bruijn indices.  Derivations are s-expressions carrying the claimed sequent
-at every node.  Problem files name the four parts of a split and end with the
-derivation; result files label an interpolant and the two witnesses.
+at every node.  A problem file is a bare derivation, which is the weak split
+of its root, or names the four parts of a split and ends with the derivation;
+result files label an interpolant and the two witnesses.  A label is a word
+followed by ``:``, read with the same token cursor as the rest.
 
 Parsing canonicalizes all formula sets.  ``parse_formula``/``parse_derivation``
 require full consumption of their input; unknown lines in result files are
@@ -41,7 +43,7 @@ import re
 import sys
 from typing import Any, Callable, NamedTuple
 
-from .calculus import RULES, Derivation, FormulaSet, Rule, Sequent, root
+from .calculus import EMPTY, RULES, Derivation, FormulaSet, Rule, Sequent, root
 from .formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, fold, free_vars
 from .interpolation import InterpolationResult, SplitSequent
 
@@ -361,49 +363,51 @@ class ProblemFile(NamedTuple):
         return SplitSequent(self.gamma1, self.gamma2, self.delta1, self.delta2)
 
 
-_HEADER_RE = re.compile(r"(gamma1|gamma2|delta1|delta2|derivation)[ \t]*:(.*)", re.DOTALL)
 _LINE_END_RE = re.compile(r"\r\n|\r|\n")
 
 
 def parse_problem(text: str) -> ProblemFile:
-    """Parse a problem file.
+    """Parse a problem file: a bare derivation, or labelled sections.
 
-    Zero or more part headers (``gamma1:``/``gamma2:``/``delta1:``/``delta2:``,
-    each a formula list, at most once each, missing means empty) followed by
+    A file whose first token is ``(`` is a bare derivation, read as the weak
+    split of its root: ``gamma1`` is the whole antecedent and ``delta2`` the
+    whole succedent.  Otherwise the file is labelled sections: zero or more
+    parts (``gamma1:``/``gamma2:``/``delta1:``/``delta2:``, each a formula
+    list, at most once each, missing means empty) followed by
     ``derivation:`` and a derivation s-expression covering the rest of the
-    file.  The parts must recombine to the root sequent of the derivation.
+    file.  A label is a word followed by ``:``, read with the token cursor.
+    The parts must recombine to the root sequent of the derivation.
     """
+    if _next_is(text, 0, "("):
+        d = parse_derivation(text)
+        seq = root(d)
+        return ProblemFile(seq.antecedent, EMPTY, EMPTY, seq.succedent, d)
     lines = _LINE_END_RE.split(text)
     memo: dict[Any, Any] = {}
     parts: dict[str, FormulaSet] = {}
-    derivation: Derivation | None = None
     for idx, line in enumerate(lines):
         if not line.strip(_WS):
             continue
-        m = _HEADER_RE.fullmatch(line.strip(_WS))
-        if m is None:
-            raise ParseError(f"line {idx + 1}: expected a section header")
-        name, rest = m.group(1), m.group(2)
-        if name == "derivation":
-            derivation = _parse_derivation("\n".join([rest, *lines[idx + 1 :]]), memo)
-            break
-        if name in parts:
-            raise ParseError(f"line {idx + 1}: duplicate section {name!r}")
+        where = f"line {idx + 1}: "
         try:
-            # read in the line itself, after its first ':', so that positions count from its start
-            parts[name], end = _formula_list(line, line.index(":") + 1, memo)
+            # read in the line itself, so that positions count from its start
+            name, pos = _token(line, 0)
+            if name not in ProblemFile._fields:
+                raise ParseError(f"expected a section header, found {name!r} at position {pos - len(name)}")
+            if name in parts:
+                raise ParseError(f"duplicate section {name!r}")
+            where += f"{name}: "
+            _, pos = _token(line, pos, ":")
+            if name == "derivation":
+                break
+            parts[name], end = _formula_list(line, pos, memo)
             _expect_end(line, end)
         except ParseError as exc:
-            raise ParseError(f"line {idx + 1}: {name}: {exc}") from None
-    if derivation is None:
+            raise ParseError(where + str(exc)) from None
+    else:
         raise ParseError("missing derivation section")
-    pf = ProblemFile(
-        parts.get("gamma1", FormulaSet()),
-        parts.get("gamma2", FormulaSet()),
-        parts.get("delta1", FormulaSet()),
-        parts.get("delta2", FormulaSet()),
-        derivation,
-    )
+    derivation = _parse_derivation("\n".join([line[pos:], *lines[idx + 1 :]]), memo)
+    pf = ProblemFile(*[parts.get(name, EMPTY) for name in SplitSequent._fields], derivation)
     combined = pf.split().sequent()
     if combined != root(derivation):
         raise RootMismatchError(
@@ -415,39 +419,32 @@ def parse_problem(text: str) -> ProblemFile:
 
 def print_problem(pf: ProblemFile) -> str:
     memo: dict[Formula, str] = {}
-    lines = []
-    for name, fs in (
-        ("gamma1", pf.gamma1),
-        ("gamma2", pf.gamma2),
-        ("delta1", pf.delta1),
-        ("delta2", pf.delta2),
-    ):
-        if fs:
-            lines.append(f"{name}: {print_formula_list(fs, memo)}")
+    lines = [f"{name}: {print_formula_list(fs, memo)}" for name, fs in zip(SplitSequent._fields, pf) if fs]
     lines.append(f"derivation: {print_derivation(pf.derivation, memo)}")
     return "\n".join(lines) + "\n"
-
-
-_RESULT_RE = re.compile(r"(interpolant|left|right)[ \t]*:(.*)", re.DOTALL)
 
 
 def parse_result(text: str) -> InterpolationResult:
     """Parse a result file: labeled interpolant and witness entries.
 
-    Lines that do not start with ``interpolant:``, ``left:`` or ``right:`` are
-    ignored, so the full output of the ``interpolate`` command (including its
-    verification report) parses as a result file.
+    Lines that do not start with the label ``interpolant:``, ``left:`` or
+    ``right:`` are ignored, so the full output of the ``interpolate`` command
+    (including its verification report) parses as a result file.
     """
+    names = ("interpolant", "left", "right")
     entries: dict[str, str] = {}
     for idx, line in enumerate(_LINE_END_RE.split(text)):
-        m = _RESULT_RE.fullmatch(line.strip(_WS))
-        if m is None:
+        try:
+            name, pos = _token(line, 0)
+            _, pos = _token(line, pos, ":")
+        except ParseError:
+            continue  # not a label
+        if name not in names:
             continue
-        name, rest = m.group(1), m.group(2)
         if name in entries:
             raise ParseError(f"line {idx + 1}: duplicate entry {name!r}")
-        entries[name] = rest
-    for name in ("interpolant", "left", "right"):
+        entries[name] = line[pos:]
+    for name in names:
         if name not in entries:
             raise ParseError(f"missing result entry {name!r}")
     memo: dict[Any, Any] = {}

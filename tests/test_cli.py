@@ -1,6 +1,7 @@
 """Command line interface: outputs and exit codes."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,8 @@ import craigseq
 from craigseq.calculus import EMPTY, WL, Init, Sequent, fset, root
 from craigseq.cli import main
 from craigseq.formulas import Atom, Not
-from craigseq.syntax import ProblemFile, print_problem
+from craigseq.oracle import GenConfig, gen_derivation
+from craigseq.syntax import ProblemFile, print_derivation, print_problem
 from support import recursion_limit
 
 INIT_PROBLEM = "gamma1: [P0()]\ndelta2: [P0()]\nderivation: (Init [P0()] => [P0()])\n"
@@ -111,11 +113,45 @@ def test_interpolate_other_subcase(tmp_path, capsys):
 def test_interpolate_weak(tmp_path, capsys):
     f = tmp_path / "d.txt"
     f.write_text("(Init [P0()] => [P0()])")
-    code = main(["interpolate", "--weak", str(f)])
+    code = main(["interpolate", str(f)])
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[0] == "interpolant: P0()"
     assert out.splitlines()[-1] == "summary: PASS"
+
+
+#: Digest of the exit codes and outputs of ``craigseq interpolate --weak`` on
+#: ``_bare_derivations``, taken when that flag read bare derivations.
+WEAK_SHA256 = "e581d86cd956775e3b30f3f39f84b6d8bf802162153aef6ba06dcd77dd71d17e"
+
+
+def _bare_derivations() -> list[str]:
+    """The README's two one-line derivations and 12 seeded ones, some after blank lines."""
+    texts = [
+        "(Init [P0()] => [P0()])\n",
+        "(AndL [(P0() & P1())] => [P0()] (Init [P0();P1();(P0() & P1())] => [P0()]))\n",
+    ]
+    for seed in range(12):
+        d = gen_derivation(GenConfig(10 + 10 * seed, 4, seed, seed % 2 == 1))
+        texts.append("\n" * (seed % 3) + print_derivation(d) + "\n")
+    return texts
+
+
+def test_bare_derivation_interpolates_as_the_weak_split_and_verifies(tmp_path, capsys):
+    drv, result = tmp_path / "d.drv", tmp_path / "result.txt"
+    h = hashlib.sha256()
+    for text in _bare_derivations():
+        drv.write_text(text)
+        code = main(["interpolate", str(drv)])
+        out = capsys.readouterr().out
+        h.update(f"{code}\n{out}".encode())
+        result.write_text(out)
+        assert main(["verify", str(drv), str(result)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "summary: PASS"
+    assert h.hexdigest() == WEAK_SHA256
+    with pytest.raises(SystemExit) as exc:
+        main(["interpolate", "--weak", str(drv)])
+    assert exc.value.code == 2
 
 
 def test_interpolate_simplify_only_affects_display(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from craigseq.calculus import (
+    EMPTY,
     RULES,
     AndL,
     FormulaSet,
@@ -339,6 +340,35 @@ def test_header_errors_name_the_line_and_the_section():
         assert str(exc.value) == message
 
 
+def test_bare_derivation_is_the_weak_problem():
+    # Γ1 is the whole antecedent and Δ2 the whole succedent
+    derivation = "(WL [P0();bot] => [P0()] (Init [P0()] => [P0()]))\n"
+    d = parse_derivation(derivation)
+    weak = ProblemFile(fset(p, BOT), EMPTY, EMPTY, fset(p), d)
+    for blank in ("", "\n", " \r\n\t\n"):
+        assert parse_problem(blank + derivation) == weak
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("gamma1\x1c: [P0()]", "line 1: gamma1: unexpected character '\\x1c' at position 6"),
+        ("\x0cgamma1: [P0()]", "line 1: unexpected character '\\x0c' at position 0"),
+        ("\ufeffgamma1: [P0()]", "line 1: unexpected character '\\ufeff' at position 0"),
+        ("gamma1 [P0()]", "line 1: gamma1: expected ':' but found '[' at position 7"),
+        ("hello: [P0()]", "line 1: expected a section header, found 'hello' at position 0"),
+        ("\n  leftover: [P0()]", "line 2: expected a section header, found 'leftover' at position 2"),
+        ("gamma1: [P0()]\n(Init [P0()] => [P0()])", "line 2: expected a section header, found '(' at position 0"),
+    ],
+    ids=["after-label", "before-label", "bom", "no-colon", "unknown-word", "unknown-line-2", "paren-line-2"],
+)
+def test_label_faults_name_what_was_found(header, message):
+    # a message names a section only once its name has been read
+    with pytest.raises(ParseError) as exc:
+        parse_problem(header + "\ndelta2: [P0()]\nderivation: (Init [P0()] => [P0()])\n")
+    assert str(exc.value) == message
+
+
 def test_parse_problem_root_mismatch():
     text = "gamma1: [P1()]\nderivation: (Init [P0()] => [P0()])\n"
     with pytest.raises(RootMismatchError) as exc:
@@ -384,6 +414,20 @@ def test_result_ignores_report_lines():
     )
     res = parse_result(text)
     assert res.interpolant == BOT
+
+
+def test_result_ignores_lines_without_a_result_label():
+    entries = (
+        "interpolant: P0()\n"
+        "left: (Init [P0()] => [P0()])\n"
+        "right: (Init [P0()] => [P0()])\n"
+    )
+    others = "left_witness: x\nleft over\nleftover: x\nleft\x0b: x\n# note\n"
+    spaced = entries.replace("right:", " \tright \t:")
+    assert parse_result(others + spaced) == parse_result(entries)
+    # a label must start its line: the reader's white space only may precede it
+    with pytest.raises(ParseError, match="^missing result entry 'left'$"):
+        parse_result(entries.replace("left:", "\x0cleft:"))
 
 
 def test_result_errors():
