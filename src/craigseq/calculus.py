@@ -1,10 +1,12 @@
 """Sequents, derivation trees, and the wellformedness checker.
 
-A sequent is a pair of formula sets, each one sorted tuple of its members,
-and a side is an index into it: ``G`` (Γ) or ``D`` (Δ).  A derivation is a
-tree in which every node records the sequent it claims to derive.  A node has
-none, one or two premises, each of these three shapes is declared once, and
-the 15 rule classes only name their rule.  The checker ``resolve_rule``
+A sequent is a pair of formula sets, and a side is an index into it: ``G``
+(Γ) or ``D`` (Δ).  A formula set is the tuple of its members in canonical
+order and equals that tuple; membership still bisects the members by the
+canonical key each one keeps.  A derivation is a tree in which every node
+records the sequent it claims to derive.  A node has none, one or two
+premises, each of these three shapes is declared once, and the 15 rule
+classes only name their rule.  The checker ``resolve_rule``
 reconstructs, for a single node, the rule instance that justifies the node
 from its premises.  Each of the 15 rules is stated once, as a row of the
 table ``RULES`` that the checker, the interpolator and the parser read, and
@@ -38,74 +40,56 @@ from .formulas import (
 )
 
 
-class FormulaSet:
-    """Immutable formula set kept sorted and deduplicated in canonical order.
+class FormulaSet(tuple[Formula, ...]):
+    """Immutable formula set: the tuple of its members, sorted and
+    deduplicated in canonical order.
 
-    The set is one tuple of its members, and a value is a member when it is a
-    formula whose canonical key is a member's.  Each member keeps its key,
-    computed before it enters, so membership, ``add`` and ``without`` bisect
-    the members by that key, hash no formula, and test the member found for
-    identity before they compare keys.  ``add`` is the one way a set grows:
-    ``a | b`` adds the members of ``b`` to ``a`` one by one, so on equal keys
-    the left operand's formula stays.
+    A set equals that tuple and can be indexed and sliced like it; only this
+    module indexes a set.  A value is a member when it is a formula whose
+    canonical key is a member's.  Each member keeps its key, computed before
+    it enters, so membership, ``add`` and ``without`` bisect the members by
+    that key, hash no formula, and test the member found for identity before
+    they compare keys.  ``add`` is the one way a set grows: ``a | b`` adds
+    the members of ``b`` to ``a`` one by one, so on equal keys the left
+    operand's formula stays.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ()
 
-    _items: tuple[Formula, ...]
-
-    def __init__(self, formulas: Iterable[Formula] = ()):
+    def __new__(cls, formulas: Iterable[Formula] = ()) -> "FormulaSet":
         by_key = {canonical_key(f): f for f in formulas}
-        self._items = tuple(by_key[k] for k in sorted(by_key))
-
-    @staticmethod
-    def _build(items: tuple[Formula, ...]) -> "FormulaSet":
-        fs = FormulaSet.__new__(FormulaSet)
-        fs._items = items
-        return fs
+        return tuple.__new__(cls, [by_key[k] for k in sorted(by_key)])
 
     def _find(self, f: Formula) -> tuple[int, bool]:
         """Where ``f`` sits or would be inserted in the members, and whether it is there."""
-        items = self._items
         k = canonical_key(f)
-        i = bisect.bisect_left(items, k, key=_KEY)
-        return i, i < len(items) and (items[i] is f or items[i]._key == k)
+        # bisect reads a tuple subclass's items through __getitem__, one Python
+        # call each; it reads a plain tuple in C, and the copy costs less
+        i = bisect.bisect_left(self[:], k, key=_KEY)
+        return i, i < len(self) and (self[i] is f or self[i]._key == k)
 
     def __contains__(self, f: object) -> bool:
         return isinstance(f, Formula) and self._find(f)[1]
 
-    def __iter__(self) -> Iterator[Formula]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        # tuple == tests each pair for identity, then with Formula.__eq__ by key
-        return isinstance(other, FormulaSet) and self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
     def __repr__(self) -> str:
-        return f"FormulaSet({list(self._items)!r})"
+        return f"FormulaSet({list(self)!r})"
 
     def add(self, f: Formula) -> "FormulaSet":
         i, found = self._find(f)
         if found:
             return self
-        return FormulaSet._build(self._items[:i] + (f,) + self._items[i:])
+        return tuple.__new__(FormulaSet, self[:i] + (f,) + self[i:])
 
     def without(self, f: Formula) -> "FormulaSet":
         i, found = self._find(f)
         if not found:
             return self
-        return FormulaSet._build(self._items[:i] + self._items[i + 1 :])
+        return tuple.__new__(FormulaSet, self[:i] + self[i + 1 :])
 
     def __or__(self, other: "FormulaSet") -> "FormulaSet":
         if not isinstance(other, FormulaSet):
             return NotImplemented
-        return _plus(self, other._items)
+        return _plus(self, other)
 
 
 #: The key a member keeps, which ``FormulaSet`` bisects by.
@@ -130,7 +114,7 @@ class Sequent(NamedTuple):
     def free_vars(self) -> set[VarId]:
         out: set[VarId] = set()
         for fs in self:
-            for f in fs._items:
+            for f in fs:
                 # the cached tuple, without the copy ``free_vars`` hands out
                 out.update(f._fv if f._fv is not None else free_vars(f))
         return out
@@ -364,17 +348,14 @@ def _extra(small: FormulaSet, big: FormulaSet) -> tuple[Formula, ...] | None:
     tests each pair for identity before it compares their keys."""
     if small is big:
         return ()
-    a, b = small._items, big._items
-    n = len(a)
-    if n > len(b):
+    n = len(small)
+    if n > len(big):
         return None
-    if a == b:
-        return ()
     out: list[Formula] = []
     i = 0
-    for g in b:
+    for g in big:
         if i < n:
-            f = a[i]
+            f = small[i]
             if f is g or f._key == g._key:
                 i += 1
                 continue
@@ -399,7 +380,7 @@ def _match_axiom(row: Rule, d: Derivation) -> RuleInstance | None:
     constant, or for Init one that also sits on the other side."""
     seq = d.seq
     other = seq[1 - row.side]
-    for f in seq[row.side]._items:
+    for f in seq[row.side]:
         if f._tag == row.head._tag if row.head else f in other:
             return RuleInstance(row.cls.tag, f)
     return None
@@ -415,7 +396,7 @@ def _match_connective(row: Rule, d: Derivation) -> RuleInstance | None:
         if extra is None:
             return None
         grown.append((sub.seq[target], extra))  # type: ignore[index]
-    for f in seq[row.side]._items:
+    for f in seq[row.side]:
         if f._tag == row.head._tag:  # type: ignore[union-attr]
             parts = (f.sub,) if f._tag == Not._tag else (f.left, f.right)  # type: ignore[attr-defined]
             if row.arity == 1:
@@ -448,8 +429,8 @@ def _instances(row: Rule, seq: Sequent, sub: Sequent) -> Iterator[tuple[Formula,
     if extra is None or len(extra) > 1:
         return
     # With nothing added, any formula of the premise's side can be the one.
-    added = extra or sub[row.side]._items
-    for f in seq[row.side]._items:
+    added = extra or sub[row.side]
+    for f in seq[row.side]:
         if f._tag == row.head._tag:  # type: ignore[union-attr]
             for e in added:
                 yield f, e
@@ -483,7 +464,7 @@ def _match_weakening(row: Rule, d: Derivation) -> RuleInstance | None:
     if extra is None or len(extra) > 1:
         return None
     # With nothing added, the weakened formula is one the premise already has.
-    added = extra or d.seq[row.side]._items
+    added = extra or d.seq[row.side]
     return RuleInstance(row.cls.tag, added[0]) if added else None
 
 

@@ -1,10 +1,12 @@
 """Formula sets, sequents, derivations, and the rule checker."""
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +83,23 @@ def test_formula_set_operations():
     assert tuple(fset(p, q) | fset(q, r)) == (p, q, r)
     assert not FormulaSet()
     assert bool(s)
+
+
+def test_formula_set_is_the_tuple_of_its_members():
+    members = [p, q, r, And(p, q), Or(q, r), Not(r), FAll(Atom(0, (0,))), BOT, TOP]
+    xs = members * 2
+    random.Random(0).shuffle(xs)
+    s = FormulaSet(xs)
+    assert s == tuple(sorted(members, key=canonical_key))
+    t = Atom(3)
+    for made in (FormulaSet(), s.add(t), s.without(p), s | fset(t), fset(p, q)):
+        assert type(made) is FormulaSet
+    for back in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert type(back) is FormulaSet
+        assert back == s
+        assert [canonical_key(f) for f in back] == [canonical_key(f) for f in s]
+    assert hash(s) == hash(tuple(s))
+    assert [] not in s and 3 not in s
 
 
 @given(st.lists(formulas(), max_size=4), st.lists(formulas(), max_size=4))
