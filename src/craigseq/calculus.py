@@ -14,7 +14,9 @@ that ``RULE_FOR`` is derived from; ``_adds`` reads what a premise adds.
 ``is_wellformed`` resolves the nodes of a tree in one explicit-stack pass
 and stops at the first one that fails; ``_resolved_preorder`` also names each
 node's path, for ``craigseq check``; the interpolator resolves each node as
-its own walk reaches it.
+its own walk reaches it.  ``repr`` and ``syntax.print_derivation`` share
+one bracket walk, ``_nested``, and ``size`` and the generator share one node
+count, ``_outside``.
 """
 from __future__ import annotations
 
@@ -166,21 +168,12 @@ class Derivation:
         return self._hash  # type: ignore[return-value]
 
     def __repr__(self) -> str:
-        """``Tag(seq=..., sub=...)`` as the dataclass repr writes it, built
-        with an explicit stack."""
-        out: list[str] = []
-        todo: list[str | Derivation] = [self]
-        while todo:
-            node = todo.pop()
-            if isinstance(node, str):
-                out.append(node)
-                continue
-            out.append(f"{type(node).__qualname__}(seq={node.seq!r}")
-            todo.append(")")
-            names = [f.name for f in fields(node)[1:]]
-            for name, p in zip(names[::-1], node.premises[::-1]):
-                todo += (p, f", {name}=")
-        return "".join(out)
+        """``Tag(seq=..., sub=...)`` as the dataclass repr writes it."""
+        return _nested(
+            self,
+            lambda node: f"{type(node).__qualname__}(seq={node.seq!r}",
+            lambda node, i: f", {fields(node)[i + 1].name}=",
+        )
 
     # The rule classes are not dataclasses themselves: their non-field names reach here.
     def __setattr__(self, name: str, value: object) -> None:
@@ -287,13 +280,36 @@ def premises(d: Derivation) -> tuple[Derivation, ...]:
 
 def size(d: Derivation) -> int:
     """Number of nodes in the tree."""
-    total = 0
+    return _outside(d, None)
+
+
+def _outside(d: Derivation, sub: Derivation | None) -> int:
+    """Number of nodes of ``d`` outside its subtree ``sub``; ``None``: all of them."""
+    count = 0
     stack = [d]
     while stack:
         node = stack.pop()
-        total += 1
-        stack.extend(node.premises)
-    return total
+        if node is not sub:
+            count += 1
+            stack += node.premises
+    return count
+
+
+def _nested(d: Derivation, head: Callable[[Derivation], str], sep: Callable[[Derivation, int], str]) -> str:
+    """The bracketed text of ``d``: for each node ``head(node)``, then each
+    premise ``i`` after ``sep(node, i)``, then ``)``.  One explicit-stack
+    walk, so no tree is too deep for it."""
+    out: list[str] = []
+    todo: list[tuple[str, Derivation | None]] = [("", d)]  # text to write, then the node it opens
+    while todo:
+        text, node = todo.pop()
+        out.append(text)
+        if node is not None:
+            out.append(head(node))
+            todo.append((")", None))
+            subs = node.premises
+            todo += [(sep(node, i), subs[i]) for i in range(len(subs) - 1, -1, -1)]
+    return "".join(out)
 
 
 class RuleInstance(NamedTuple):

@@ -7,7 +7,8 @@ a stored result against a problem file.  A problem file may be a bare
 derivation, which gets the weak split: its whole antecedent against its
 whole succedent.  Exit status: 0 success, 1 contract failure (bad derivation,
 mismatched split, failing report), 2 usage or parse error, or an input too
-deep or too large for the interpreter's stack or memory.
+deep or too large for the interpreter's stack or memory.  A mismatched split
+is one error class, ``SplitMismatchError``, from a problem file or not.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .interpolation import (
 )
 from .syntax import (
     ParseError,
-    RootMismatchError,
     parse_derivation,
     parse_problem,
     parse_result,
@@ -135,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RootMismatchError, InterpolationError) as exc:
+    except InterpolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RecursionError, MemoryError) as exc:

@@ -29,6 +29,7 @@ from .calculus import (
     TopR,
     _match_connective,
     _match_term,
+    _outside,
     fset,
     root,
 )
@@ -251,24 +252,12 @@ def gen_derivation(cfg: GenConfig) -> Derivation:
         if grown is None:
             misses += 1
             continue
-        grown_nodes = nodes + _nodes_above(grown, d)
+        grown_nodes = nodes + _outside(grown, d)
         if grown_nodes > cfg.max_nodes:
             break
         d, nodes = grown, grown_nodes
         misses = 0
     return d
-
-
-def _nodes_above(grown: Derivation, d: Derivation) -> int:
-    """Nodes of ``grown`` outside its subtree ``d``: what one ``_grow`` added."""
-    count = 0
-    stack = [grown]
-    while stack:
-        node = stack.pop()
-        if node is not d:
-            count += 1
-            stack.extend(node.premises)
-    return count
 
 
 def random_split(seq: Sequent, seed: int) -> SplitSequent:

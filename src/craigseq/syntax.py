@@ -43,9 +43,9 @@ import re
 import sys
 from typing import Any, Callable, NamedTuple
 
-from .calculus import EMPTY, RULES, Derivation, FormulaSet, Rule, Sequent, root
+from .calculus import EMPTY, RULES, Derivation, FormulaSet, Rule, Sequent, _nested, root
 from .formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, fold, free_vars
-from .interpolation import InterpolationResult, SplitSequent
+from .interpolation import InterpolationResult, SplitMismatchError, SplitSequent
 
 MAX_NESTING = 300
 
@@ -54,8 +54,8 @@ class ParseError(Exception):
     """Malformed input text."""
 
 
-class RootMismatchError(Exception):
-    """Problem file whose split parts do not recombine to the derivation root."""
+#: A problem file whose split parts do not recombine: the one class of a mismatched split.
+RootMismatchError = SplitMismatchError
 
 
 _TOKEN_RE = re.compile(r"[ \t\r\n]*(=>|[()\[\];,.~&|:]|[A-Za-z]+[0-9]*)")
@@ -338,16 +338,7 @@ def print_derivation(d: Derivation, memo: dict[Formula, str] | None = None) -> s
     ``print_formula_list``."""
     if memo is None:
         memo = {}
-    parts: list[str] = []
-    todo: list[tuple[str, Derivation | None]] = [("", d)]
-    while todo:
-        text, node = todo.pop()
-        parts.append(text)
-        if node is not None:
-            parts.append(f"({node.tag} {print_sequent(node.seq, memo)}")
-            todo.append((")", None))
-            todo += [(" ", child) for child in reversed(node.premises)]
-    return "".join(parts)
+    return _nested(d, lambda node: f"({node.tag} {print_sequent(node.seq, memo)}", lambda node, i: " ")
 
 
 class ProblemFile(NamedTuple):
@@ -429,16 +420,23 @@ def parse_result(text: str) -> InterpolationResult:
 
     Lines that do not start with the label ``interpolant:``, ``left:`` or
     ``right:`` are ignored, so the full output of the ``interpolate`` command
-    (including its verification report) parses as a result file.
+    (including its verification report) parses as a result file.  When an
+    entry is missing, the message names the first line that did not read as
+    a label but holds the entry's name as a word before its first ``:``, and
+    the reader's fault there.
     """
     names = ("interpolant", "left", "right")
     entries: dict[str, str] = {}
+    skipped: list[tuple[str, str]] = []  # a line with a ':' that is no label: what precedes it, and the fault
     for idx, line in enumerate(_LINE_END_RE.split(text)):
         try:
             name, pos = _token(line, 0)
             _, pos = _token(line, pos, ":")
-        except ParseError:
-            continue  # not a label
+        except ParseError as exc:
+            head, colon, _ = line.partition(":")
+            if colon:
+                skipped.append((head, f"line {idx + 1}: {exc}"))
+            continue
         if name not in names:
             continue
         if name in entries:
@@ -446,7 +444,8 @@ def parse_result(text: str) -> InterpolationResult:
         entries[name] = line[pos:]
     for name in names:
         if name not in entries:
-            raise ParseError(f"missing result entry {name!r}")
+            near = next((f" ({fault})" for head, fault in skipped if name in re.findall(r"\w+", head)), "")
+            raise ParseError(f"missing result entry {name!r}{near}")
     memo: dict[Any, Any] = {}
     return InterpolationResult(
         _parse_formula(entries["interpolant"], memo),

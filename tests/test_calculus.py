@@ -347,6 +347,11 @@ def test_resolve_init():
     assert resolve_rule(Init(Sequent(fset(p), fset(q)))) is None
 
 
+def test_resolve_rule_rejects_a_value_that_is_not_a_derivation():
+    with pytest.raises(TypeError, match="^not a derivation: "):
+        resolve_rule(object())
+
+
 def test_resolve_bot_top():
     assert resolve_rule(BotL(Sequent(fset(BOT, p), fset()))).kind == "BotL"
     assert resolve_rule(BotL(Sequent(fset(p), fset()))) is None

@@ -263,6 +263,21 @@ def test_root_mismatch_exits_1(tmp_path, capsys):
     assert "[P0()] => [P0()]" in captured.err
 
 
+def test_mismatched_split_is_one_error_class(tmp_path, capsys):
+    text = "gamma1: [P1()]\nderivation: (Init [P0()] => [P0()])\n"
+    with pytest.raises(craigseq.InterpolationError) as from_file:
+        craigseq.parse_problem(text)
+    d = craigseq.parse_derivation("(Init [P0()] => [P0()])")
+    with pytest.raises(craigseq.InterpolationError) as from_call:
+        craigseq.interpolate_strong(d, craigseq.SplitSequent(fset(Atom(1)), EMPTY, EMPTY, EMPTY))
+    assert type(from_file.value) is type(from_call.value) is craigseq.SplitMismatchError
+    assert craigseq.RootMismatchError is craigseq.SplitMismatchError
+    f = tmp_path / "problem.txt"
+    f.write_text(text)
+    assert main(["interpolate", str(f)]) == 1
+    assert capsys.readouterr().err.startswith("error: split parts give ")
+
+
 def test_non_wellformed_problem_exits_1(tmp_path, capsys):
     f = tmp_path / "problem.txt"
     f.write_text("gamma1: [P0()]\ndelta2: [P1()]\nderivation: (Init [P0()] => [P1()])\n")

@@ -192,6 +192,9 @@ def test_match_inst_examples():
     assert match_inst(FAll(And(Atom(0, (0,)), Atom(0, (0,)))), And(Atom(0, (1,)), Atom(0, (2,)))) is None
     assert match_inst(FAll(And(Atom(0, (0,)), Atom(0, (0,)))), And(Atom(0, (1,)), Atom(0, (1,)))) == 1
     assert match_inst(Atom(0), Atom(0)) is None
+    # a constant equal to its counterpart but another object: BOT is a singleton, Bot() a fresh copy
+    assert match_inst(FAll(And(Atom(0, (0,)), BOT)), And(Atom(0, (3,)), Bot())) == 3
+    assert match_inst(FAll(And(Atom(0, (0,)), BOT)), And(Atom(0, (3,)), TOP)) is None
 
 
 def test_match_bind_examples():
@@ -203,6 +206,8 @@ def test_match_bind_examples():
     # a variable of the body that stays free cannot be the bound one
     assert match_bind(FAll(And(Atom(0, (0,)), Atom(0, (2,)))), And(Atom(0, (1,)), Atom(0, (1,))), set()) is None
     assert match_bind(Atom(0), Atom(0), set()) is None
+    # a constant equal to its counterpart but another object
+    assert match_bind(FAll(And(Atom(0, (0,)), BOT)), And(Atom(0, (3,)), Bot()), set()) == 3
 
 
 def _renamed_one(x: int, y: int, f: Formula) -> Formula:

@@ -36,6 +36,7 @@ from craigseq.syntax import (
     parse_result,
     print_derivation,
     print_formula,
+    print_formula_list,
     print_problem,
     print_result,
     print_sequent,
@@ -259,6 +260,7 @@ def test_parse_derivation_unknown_tag():
 def test_print_sequent():
     s = Sequent(fset(p, q), FormulaSet())
     assert print_sequent(s) == "[P0();P1()] => []"
+    assert print_formula_list(s.antecedent) == "[P0();P1()]"
 
 
 # ------------------------------------------------------------- problem files
@@ -426,8 +428,11 @@ def test_result_ignores_lines_without_a_result_label():
     spaced = entries.replace("right:", " \tright \t:")
     assert parse_result(others + spaced) == parse_result(entries)
     # a label must start its line: the reader's white space only may precede it
-    with pytest.raises(ParseError, match="^missing result entry 'left'$"):
+    with pytest.raises(ParseError, match=r"^missing result entry 'left' \(line 2: unexpected character '\\x0c' at position 0\)$"):
         parse_result(entries.replace("left:", "\x0cleft:"))
+    # and only the reader's white space may follow it before its ':'; a report line is no such label
+    with pytest.raises(ParseError, match=r"^missing result entry 'left' \(line 3: unexpected character '\\x1c' at position 4\)$"):
+        parse_result("wellformed_left: PASS\n" + entries.replace("left:", "left\x1c:"))
 
 
 def test_result_errors():
