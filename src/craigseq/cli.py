@@ -9,12 +9,20 @@ whole succedent.  Exit status: 0 success, 1 contract failure (bad derivation,
 mismatched split, failing report), 2 usage or parse error, or an input too
 deep or too large for the interpreter's stack or memory.  A mismatched split
 is one error class, ``SplitMismatchError``, from a problem file or not.
+
+``run()`` is the process entry, for ``python -m craigseq.cli`` and the
+installed ``craigseq`` command: it calls ``main()``, flushes the output and
+ends the process with ``os._exit``, skipping the interpreter's teardown and
+its ``atexit`` handlers.  A stdout that cannot be written ends with one
+``error:`` line and status 2.  ``main(argv)`` is the in-process entry: it
+returns the status and leaves the interpreter running.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
+from typing import NoReturn
 
 from .calculus import _resolved_preorder
 from .formulas import Formula
@@ -37,7 +45,8 @@ from .syntax import (
 
 
 def _read(path: str) -> str:
-    return decode(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        return decode(f.read())
 
 
 def _describe(inst) -> str:
@@ -143,5 +152,31 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Run ``main()`` as the whole process and end it once its output is flushed.
+
+    A command that only prints gains nothing from the interpreter's teardown,
+    which frees every module and object, so the process ends with
+    ``os._exit``.  A flush that fails becomes one ``error:`` line and status
+    2; a status 2 from ``main()`` has had its line already.  An exception or
+    ``SystemExit`` leaving ``main()`` (a usage error, ``--help``) takes the
+    interpreter's usual exit.
+    """
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # the descriptor was closed when the process started
+            continue
+        try:
+            stream.flush()
+        except OSError as exc:
+            if status != 2:
+                status = 2
+                try:
+                    print(f"error: {exc}", file=sys.stderr, flush=True)
+                except OSError:
+                    pass  # stderr cannot be written either: the status alone tells
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

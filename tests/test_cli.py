@@ -14,7 +14,7 @@ import craigseq
 from craigseq.calculus import EMPTY, WL, Init, Sequent, fset, root
 from craigseq.cli import main
 from craigseq.formulas import Atom, Not
-from craigseq.oracle import GenConfig, gen_derivation
+from craigseq.oracle import GenConfig, gen_derivation, random_split
 from craigseq.syntax import ProblemFile, print_derivation, print_problem
 from support import recursion_limit
 
@@ -360,6 +360,86 @@ def test_cli_import_leaves_the_oracle_and_json_unloaded():
         "assert {'gen_derivation', 'GenConfig'} <= set(dir(craigseq)) & set(craigseq.__all__)\n"
         "assert craigseq.gen_derivation is craigseq.oracle.gen_derivation\n"
     )
-    src = str(Path(craigseq.__file__).parents[1])
-    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True)
+    # Without site, which imports pathlib itself, the command does not need it.
+    code = "import craigseq.cli, sys\nassert 'pathlib' not in sys.modules\n"
+    subprocess.run([sys.executable, "-S", "-c", code], env=_child_env(), check=True)
+
+
+def _child_env() -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(Path(craigseq.__file__).parents[1])}
+
+
+def _run_child(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """``python -m craigseq.cli ARGS`` in a child process, as users run it."""
+    return subprocess.run(
+        [sys.executable, "-m", "craigseq.cli", *args], env=_child_env(), capture_output=True, **kwargs
+    )
+
+
+def _assert_one_error_line(err: bytes) -> None:
+    text = err.decode()
+    assert [line.startswith("error:") for line in text.splitlines()] == [True]
+    assert "Traceback" not in text and "Exception ignored" not in text
+
+
+@pytest.fixture()
+def quantified_problem(tmp_path):
+    """The seeded 110-node quantified problem; its result is far past stdout's buffer."""
+    d = gen_derivation(GenConfig(110, 4, 1, True))
+    f = tmp_path / "quantified.txt"
+    f.write_text(print_problem(ProblemFile(*random_split(root(d), 1), d)))
+    return str(f)
+
+
+def test_process_path_prints_what_main_prints(quantified_problem, problem_file, tmp_path, capsys):
+    assert main(["interpolate", quantified_problem]) == 0
+    printed = capsys.readouterr().out
+    child = _run_child(["interpolate", quantified_problem])
+    assert (child.returncode, child.stdout, child.stderr) == (0, printed.encode(), b"")
+
+    result, bad = tmp_path / "result.txt", tmp_path / "bad-result.txt"
+    result.write_bytes(_run_child(["interpolate", problem_file], check=True).stdout)
+    child = _run_child(["verify", problem_file, str(result)])
+    assert (child.returncode, child.stdout.splitlines()[-1]) == (0, b"summary: PASS")
+    # A stdout closed before the start is None in the child: nothing to flush.
+    child = _run_child(["verify", problem_file, str(result)], preexec_fn=lambda: os.close(1))
+    assert (child.returncode, child.stderr) == (0, b"")
+    bad.write_text(result.read_text().replace("interpolant: P0()", "interpolant: bot"))
+    child = _run_child(["verify", problem_file, str(bad)])
+    assert (child.returncode, child.stdout.splitlines()[-1]) == (1, b"summary: FAIL")
+    bad.write_text("interpolant: P0(\n")
+    child = _run_child(["verify", problem_file, str(bad)])
+    assert (child.returncode, child.stdout) == (2, b"")
+    _assert_one_error_line(child.stderr)
+
+    child = _run_child(["--help"])
+    assert child.returncode == 0
+    assert child.stdout.startswith(b"usage: craigseq ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["interpolate", "verify", "interpolate-large"])
+def test_unwritable_stdout_exits_2_with_one_error_line(
+    problem_file, quantified_problem, tmp_path, command, unbuffered
+):
+    # A large result fails inside main(), which reports it and returns 2, and
+    # then again at the final flush, which must not report it twice.
+    if command == "verify":
+        result = tmp_path / "result.txt"
+        result.write_bytes(_run_child(["interpolate", problem_file], check=True).stdout)
+        args = ["verify", problem_file, str(result)]
+    else:
+        args = ["interpolate", quantified_problem if command == "interpolate-large" else problem_file]
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "craigseq.cli", *args], env=env, stdout=full, stderr=subprocess.PIPE
+        )
+    assert child.returncode == 2
+    _assert_one_error_line(child.stderr)
 
