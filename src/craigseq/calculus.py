@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import operator
-from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .formulas import (
@@ -35,6 +34,8 @@ from .formulas import (
     Or,
     Top,
     VarId,
+    _Node,
+    _set,
     canonical_key,
     free_vars,
     match_bind,
@@ -122,7 +123,7 @@ class Sequent(NamedTuple):
         return out
 
 
-class Derivation:
+class Derivation(_Node):
     """Base class of derivation tree nodes: ``tag`` names the rule claimed,
     ``seq`` the sequent it derives and ``premises`` its immediate
     subderivations, in order.
@@ -168,40 +169,45 @@ class Derivation:
         return self._hash  # type: ignore[return-value]
 
     def __repr__(self) -> str:
-        """``Tag(seq=..., sub=...)`` as the dataclass repr writes it."""
+        """``Tag(seq=..., sub=...)``, each field named as in ``_fields``."""
         return _nested(
             self,
             lambda node: f"{type(node).__qualname__}(seq={node.seq!r}",
-            lambda node, i: f", {fields(node)[i + 1].name}=",
+            lambda node, i: f", {node._fields[i + 1]}=",
         )
 
-    # The rule classes are not dataclasses themselves: their non-field names reach here.
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class _NoPremise(Derivation):
-    seq: Sequent
+    _fields = __match_args__ = ("seq",)
 
     premises = ()
 
+    def __init__(self, seq: Sequent) -> None:
+        _set(self, "seq", seq)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
 class _OnePremise(Derivation):
-    seq: Sequent
+    _fields = __match_args__ = ("seq", "sub")
     sub: Derivation
+
+    def __init__(self, seq: Sequent, sub: Derivation) -> None:
+        _set(self, "seq", seq)
+        _set(self, "sub", sub)
 
     @property
     def premises(self) -> tuple[Derivation, ...]:
         return (self.sub,)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _TwoPremises(Derivation):
-    seq: Sequent
+    _fields = __match_args__ = ("seq", "left", "right")
     left: Derivation
     right: Derivation
+
+    def __init__(self, seq: Sequent, left: Derivation, right: Derivation) -> None:
+        _set(self, "seq", seq)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     @property
     def premises(self) -> tuple[Derivation, ...]:

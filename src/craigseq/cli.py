@@ -14,8 +14,9 @@ is one error class, ``SplitMismatchError``, from a problem file or not.
 installed ``craigseq`` command: it calls ``main()``, flushes the output and
 ends the process with ``os._exit``, skipping the interpreter's teardown and
 its ``atexit`` handlers.  A stdout that cannot be written ends with one
-``error:`` line and status 2.  ``main(argv)`` is the in-process entry: it
-returns the status and leaves the interpreter running.
+``error:`` line and status 2.  A stderr that cannot be written loses the
+``error:`` line and keeps the status.  ``main(argv)`` is the in-process
+entry: it returns the status and leaves the interpreter running.
 """
 from __future__ import annotations
 
@@ -142,14 +143,21 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_interpolate(args.file, args.simplify, args.json)
         return cmd_verify(args.problem, args.result, args.json)
     except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     except InterpolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
     except (RecursionError, MemoryError) as exc:
-        print(f"error: input too deep or too large to process ({type(exc).__name__})", file=sys.stderr)
-        return 2
+        return _error(f"input too deep or too large to process ({type(exc).__name__})", 2)
+
+
+def _error(message: object, status: int) -> int:
+    """Print ``error: message`` to stderr and return ``status``, also when
+    stderr cannot be written: then the status alone tells."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
+    return status
 
 
 def run() -> NoReturn:
@@ -163,18 +171,17 @@ def run() -> NoReturn:
     interpreter's usual exit.
     """
     status = main()
-    for stream in (sys.stdout, sys.stderr):
-        if stream is None:  # the descriptor was closed when the process started
-            continue
-        try:
-            stream.flush()
-        except OSError as exc:
-            if status != 2:
-                status = 2
-                try:
-                    print(f"error: {exc}", file=sys.stderr, flush=True)
-                except OSError:
-                    pass  # stderr cannot be written either: the status alone tells
+    try:
+        if sys.stdout is not None:  # None: the descriptor was closed when the process started
+            sys.stdout.flush()
+    except OSError as exc:
+        if status != 2:
+            status = _error(exc, 2)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # an error line that stderr could not take: the status still tells
     os._exit(status)
 
 

@@ -7,7 +7,6 @@ named variables and never touch raw indices.
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Callable, ClassVar, Iterable, Literal, NamedTuple, Sequence, TypeVar
 
 VarId = int
@@ -17,7 +16,49 @@ R = TypeVar("R")
 C = TypeVar("C")
 
 
-class Formula:
+class _DataclassFields:
+    """``__dataclass_fields__`` of a node class, built from its ``_fields``
+    with ``dataclasses.make_dataclass`` the first time it is read and then
+    kept on that class.  With it ``dataclasses.fields``, ``replace`` and
+    ``is_dataclass`` accept nodes, and only a caller that uses them imports
+    ``dataclasses``: the import costs a ``craigseq`` command more than its
+    own work on a small input.  A base of the node shapes has no ``_fields``
+    and is no dataclass."""
+
+    def __get__(self, node: object, cls: type[_Node]) -> dict[str, object]:
+        names = cls._fields  # on a base, an AttributeError: no dataclass
+        from dataclasses import make_dataclass
+
+        fields = make_dataclass(cls.__name__, names).__dataclass_fields__  # type: ignore[attr-defined]
+        setattr(cls, "__dataclass_fields__", fields)
+        return fields
+
+
+class _Node:
+    """Base of formula and derivation nodes: a shape names its fields once,
+    as ``_fields`` and ``__match_args__``, and its ``__init__`` sets them
+    with ``object.__setattr__``.  After that a node is frozen: assigning or
+    deleting any attribute raises ``dataclasses.FrozenInstanceError``."""
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
+    _fields: ClassVar[tuple[str, ...]]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise _frozen(f"cannot delete field {name!r}")
+
+
+def _frozen(message: str) -> Exception:
+    """The error a frozen node raises; ``dataclasses`` is imported only here."""
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(message)
+
+
+class Formula(_Node):
     """Base class of all formula nodes.  Instances are immutable and hashable.
 
     The canonical key is a node's identity: two nodes are equal exactly when
@@ -51,42 +92,45 @@ class Formula:
             return NotImplemented
         return canonical_key(self) == canonical_key(other)
 
-    # The shape subclasses are not dataclasses themselves: their non-field names reach here.
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
     def __repr__(self) -> str:
-        """The text the dataclass ``repr`` gives, without its recursion."""
+        """``Shape(field=value, ...)``, written by a fold, so no formula is too deep for it."""
         return fold(self, (_repr,) * 8, None)
 
 
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
+    _fields = __match_args__ = ("pred", "args")
     pred: PredId
-    args: tuple[VarId, ...] = ()
+    args: tuple[VarId, ...]
     _tag = 0
 
-    def __post_init__(self) -> None:
-        _set(self, "args", tuple(self.args))
+    def __init__(self, pred: PredId, args: Iterable[VarId] = ()) -> None:
+        _set(self, "pred", pred)
+        _set(self, "args", tuple(args))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _Constant(Formula):
-    pass
+    _fields = __match_args__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _Junction(Formula):
+    _fields = __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
 class _Quantified(Formula):
+    _fields = __match_args__ = ("body",)
     body: Formula
+
+    def __init__(self, body: Formula) -> None:
+        _set(self, "body", body)
 
 
 class Bot(_Constant):
@@ -105,10 +149,13 @@ class Or(_Junction):
     _tag = 4
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
+    _fields = __match_args__ = ("sub",)
     sub: Formula
     _tag = 5
+
+    def __init__(self, sub: Formula) -> None:
+        _set(self, "sub", sub)
 
 
 class FAll(_Quantified):
@@ -188,8 +235,8 @@ REBUILD = (_same, _same, _same, _binary, _binary, _unary, _unary, _unary)
 
 
 def _repr(g: Formula, c: None, *subs: str) -> str:
-    """The dataclass ``repr`` of ``g``, given the text of its subformulas."""
-    names = [field.name for field in fields(g)]  # type: ignore[arg-type]
+    """``Shape(field=value, ...)`` of ``g``, given the text of its subformulas."""
+    names = g._fields
     values = subs or [repr(getattr(g, name)) for name in names]
     return f"{type(g).__qualname__}({', '.join(f'{n}={v}' for n, v in zip(names, values))})"
 

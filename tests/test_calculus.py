@@ -254,6 +254,38 @@ def test_rule_nodes_are_frozen_values():
                 setattr(node, name, s2)
 
 
+def test_rule_nodes_keep_the_dataclass_contract():
+    s = Sequent(fset(p), fset(p))
+    kids = (Init(s), AndL(s, Init(s)))
+    for row in RULES.values():
+        node = row.cls(s, *kids[: row.arity])
+        names = row.cls.__match_args__
+        values = tuple(getattr(node, name) for name in names)
+        assert row.cls(**dict(zip(names, values))) == node
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+        for twin in (copy.copy(node), copy.deepcopy(node)):
+            assert twin == node and type(twin) is row.cls
+        if row.arity == 0:
+            match node:
+                case row.cls(seq):
+                    bound = (seq,)
+        elif row.arity == 1:
+            match node:
+                case row.cls(seq, sub):
+                    bound = (seq, sub)
+        else:
+            match node:
+                case row.cls(seq, left, right):
+                    bound = (seq, left, right)
+        assert len(bound) == len(values) and all(x is y for x, y in zip(bound, values))
+        assert dataclasses.is_dataclass(row.cls) and dataclasses.is_dataclass(node)
+        assert [f.name for f in dataclasses.fields(node)] == [f.name for f in dataclasses.fields(row.cls)]
+        twin = dataclasses.replace(node)
+        assert twin == node and twin is not node and type(twin) is row.cls
+
+
 def test_derivation_eq_and_hash_without_recursion():
     s = Sequent(fset(p), fset(p))
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -364,6 +365,28 @@ def test_cli_import_leaves_the_oracle_and_json_unloaded():
     # Without site, which imports pathlib itself, the command does not need it.
     code = "import craigseq.cli, sys\nassert 'pathlib' not in sys.modules\n"
     subprocess.run([sys.executable, "-S", "-c", code], env=_child_env(), check=True)
+    # Nodes do not need dataclasses, which imports inspect: not at import, and
+    # not on the path a command takes through the README problem.
+    code = textwrap.dedent(
+        r"""
+        import sys
+        import craigseq.cli
+        from craigseq.interpolation import interpolate_strong, verify
+        from craigseq.syntax import parse_problem, parse_result, print_derivation, print_formula
+
+        unloaded = lambda: not {"dataclasses", "inspect"} & set(sys.modules)
+        assert unloaded()
+        problem = parse_problem(sys.argv[1])
+        result = interpolate_strong(problem.derivation, problem.split())
+        text = f"interpolant: {print_formula(result.interpolant)}\n"
+        text += f"left: {print_derivation(result.left_witness)}\nright: {print_derivation(result.right_witness)}\n"
+        assert verify(problem.split(), parse_result(text)).ok
+        assert repr(problem) and repr(result) and hash(result) == hash(parse_result(text))
+        assert unloaded()
+        """
+    )
+    for flags in ([], ["-S"]):
+        subprocess.run([sys.executable, *flags, "-c", code, INIT_PROBLEM], env=_child_env(), check=True)
 
 
 def _child_env() -> dict[str, str]:
@@ -443,3 +466,28 @@ def test_unwritable_stdout_exits_2_with_one_error_line(
     assert child.returncode == 2
     _assert_one_error_line(child.stderr)
 
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("case", ["missing-file", "mismatched-split", "large-result"])
+def test_unwritable_stderr_keeps_the_status(quantified_problem, tmp_path, case):
+    # The error line cannot be written, so the status alone tells: 2 for an
+    # OSError, 1 for an InterpolationError, and 2 when stdout and stderr are
+    # both full and the result is past stdout's buffer.
+    if case == "missing-file":
+        args, status = ["verify", str(tmp_path / "missing.txt"), str(tmp_path / "missing.txt")], 2
+    elif case == "mismatched-split":
+        bad = tmp_path / "mismatch.txt"
+        bad.write_text("gamma1: [P1()]\nderivation: (Init [P0()] => [P0()])\n")
+        args, status = ["interpolate", str(bad)], 1
+    else:
+        args, status = ["interpolate", quantified_problem], 2
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "wb") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "craigseq.cli", *args],
+            env=env,
+            stdout=full if case == "large-result" else subprocess.DEVNULL,
+            stderr=full,
+        )
+    assert child.returncode == status

@@ -1,6 +1,7 @@
 """Formula operations: renaming, binding, free variables, polarity, order."""
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
 import pickle
@@ -354,6 +355,35 @@ def test_same_shape_formulas_differ():
         for name in [field.name for field in dataclasses.fields(f)] + ["_hash", "_key"]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(f, name, a)
+
+
+def test_nodes_keep_the_dataclass_contract():
+    a, b = Atom(0), Atom(1, (0,))
+    for f in (Atom(1, [0]), Bot(), Top(), And(a, b), Or(b, a), Not(a), FAll(b), FEx(Not(b))):
+        cls, names = type(f), type(f).__match_args__
+        values = tuple(getattr(f, name) for name in names)
+        assert cls(**dict(zip(names, values))) == cls(*values) == f
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(f, name)
+        for g in (copy.copy(f), copy.deepcopy(f)):
+            assert g == f and type(g) is cls
+        match f:
+            case Atom(pred, args):
+                bound = (pred, args)
+            case And(left, right) | Or(left, right):
+                bound = (left, right)
+            case Not(sub) | FAll(sub) | FEx(sub):
+                bound = (sub,)
+            case Bot() | Top():
+                bound = ()
+        assert len(bound) == len(values) and all(x is y for x, y in zip(bound, values))
+        assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(f)
+        assert tuple(x.name for x in dataclasses.fields(cls)) == tuple(x.name for x in dataclasses.fields(f)) == names
+        g = dataclasses.replace(f)
+        assert g == f and g is not f and type(g) is cls
+    g = dataclasses.replace(Atom(0, (1,)), args=[2])
+    assert g.args == (2,) and g == Atom(0, (2,))
 
 
 def test_equality_agrees_with_canonical_key():
