@@ -84,7 +84,6 @@ from .interpolation import (
 from .syntax import (
     ParseError,
     ProblemFile,
-    RootMismatchError,
     parse_derivation,
     parse_formula,
     parse_problem,

@@ -11,12 +11,12 @@ reconstructs, for a single node, the rule instance that justifies the node
 from its premises.  Each of the 15 rules is stated once, as a row of the
 table ``RULES`` that the checker, the interpolator and the parser read, and
 that ``RULE_FOR`` is derived from; ``_adds`` reads what a premise adds.
-``is_wellformed`` resolves the nodes of a tree in one explicit-stack pass
-and stops at the first one that fails; ``_resolved_preorder`` also names each
-node's path, for ``craigseq check``; the interpolator resolves each node as
-its own walk reaches it.  ``repr`` and ``syntax.print_derivation`` share
-one bracket walk, ``_nested``, and ``size`` and the generator share one node
-count, ``_outside``.
+One explicit-stack walk, ``_resolved``, resolves the nodes of a tree in
+preorder: ``is_wellformed`` stops it at the first node that fails, and
+``craigseq check`` and the interpolator's error name a node's path with
+``_path``; the interpolator resolves each node as its own walk reaches it.
+``repr`` and ``syntax.print_derivation`` share one bracket walk, ``_nested``,
+and ``size`` and the generator share one node count, ``_outside``.
 """
 from __future__ import annotations
 
@@ -532,33 +532,34 @@ def resolve_rule(d: Derivation) -> RuleInstance | None:
     return row.match(row, d)
 
 
-def _resolved_preorder(d: Derivation) -> Iterator[tuple[str, Derivation, RuleInstance | None]]:
-    """Yield ``(path, node, resolve_rule(node))`` for every node, in preorder.
-
-    The root's path is ``ε``; the i-th premise of the node at path ``p`` has
-    path ``i`` below the root and ``p.i`` below that.  An explicit stack keeps
-    the walk free of CPython's recursion limit.
-    """
-    stack: list[tuple[str, Derivation]] = [("", d)]
+def _resolved(d: Derivation) -> Iterator[tuple[Derivation, RuleInstance | None, tuple | None]]:
+    """Yield ``(node, resolve_rule(node), where)`` for every node, in preorder
+    on an explicit stack: ``where`` is ``None`` at the root and ``(where, i)``
+    at the i-th premise of the node at ``where``, one tuple and no text."""
+    stack: list[tuple[Derivation, tuple | None]] = [(d, None)]
     while stack:
-        path, node = stack.pop()
-        yield path or "ε", node, resolve_rule(node)
-        prefix = f"{path}." if path else ""
+        node, where = stack.pop()
+        yield node, resolve_rule(node), where
         subs = node.premises
-        for i in range(len(subs) - 1, -1, -1):
-            stack.append((f"{prefix}{i}", subs[i]))
+        i = len(subs)
+        while i:  # the last premise first, so the first comes off first
+            i -= 1
+            stack.append((subs[i], (where, i)))
+
+
+def _path(where: tuple | None) -> str:
+    """The path of the node at ``where``: ``ε`` at the root, else the premise
+    indices from the root down, joined by ``.`` as in ``0.1``."""
+    steps: list[str] = []
+    while where is not None:
+        where, i = where
+        steps.append(str(i))
+    return ".".join(reversed(steps)) or "ε"
 
 
 def is_wellformed(d: Derivation) -> bool:
-    """True when every node of the tree is justified by some rule instance.
-
-    Resolves the nodes in preorder with an explicit stack and stops at the
-    first one that no rule instance justifies.
-    """
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if resolve_rule(node) is None:
+    """True when every node that ``_resolved`` meets has a rule instance."""
+    for _node, rule, _where in _resolved(d):
+        if rule is None:
             return False
-        stack += node.premises[::-1]
     return True

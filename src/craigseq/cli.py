@@ -25,7 +25,7 @@ import os
 import sys
 from typing import NoReturn
 
-from .calculus import _resolved_preorder
+from .calculus import _path, _resolved
 from .formulas import Formula
 from .interpolation import (
     InterpolationError,
@@ -65,7 +65,8 @@ def cmd_check(path: str) -> int:
     """Print one line per node (preorder, root path ε) and a summary."""
     d = parse_derivation(_read(path))
     first_bad: str | None = None
-    for label, node, inst in _resolved_preorder(d):
+    for node, inst, where in _resolved(d):
+        label = _path(where)
         if inst is None:
             print(f"{label}: {node.tag} UNRESOLVED")
             if first_bad is None:

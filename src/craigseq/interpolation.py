@@ -54,7 +54,9 @@ from .calculus import (
     Rule,
     RuleInstance,
     Sequent,
+    _path,
     _plus,
+    _resolved,
     is_wellformed,
     resolve_rule,
     root,
@@ -67,7 +69,7 @@ class InterpolationError(Exception):
 
 
 class NotWellFormedError(InterpolationError):
-    """The input derivation has a node no rule instance justifies."""
+    """The input derivation has a node no rule instance justifies; the message names its path."""
 
 
 class SplitMismatchError(InterpolationError):
@@ -181,20 +183,21 @@ def _interpolate(d: Derivation, split: SplitSequent) -> InterpolationResult:
     """Run the step of every node of ``d``; the steps waiting on a premise's
     result sit on a list, so memory rather than the recursion limit bounds depth."""
     stack: list[_Step] = []
-    res: InterpolationResult | None = None  # the result to send on, or None to start d
+    node, res = d, None  # the node to start, or the result to send on
     while True:
         if res is None:
-            row, rule = RULES[d.tag], resolve_rule(d)
+            row, rule = RULES[node.tag], resolve_rule(node)
             if rule is None:
-                raise NotWellFormedError("derivation is not wellformed")
+                where = next(where for _node, rule, where in _resolved(d) if rule is None)
+                raise NotWellFormedError(f'derivation is not wellformed at node path "{_path(where)}"')
             if not row.arity:
-                res = _CASES[d.tag](d, row, rule, split)
+                res = _CASES[node.tag](node, row, rule, split)
                 continue
-            stack.append(_CASES[d.tag](d, row, rule, split))
+            stack.append(_CASES[node.tag](node, row, rule, split))
         elif not stack:
             return res
         try:
-            d, split = stack[-1].send(res)
+            node, split = stack[-1].send(res)
             res = None
         except StopIteration as done:
             stack.pop()

@@ -54,10 +54,6 @@ class ParseError(Exception):
     """Malformed input text."""
 
 
-#: A problem file whose split parts do not recombine: the one class of a mismatched split.
-RootMismatchError = SplitMismatchError
-
-
 _TOKEN_RE = re.compile(r"[ \t\r\n]*(=>|[()\[\];,.~&|:]|[A-Za-z]+[0-9]*)")
 _PRED_RE = re.compile(r"P([0-9]+)")
 _VAR_RE = re.compile(r"x([0-9]+)")
@@ -401,7 +397,7 @@ def parse_problem(text: str) -> ProblemFile:
     pf = ProblemFile(*[parts.get(name, EMPTY) for name in SplitSequent._fields], derivation)
     combined = pf.split().sequent()
     if combined != root(derivation):
-        raise RootMismatchError(
+        raise SplitMismatchError(
             f"split parts give {print_sequent(combined)} "
             f"but the derivation root is {print_sequent(root(derivation))}"
         )

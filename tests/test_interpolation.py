@@ -778,8 +778,27 @@ def test_rejects_malformed_node_deep_in_tree():
     d = Init(seq)  # no rule justifies P0() ⊢ P1()
     for _ in range(600):
         d = WL(seq, d)
-    with pytest.raises(NotWellFormedError):
+    with recursion_limit(1000), pytest.raises(NotWellFormedError) as exc:
         interpolate_strong(d, split(g1=[p], d2=[q]))
+    assert str(exc.value) == f'derivation is not wellformed at node path "{".".join(["0"] * 600)}"'
+
+
+def test_a_passing_walk_builds_no_node_path(monkeypatch):
+    def no_path(where):
+        raise AssertionError("a node path was built")
+
+    monkeypatch.setattr(calculus, "_path", no_path)
+    # also catch a module that binds it under its own name
+    monkeypatch.setattr(interpolation, "_path", no_path, raising=False)
+    for seed in range(20):
+        d = gen_derivation(GenConfig(max_nodes=40, max_pred=3, seed=seed, allow_quantifiers=seed % 2 == 1))
+        sp = random_split(root(d), seed)
+        assert is_wellformed(d)
+        assert verify(sp, interpolate_strong(d, sp)).ok
+    assert not is_wellformed(Init(Sequent(fset(p), fset(q))))
+    # the patch reaches the interpolator: a failing call names a path
+    with pytest.raises(AssertionError, match="node path"):
+        interpolate(Init(Sequent(fset(p), fset(q))))
 
 
 def _uncached(f: Formula) -> Formula:

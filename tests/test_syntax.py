@@ -22,13 +22,12 @@ from craigseq.calculus import (
     size,
 )
 from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Not, Or, canonical_key
-from craigseq.interpolation import interpolate_strong, verify
+from craigseq.interpolation import SplitMismatchError, interpolate_strong, verify
 from craigseq.oracle import GenConfig, gen_derivation, random_split
 from craigseq.syntax import (
     MAX_NESTING,
     ParseError,
     ProblemFile,
-    RootMismatchError,
     decode,
     parse_derivation,
     parse_formula,
@@ -373,7 +372,7 @@ def test_label_faults_name_what_was_found(header, message):
 
 def test_parse_problem_root_mismatch():
     text = "gamma1: [P1()]\nderivation: (Init [P0()] => [P0()])\n"
-    with pytest.raises(RootMismatchError) as exc:
+    with pytest.raises(SplitMismatchError) as exc:
         parse_problem(text)
     msg = str(exc.value)
     assert "[P1()] => []" in msg
@@ -571,7 +570,7 @@ def test_fuzz_smoke_random_bytes():
         parse = parsers[i % 3]
         try:
             parse(decode(blob))
-        except (ParseError, RootMismatchError):
+        except (ParseError, SplitMismatchError):
             pass
 
 
@@ -602,7 +601,7 @@ def test_fuzz_mutated_printed_files():
         parse, text = texts[i % len(texts)]
         try:
             parse(_mutant(rng, text))
-        except (ParseError, RootMismatchError):
+        except (ParseError, SplitMismatchError):
             pass
 
 
