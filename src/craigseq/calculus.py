@@ -12,11 +12,12 @@ from its premises.  Each of the 15 rules is stated once, as a row of the
 table ``RULES`` that the checker, the interpolator and the parser read, and
 that ``RULE_FOR`` is derived from; ``_adds`` reads what a premise adds.
 One explicit-stack walk, ``_resolved``, resolves the nodes of a tree in
-preorder: ``is_wellformed`` stops it at the first node that fails, and
-``craigseq check`` and the interpolator's error name a node's path with
-``_path``; the interpolator resolves each node as its own walk reaches it.
-``repr`` and ``syntax.print_derivation`` share one bracket walk, ``_nested``,
-and ``size`` and the generator share one node count, ``_outside``.
+preorder: ``is_wellformed`` stops it at the first failing node, ``craigseq
+check`` labels each node from its parent's label, and the interpolator, which
+resolves each node as its own walk reaches it, reads it only to name a failing
+node's ``_path``.  ``repr`` and ``syntax.print_derivation`` share one bracket
+walk, ``_nested``, and ``size`` and the generator share one node count,
+``_outside``.
 """
 from __future__ import annotations
 

@@ -11,12 +11,12 @@ deep or too large for the interpreter's stack or memory.  A mismatched split
 is one error class, ``SplitMismatchError``, from a problem file or not.
 
 ``run()`` is the process entry, for ``python -m craigseq.cli`` and the
-installed ``craigseq`` command: it calls ``main()``, flushes the output and
-ends the process with ``os._exit``, skipping the interpreter's teardown and
-its ``atexit`` handlers.  A stdout that cannot be written ends with one
-``error:`` line and status 2.  A stderr that cannot be written loses the
-``error:`` line and keeps the status.  ``main(argv)`` is the in-process
-entry: it returns the status and leaves the interpreter running.
+installed ``craigseq`` command: it calls ``main()`` with stdout in UTF-8,
+flushes the output and ends the process with ``os._exit``, skipping the
+interpreter's teardown and its ``atexit`` handlers.  A stdout that cannot be
+written ends with one ``error:`` line and status 2.  A stderr that cannot be
+written loses the ``error:`` line and keeps the status.  ``main(argv)`` is the
+in-process entry: it returns the status and leaves the interpreter running.
 """
 from __future__ import annotations
 
@@ -25,8 +25,7 @@ import os
 import sys
 from typing import NoReturn
 
-from .calculus import _path, _resolved
-from .formulas import Formula
+from .calculus import _resolved
 from .interpolation import (
     InterpolationError,
     VerifyReport,
@@ -65,8 +64,12 @@ def cmd_check(path: str) -> int:
     """Print one line per node (preorder, root path ε) and a summary."""
     d = parse_derivation(_read(path))
     first_bad: str | None = None
+    prefix = {id(None): ""}  # id of a node's ``where`` -> its label and "."; a premise's ``where`` keeps it alive
     for node, inst, where in _resolved(d):
-        label = _path(where)
+        label = "ε"
+        if where is not None:  # its parent's label and its premise index: no label walks its path
+            label = prefix[id(where[0])] + str(where[1])
+            prefix[id(where)] = label + "."
         if inst is None:
             print(f"{label}: {node.tag} UNRESOLVED")
             if first_bad is None:
@@ -99,9 +102,8 @@ def cmd_interpolate(path: str, simplify: bool, json_out: bool) -> int:
     print(f"interpolant: {print_formula(result.interpolant)}")
     if simplify:
         print(f"simplified: {print_formula(simplify_bool(result.interpolant))}")
-    memo: dict[Formula, str] = {}  # the witnesses share most of their formulas
-    print(f"left: {print_derivation(result.left_witness, memo)}")
-    print(f"right: {print_derivation(result.right_witness, memo)}")
+    print(f"left: {print_derivation(result.left_witness)}")
+    print(f"right: {print_derivation(result.right_witness)}")
     report = verify(split, result)
     _print_report(report, json_out)
     return 0 if report.ok else 1
@@ -171,9 +173,11 @@ def run() -> NoReturn:
     ``SystemExit`` leaving ``main()`` (a usage error, ``--help``) takes the
     interpreter's usual exit.
     """
+    if sys.stdout is not None:  # None: the descriptor was closed when the process started
+        sys.stdout.reconfigure(encoding="utf-8")  # as the input must be, whatever the locale
     status = main()
     try:
-        if sys.stdout is not None:  # None: the descriptor was closed when the process started
+        if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as exc:
         if status != 2:

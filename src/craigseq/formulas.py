@@ -63,11 +63,12 @@ class Formula(_Node):
 
     The canonical key is a node's identity: two nodes are equal exactly when
     their keys are, and the hash is the key's hash.  Building a node only
-    stores its fields.  Its canonical key, hash, free variables and polarity
-    are computed the first time each is asked for and kept on the node.
-    ``repr`` is a fold; the key, free variables and polarity are flat loops,
-    the last two stopping at cached subnodes.  None recurses, so a formula's
-    depth is bounded by memory, not by the recursion limit.
+    stores its fields.  Its canonical key, hash, free variables, polarity and
+    printed text are computed the first time each is asked for and kept on the
+    node.  ``repr`` and the text are folds; the key, free variables and
+    polarity are flat loops, the last two stopping at cached subnodes.  None
+    recurses, so a formula's depth is bounded by memory, not by the recursion
+    limit.
     """
 
     __slots__ = ()
@@ -77,6 +78,7 @@ class Formula(_Node):
     _key: tuple[int, ...] | None = None
     _fv: tuple[VarId, ...] | None = None
     _pol: Polarity | None = None
+    _text: str | None = None
 
     def __hash__(self) -> int:
         h = self._hash

@@ -168,10 +168,14 @@ def interpolate_strong(d: Derivation, split: SplitSequent) -> InterpolationResul
     return _interpolate(d, split)
 
 
+def _weak_split(seq: Sequent) -> SplitSequent:
+    """The weak split of ``seq``: its whole antecedent left, its whole succedent right."""
+    return SplitSequent(seq.antecedent, FormulaSet(), FormulaSet(), seq.succedent)
+
+
 def interpolate(d: Derivation) -> InterpolationResult:
-    """Interpolate with the weak split: whole antecedent left, succedent right."""
-    seq = root(d)
-    return interpolate_strong(d, SplitSequent(seq.antecedent, FormulaSet(), FormulaSet(), seq.succedent))
+    """Interpolate with the weak split of the root."""
+    return interpolate_strong(d, _weak_split(root(d)))
 
 
 #: The run of a premise-taking step: it yields each premise with its split and

@@ -24,18 +24,19 @@ the derivation skeleton and each formula.  ``MAX_NESTING`` bounds both
 stacks; it is an input limit, kept until the benchmark reports the fault
 problems apart.
 
-The text repeats every node's sequent, so reading and writing do their work
-once per distinct formula.  No formula contains ``[``, ``]`` or ``;``: the
-reader slices each formula list at its ``]``, splits it on ``;`` and reads
-each distinct piece once per call, in place, through a local memo.  The
-same memo is the call's node table: every node the reader builds is kept
-there under its tag and its children's identities, an atom under its
-predicate and de Bruijn arguments, so equal subformulas read within one call,
-from any piece, are one object.  It also keeps each list's set under the
-list's text, so a list text read again within the call, as a node's
-unchanged side repeats its premise's, gives the same set object.  The
-printer renders each distinct formula once per call.  Both memos live for
-one call only, so no two calls share a node or a set.
+The text repeats every node's sequent, so reading works once per distinct
+formula and writing once per formula object.  No formula contains ``[``, ``]``
+or ``;``: the reader slices each formula list at its ``]``, splits it on ``;``
+and reads each distinct piece once per call, in place, through a local memo.
+The same memo is the call's node table: every node the reader builds is kept
+there under its tag and its children's identities, an atom under its predicate
+and de Bruijn arguments, so equal subformulas read within one call, from any
+piece, are one object.  It also keeps each list's set under the list's text,
+so a list text read again within the call, as a node's unchanged side repeats
+its premise's, gives the same set object.  The memo lives for one call only,
+so no two calls share a node or a set.  A formula keeps its printed text on
+the node, so the printer renders each formula object once, however many calls
+print it.
 """
 from __future__ import annotations
 
@@ -44,8 +45,8 @@ import sys
 from typing import Any, Callable, NamedTuple
 
 from .calculus import EMPTY, RULES, Derivation, FormulaSet, Rule, Sequent, _nested, root
-from .formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, fold, free_vars
-from .interpolation import InterpolationResult, SplitMismatchError, SplitSequent
+from .formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, _set, fold, free_vars
+from .interpolation import InterpolationResult, SplitMismatchError, SplitSequent, _weak_split
 
 MAX_NESTING = 300
 
@@ -305,36 +306,26 @@ _PRINT = (
 
 
 def print_formula(f: Formula) -> str:
-    """Render a formula; binders are shown with the smallest fresh variable."""
-    return fold(f, _PRINT, (), _binder)
+    """Render a formula, once, as ``f`` keeps its text; binders get the smallest fresh variable."""
+    text = f._text
+    if text is None:
+        text = fold(f, _PRINT, (), _binder)
+        _set(f, "_text", text)
+    return text
 
 
-def print_formula_list(formulas: FormulaSet, memo: dict[Formula, str] | None = None) -> str:
-    """Render a formula list.  ``memo`` maps formulas to their text; calls
-    that share one render each distinct formula once between them."""
-    if memo is None:
-        memo = {}
-    texts: list[str] = []
-    for f in formulas:
-        text = memo.get(f)
-        if text is None:
-            text = memo[f] = print_formula(f)
-        texts.append(text)
-    return "[" + ";".join(texts) + "]"
+def print_formula_list(formulas: FormulaSet) -> str:
+    """Render a formula list."""
+    return "[" + ";".join(map(print_formula, formulas)) + "]"
 
 
-def print_sequent(seq: Sequent, memo: dict[Formula, str] | None = None) -> str:
-    if memo is None:
-        memo = {}
-    return f"{print_formula_list(seq.antecedent, memo)} => {print_formula_list(seq.succedent, memo)}"
+def print_sequent(seq: Sequent) -> str:
+    return f"{print_formula_list(seq.antecedent)} => {print_formula_list(seq.succedent)}"
 
 
-def print_derivation(d: Derivation, memo: dict[Formula, str] | None = None) -> str:
-    """Render a derivation as a single-line s-expression; ``memo`` as for
-    ``print_formula_list``."""
-    if memo is None:
-        memo = {}
-    return _nested(d, lambda node: f"({node.tag} {print_sequent(node.seq, memo)}", lambda node, i: " ")
+def print_derivation(d: Derivation) -> str:
+    """Render a derivation as a single-line s-expression."""
+    return _nested(d, lambda node: f"({node.tag} {print_sequent(node.seq)}", lambda node, i: " ")
 
 
 class ProblemFile(NamedTuple):
@@ -367,8 +358,7 @@ def parse_problem(text: str) -> ProblemFile:
     """
     if _next_is(text, 0, "("):
         d = parse_derivation(text)
-        seq = root(d)
-        return ProblemFile(seq.antecedent, EMPTY, EMPTY, seq.succedent, d)
+        return ProblemFile(*_weak_split(root(d)), d)
     lines = _LINE_END_RE.split(text)
     memo: dict[Any, Any] = {}
     parts: dict[str, FormulaSet] = {}
@@ -405,9 +395,8 @@ def parse_problem(text: str) -> ProblemFile:
 
 
 def print_problem(pf: ProblemFile) -> str:
-    memo: dict[Formula, str] = {}
-    lines = [f"{name}: {print_formula_list(fs, memo)}" for name, fs in zip(SplitSequent._fields, pf) if fs]
-    lines.append(f"derivation: {print_derivation(pf.derivation, memo)}")
+    lines = [f"{name}: {print_formula_list(fs)}" for name, fs in zip(SplitSequent._fields, pf) if fs]
+    lines.append(f"derivation: {print_derivation(pf.derivation)}")
     return "\n".join(lines) + "\n"
 
 
@@ -451,9 +440,8 @@ def parse_result(text: str) -> InterpolationResult:
 
 
 def print_result(result: InterpolationResult) -> str:
-    memo: dict[Formula, str] = {}
     return (
         f"interpolant: {print_formula(result.interpolant)}\n"
-        f"left: {print_derivation(result.left_witness, memo)}\n"
-        f"right: {print_derivation(result.right_witness, memo)}\n"
+        f"left: {print_derivation(result.left_witness)}\n"
+        f"right: {print_derivation(result.right_witness)}\n"
     )

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import craigseq
+from craigseq import calculus, cli
 from craigseq.calculus import EMPTY, WL, Init, Sequent, fset, root
 from craigseq.cli import main
 from craigseq.formulas import Atom, Not
@@ -44,19 +45,18 @@ def problem_file(tmp_path):
     return str(f)
 
 
+#: The README's ``AndL`` derivation and what ``check`` prints for it.
+AND_L_DERIVATION = "(AndL [(P0() & P1())] => [P0()] (Init [P0();P1();(P0() & P1())] => [P0()]))"
+AND_L_CHECK = "ε: AndL principal=(P0() & P1())\n0: Init principal=P0()\nPASS\n"
+
+
 def test_check_pass(tmp_path, capsys):
     f = tmp_path / "d.txt"
-    f.write_text(
-        "(AndL [(P0() & P1())] => [P0()] (Init [P0();P1();(P0() & P1())] => [P0()]))"
-    )
+    f.write_text(AND_L_DERIVATION)
     code = main(["check", str(f)])
     out = capsys.readouterr().out
     assert code == 0
-    assert out == (
-        "ε: AndL principal=(P0() & P1())\n"
-        "0: Init principal=P0()\n"
-        "PASS\n"
-    )
+    assert out == AND_L_CHECK
 
 
 def test_check_reports_eigenvariable(tmp_path, capsys):
@@ -93,6 +93,29 @@ def test_check_fail_deep_node(tmp_path, capsys):
     assert code == 1
     assert out.splitlines()[1] == "0: Init UNRESOLVED"
     assert out.splitlines()[-1] == 'FAIL at node path "0"'
+
+
+def test_check_labels_a_node_from_its_parent(tmp_path, capsys, monkeypatch):
+    # 290 nested WL nodes, checked with the speller of a whole path made to
+    # fail: each label is its parent's and a premise index.
+    depth = 290
+    d = Init(Sequent(fset(Atom(0)), fset(Atom(0))))
+    for k in range(1, depth + 1):
+        seq = root(d)
+        d = WL(Sequent(seq.antecedent.add(Atom(k)), seq.succedent), d)
+    f = tmp_path / "d.txt"
+    f.write_text(print_derivation(d))
+
+    def spelled(where):
+        raise AssertionError("a label walked the path from the root")
+
+    monkeypatch.setattr(calculus, "_path", spelled)
+    monkeypatch.setattr(cli, "_path", spelled, raising=False)
+    assert main(["check", str(f)]) == 0
+    labels = ["ε"] + [".".join("0" * k) for k in range(1, depth + 1)]
+    lines = [f"{label}: WL principal=P{depth - k}()" for k, label in enumerate(labels[:-1])]
+    lines += [f"{labels[-1]}: Init principal=P0()", "PASS"]
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_interpolate_golden(problem_file, capsys):
@@ -438,6 +461,21 @@ def test_process_path_prints_what_main_prints(quantified_problem, problem_file, 
     child = _run_child(["--help"])
     assert child.returncode == 0
     assert child.stdout.startswith(b"usage: craigseq ")
+
+
+@pytest.mark.parametrize(
+    "locale_env", [{"PYTHONIOENCODING": "ascii"}, {"LC_ALL": "C", "PYTHONUTF8": "0"}], ids=["ascii", "c-locale"]
+)
+def test_check_writes_utf8_whatever_the_locale(tmp_path, locale_env):
+    f = tmp_path / "d.txt"
+    f.write_text(AND_L_DERIVATION)
+    env = {**_child_env(), "PYTHONIOENCODING": "utf-8"}
+    utf8 = subprocess.run([sys.executable, "-m", "craigseq.cli", "check", str(f)], env=env, capture_output=True)
+    env.pop("PYTHONIOENCODING")
+    env.update(locale_env)
+    child = subprocess.run([sys.executable, "-m", "craigseq.cli", "check", str(f)], env=env, capture_output=True)
+    assert (child.returncode, child.stdout, child.stderr) == (0, utf8.stdout, b"")
+    assert child.stdout == AND_L_CHECK.encode()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

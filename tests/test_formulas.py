@@ -341,7 +341,7 @@ def test_same_shape_formulas_differ():
     for f in fresh:
         # building a node stores its fields and nothing else
         assert set(vars(f)) == {field.name for field in dataclasses.fields(f)}
-        assert (f._hash, f._key, f._fv, f._pol) == (None, None, None, None)
+        assert (f._hash, f._key, f._fv, f._pol, f._text) == (None, None, None, None, None)
     for f in fresh:
         assert hash(f) == hash(canonical_key(f)) == f._hash
     assert And(a, b) != Or(a, b)

@@ -1,8 +1,10 @@
 """Text formats: parsing, printing, round-trips, error reporting."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import inspect
+import pickle
 import random
 import re
 
@@ -83,6 +85,34 @@ def test_nested_binders_reuse_names():
     f = parse_formula("forall x0. forall x0. P0(x0)")
     assert f == FAll(FAll(Atom(0, (0,))))
     assert print_formula(f) == "forall x0. forall x0. P0(x0)"
+
+
+def test_a_formula_keeps_its_text():
+    f = And(Atom(0, (1,)), FAll(Atom(0, (0, 2))))
+    text = print_formula(f)
+    assert text == "(P0(x1) & forall x0. P0(x0,x1))"
+    assert print_formula(f) is text
+
+
+@pytest.mark.parametrize("sub_first", [True, False])
+def test_kept_text_is_the_whole_formulas_only(sub_first):
+    # g at the top and under a binder, where its index 0 is the bound variable
+    g = Atom(0, (0, 1))
+    f = Or(g, FEx(Not(g)))
+    for h in (g, f) if sub_first else (f, g):
+        print_formula(h)
+    fresh = (Atom(0, (0, 1)), Or(Atom(0, (0, 1)), FEx(Not(Atom(0, (0, 1))))))
+    assert [g._text, f._text] == [print_formula(h) for h in fresh]
+    assert [g._text, f._text] == ["P0(x0,x1)", "(P0(x0,x1) | exists x1. ~P0(x1,x0))"]
+
+
+def test_copies_print_the_kept_text():
+    f = FAll(Or(Atom(0, (0, 3)), Not(Atom(1))))
+    text = print_formula(f)
+    for g in (pickle.loads(pickle.dumps(f)), dataclasses.replace(f)):
+        assert g == f and print_formula(g) == text
+    # the text is no field, so a copy with a new field prints its own
+    assert print_formula(dataclasses.replace(f, body=Atom(2, (0,)))) == "forall x0. P2(x0)"
 
 
 def test_parse_formula_errors():
@@ -460,7 +490,8 @@ def _seeded_problems(sizes, seeds):
 
 def test_printed_corpus_digest_and_round_trip():
     # The digest was taken from the printer that rendered every formula
-    # occurrence afresh; the memoised printer must print the same bytes.
+    # occurrence afresh; the printer that keeps each formula's text on the
+    # node must print the same bytes.
     h = hashlib.sha256()
     for pf, res in _seeded_problems((30, 70, 110), range(10)):
         problem, result = print_problem(pf), print_result(res)
