@@ -13,11 +13,10 @@ table ``RULES`` that the checker, the interpolator and the parser read, and
 that ``RULE_FOR`` is derived from; ``_adds`` reads what a premise adds.
 One explicit-stack walk, ``_resolved``, resolves the nodes of a tree in
 preorder: ``is_wellformed`` stops it at the first failing node, ``craigseq
-check`` labels each node from its parent's label, and the interpolator, which
-resolves each node as its own walk reaches it, reads it only to name a failing
-node's ``_path``.  ``repr`` and ``syntax.print_derivation`` share one bracket
-walk, ``_nested``, and ``size`` and the generator share one node count,
-``_outside``.
+check`` labels each node from its parent's label, and the interpolator runs
+each node's step as the walk yields it and names a failing node's ``_path``.
+``repr`` and ``syntax.print_derivation`` share one bracket walk, ``_nested``,
+and ``size`` and the generator share one node count, ``_outside``.
 """
 from __future__ import annotations
 

@@ -11,12 +11,12 @@ deep or too large for the interpreter's stack or memory.  A mismatched split
 is one error class, ``SplitMismatchError``, from a problem file or not.
 
 ``run()`` is the process entry, for ``python -m craigseq.cli`` and the
-installed ``craigseq`` command: it calls ``main()`` with stdout in UTF-8,
-flushes the output and ends the process with ``os._exit``, skipping the
-interpreter's teardown and its ``atexit`` handlers.  A stdout that cannot be
-written ends with one ``error:`` line and status 2.  A stderr that cannot be
-written loses the ``error:`` line and keeps the status.  ``main(argv)`` is the
-in-process entry: it returns the status and leaves the interpreter running.
+installed ``craigseq`` command: it calls ``main()`` with stdout and stderr
+in UTF-8, flushes the output and ends the process with ``os._exit``, skipping
+the interpreter's teardown and its ``atexit`` handlers.  A stdout that cannot
+be written ends with one ``error:`` line and status 2.  A stderr that cannot
+be written loses the ``error:`` line and keeps the status.  ``main(argv)`` is
+the in-process entry: it returns the status and leaves the interpreter running.
 """
 from __future__ import annotations
 
@@ -173,8 +173,9 @@ def run() -> NoReturn:
     ``SystemExit`` leaving ``main()`` (a usage error, ``--help``) takes the
     interpreter's usual exit.
     """
-    if sys.stdout is not None:  # None: the descriptor was closed when the process started
-        sys.stdout.reconfigure(encoding="utf-8")  # as the input must be, whatever the locale
+    for stream in (sys.stdout, sys.stderr):  # None: the descriptor was closed when the process started
+        if stream is not None:
+            stream.reconfigure(encoding="utf-8")  # as the input must be, whatever the locale
     status = main()
     try:
         if sys.stdout is not None:

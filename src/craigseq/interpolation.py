@@ -8,20 +8,19 @@ both halves of the split; ``verify`` checks all of that syntactically, without
 trusting the construction.
 
 The construction is an induction on the derivation, which ``_interpolate``
-runs as one explicit-stack walk.  It resolves each node through
-``calculus.resolve_rule`` as the node's step starts and dispatches on its tag
-through ``_CASES`` to one of six steps, which read the side of the
-principal formula and the side of the premise's new formulas from the rule's
-row of ``calculus.RULES``, and the new formulas from the rule instance.  A
-side is an index into ``Sequent`` (``G`` antecedent, ``D`` succedent): part
-k of side s is field ``2 * s + k`` of a ``SplitSequent`` (Γ1, Γ2, Δ1, Δ2),
-and C sits on side ``1 - k`` of part k's witness.  The steps cover the
-mirror pairs once each: ``_init``; ``_axiom`` (BotL, TopR); ``_unary``
-(AndL, OrR, NotL, NotR, AllL, ExR); ``_weaken`` (WL, WR); ``_branching``
-(AndR, OrL); ``_eigen`` (AllR, ExL).  All but the first two are generators: they yield each premise with its
-split and are sent back its result.  In each step the part of the split that
-owns the principal formula decides the case, named ``<rule>-<side><part>`` in
-``CASE_NAMES``.
+runs over the checker's one walk, ``calculus._resolved``: it takes each node
+with its rule instance and dispatches on its tag through ``_CASES`` to one of
+six steps, which read the side of the principal formula and the side of the
+premise's new formulas from the rule's row of ``calculus.RULES``, and the new
+formulas from the rule instance.  A side is an index into ``Sequent`` (``G``
+antecedent, ``D`` succedent): part k of side s is field ``2 * s + k`` of a
+``SplitSequent`` (Γ1, Γ2, Δ1, Δ2), and C sits on side ``1 - k`` of part k's
+witness.  The steps cover the mirror pairs once each: ``_init``; ``_axiom``
+(BotL, TopR); ``_unary`` (AndL, OrR, NotL, NotR, AllL, ExR); ``_weaken`` (WL,
+WR); ``_branching`` (AndR, OrL); ``_eigen`` (AllR, ExL).  All but the first
+two are generators: they yield each premise's split and are sent back its
+result.  In each step the part of the split that owns the principal formula
+decides the case, named ``<rule>-<side><part>`` in ``CASE_NAMES``.
 
 Each step is written once, with the owning part k (0: part 1, 1: part 2) as
 its parameter: part 2's construction mirrors part 1's, with ⊥/⊤, ∨/∧, ∃/∀
@@ -44,6 +43,7 @@ from collections import Counter
 from typing import Generator, NamedTuple
 
 from .calculus import (
+    EMPTY,
     RULE_FOR,
     RULES,
     Derivation,
@@ -58,7 +58,6 @@ from .calculus import (
     _plus,
     _resolved,
     is_wellformed,
-    resolve_rule,
     root,
 )
 from .formulas import BOT, REBUILD, TOP, And, Bot, Formula, Not, Or, Top, bind, fold, polarity
@@ -170,7 +169,7 @@ def interpolate_strong(d: Derivation, split: SplitSequent) -> InterpolationResul
 
 def _weak_split(seq: Sequent) -> SplitSequent:
     """The weak split of ``seq``: its whole antecedent left, its whole succedent right."""
-    return SplitSequent(seq.antecedent, FormulaSet(), FormulaSet(), seq.succedent)
+    return SplitSequent(seq.antecedent, EMPTY, EMPTY, seq.succedent)
 
 
 def interpolate(d: Derivation) -> InterpolationResult:
@@ -178,34 +177,34 @@ def interpolate(d: Derivation) -> InterpolationResult:
     return interpolate_strong(d, _weak_split(root(d)))
 
 
-#: The run of a premise-taking step: it yields each premise with its split and
-#: is sent back that premise's result.
-_Step = Generator[tuple[Derivation, SplitSequent], InterpolationResult, InterpolationResult]
+#: The run of a premise-taking step: it yields each premise's split and is
+#: sent back that premise's result.
+_Step = Generator[SplitSequent, InterpolationResult, InterpolationResult]
 
 
 def _interpolate(d: Derivation, split: SplitSequent) -> InterpolationResult:
-    """Run the step of every node of ``d``; the steps waiting on a premise's
-    result sit on a list, so memory rather than the recursion limit bounds depth."""
+    """Run the step of every node that ``_resolved`` yields; the steps waiting
+    on a premise's result sit on a list, so memory rather than the recursion
+    limit bounds depth.  The steps ask for their premises in that preorder,
+    left first, so the next node is always the premise the top step waits for."""
     stack: list[_Step] = []
-    node, res = d, None  # the node to start, or the result to send on
-    while True:
-        if res is None:
-            row, rule = RULES[node.tag], resolve_rule(node)
-            if rule is None:
-                where = next(where for _node, rule, where in _resolved(d) if rule is None)
-                raise NotWellFormedError(f'derivation is not wellformed at node path "{_path(where)}"')
-            if not row.arity:
-                res = _CASES[node.tag](node, row, rule, split)
-                continue
+    for node, rule, where in _resolved(d):
+        if rule is None:
+            raise NotWellFormedError(f'derivation is not wellformed at node path "{_path(where)}"')
+        row = RULES[node.tag]
+        if row.arity:
             stack.append(_CASES[node.tag](node, row, rule, split))
-        elif not stack:
-            return res
-        try:
-            node, split = stack[-1].send(res)
-            res = None
-        except StopIteration as done:
-            stack.pop()
-            res = done.value
+            split = next(stack[-1])
+            continue
+        res = _CASES[node.tag](node, row, rule, split)
+        while stack:  # send the result up until some step yields its next split
+            try:
+                split = stack[-1].send(res)
+                break
+            except StopIteration as done:
+                stack.pop()
+                res = done.value
+    return res
 
 
 #: Each rule's case names in the order of ``CASE_NAMES``: one per owning part,
@@ -332,7 +331,7 @@ def _unary(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) ->
     the rule."""
     k = _owner(d, row.side, rule.analysed, split)
     premise = _extend(split, 2 * row.target + k, rule.adds)
-    res = yield d.sub, premise
+    res = yield premise
     return _wrap(row.cls, split, premise, res, k == 0, k == 1)
 
 
@@ -358,7 +357,7 @@ def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -
         if in2:
             parts[j] = split[j].without(f)
         premise = SplitSequent(*parts)
-    res = yield d.sub, premise
+    res = yield premise
     return _wrap(row.cls, split, premise, res, in1, in2)
 
 
@@ -372,8 +371,8 @@ def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent
     """
     k = _owner(d, row.side, rule.analysed, split)
     left, right = (_extend(split, 2 * row.target + k, (a,)) for a in rule.adds)
-    resl = yield d.left, left
-    resr = yield d.right, right
+    resl = yield left
+    resr = yield right
     cl, cr = resl.interpolant, resr.interpolant
     c = (Or, And)[k](cl, cr)
     weaken, join = RULE_FOR[None, 1 - k], RULE_FOR[type(c), 1 - k]
@@ -398,7 +397,7 @@ def _eigen(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) ->
     to ∀a.C'; each witness introduces C, and part k's then re-applies the rule."""
     k = _owner(d, row.side, rule.analysed, split)
     premise = _extend(split, 2 * row.target + k, rule.adds)
-    res = yield d.sub, premise
+    res = yield premise
     cp = res.interpolant
     c = bind(("ex", "all")[k], rule.eigen, cp)
     intro = _introduce(premise, k, c, res[1 + k])

@@ -476,6 +476,10 @@ def test_check_writes_utf8_whatever_the_locale(tmp_path, locale_env):
     child = subprocess.run([sys.executable, "-m", "craigseq.cli", "check", str(f)], env=env, capture_output=True)
     assert (child.returncode, child.stdout, child.stderr) == (0, utf8.stdout, b"")
     assert child.stdout == AND_L_CHECK.encode()
+    # the error line that names a refused node's path is UTF-8 too
+    f.write_text("(AndL [(P0() & P1())] => [P0()] (Init [P0()] => [P0()]))")
+    child = subprocess.run([sys.executable, "-m", "craigseq.cli", "interpolate", str(f)], env=env, capture_output=True)
+    assert (child.returncode, child.stderr) == (1, 'error: derivation is not wellformed at node path "ε"\n'.encode())
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

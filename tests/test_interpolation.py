@@ -55,6 +55,7 @@ from craigseq.oracle import (
 )
 from craigseq.syntax import parse_formula, print_formula
 from support import formulas, recursion_limit
+from test_check_golden import _alter
 
 p = Atom(0)
 q = Atom(1)
@@ -730,6 +731,16 @@ def test_simplify_bool_preserves_truth_tables(f):
 
 
 
+def _preorder(d):
+    """The nodes of ``d`` in preorder, the first premise first."""
+    nodes, stack = [], [d]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(reversed(premises(node)))
+    return nodes
+
+
 def test_each_node_resolved_once(monkeypatch):
     calls: Counter[int] = Counter()
     real = calculus.resolve_rule
@@ -743,16 +754,32 @@ def test_each_node_resolved_once(monkeypatch):
     monkeypatch.setattr(interpolation, "resolve_rule", counting, raising=False)
     for seed in range(20):
         d = gen_derivation(GenConfig(max_nodes=40, max_pred=3, seed=seed, allow_quantifiers=seed % 2 == 1))
-        nodes = Counter()
-        stack = [d]
-        while stack:
-            node = stack.pop()
-            nodes[id(node)] += 1
-            stack.extend(premises(node))
-        assert set(nodes.values()) == {1}  # no node object is shared
+        nodes = _preorder(d)
+        assert len({id(node) for node in nodes}) == len(nodes)  # no node object is shared
         calls.clear()
         interpolate_strong(d, random_split(root(d), seed))
-        assert calls == nodes
+        assert calls == Counter(id(node) for node in nodes)
+    # A refused derivation resolves each node up to the failing one once and
+    # no node after it: a 51-node chain that fails at its last node, and
+    # seeded derivations with one node altered.
+    seq = Sequent(fset(p), fset(q))
+    chain = Init(seq)  # no rule justifies P0() ⊢ P1()
+    for _ in range(50):
+        chain = WL(seq, chain)
+    refused = [(chain, split(g1=[p], d2=[q]))]
+    for seed in range(40):
+        d = gen_derivation(GenConfig(max_nodes=5 + seed % 30, max_pred=3, seed=seed, allow_quantifiers=seed % 2 == 1))
+        d = _alter(d, seed)
+        if not is_wellformed(d):
+            refused.append((d, random_split(root(d), seed)))
+    assert len(refused) > 20
+    for d, sp in refused:
+        nodes = _preorder(d)
+        failing = next(i for i, node in enumerate(nodes) if real(node) is None)
+        calls.clear()
+        with pytest.raises(NotWellFormedError):
+            interpolate_strong(d, sp)
+        assert calls == Counter(id(node) for node in nodes[: failing + 1])
 
 
 def _verified_at_recursion_limit_1000(d, sp):
