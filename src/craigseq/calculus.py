@@ -52,9 +52,10 @@ class FormulaSet(tuple[Formula, ...]):
     canonical key is a member's.  Each member keeps its key, computed before
     it enters, so membership, ``add`` and ``without`` bisect the members by
     that key, hash no formula, and test the member found for identity before
-    they compare keys.  ``add`` is the one way a set grows: ``a | b`` adds
-    the members of ``b`` to ``a`` one by one, so on equal keys the left
-    operand's formula stays.
+    they compare keys.  They read the key of the formula looked up from that
+    formula too, and compute it only when it is not kept yet.  ``add`` is the
+    one way a set grows: ``a | b`` adds the members of ``b`` to ``a`` one by
+    one, so on equal keys the left operand's formula stays.
     """
 
     __slots__ = ()
@@ -63,31 +64,35 @@ class FormulaSet(tuple[Formula, ...]):
         by_key = {canonical_key(f): f for f in formulas}
         return tuple.__new__(cls, [by_key[k] for k in sorted(by_key)])
 
-    def _find(self, f: Formula) -> tuple[int, bool]:
-        """Where ``f`` sits or would be inserted in the members, and whether it is there."""
-        k = canonical_key(f)
-        # bisect reads a tuple subclass's items through __getitem__, one Python
-        # call each; it reads a plain tuple in C, and the copy costs less
-        i = bisect.bisect_left(self[:], k, key=_KEY)
-        return i, i < len(self) and (self[i] is f or self[i]._key == k)
-
-    def __contains__(self, f: object) -> bool:
-        return isinstance(f, Formula) and self._find(f)[1]
-
     def __repr__(self) -> str:
         return f"FormulaSet({list(self)!r})"
 
+    # Membership, ``add`` and ``without`` each bisect in their own frame: a
+    # shared helper would cost one more Python call per test.  bisect reads a
+    # tuple subclass's items through __getitem__, one Python call each; it
+    # reads a plain tuple in C, and the copy costs less.  A key is never
+    # empty, so ``or`` computes only a key not kept yet.
+
+    def __contains__(self, f: object) -> bool:
+        if not isinstance(f, Formula):
+            return False
+        k = f._key or canonical_key(f)
+        i = bisect.bisect_left(self[:], k, key=_KEY)
+        return i < len(self) and (self[i] is f or self[i]._key == k)
+
     def add(self, f: Formula) -> "FormulaSet":
-        i, found = self._find(f)
-        if found:
+        k = f._key or canonical_key(f)
+        i = bisect.bisect_left(self[:], k, key=_KEY)
+        if i < len(self) and (self[i] is f or self[i]._key == k):
             return self
         return tuple.__new__(FormulaSet, self[:i] + (f,) + self[i:])
 
     def without(self, f: Formula) -> "FormulaSet":
-        i, found = self._find(f)
-        if not found:
-            return self
-        return tuple.__new__(FormulaSet, self[:i] + self[i + 1 :])
+        k = f._key or canonical_key(f)
+        i = bisect.bisect_left(self[:], k, key=_KEY)
+        if i < len(self) and (self[i] is f or self[i]._key == k):
+            return tuple.__new__(FormulaSet, self[:i] + self[i + 1 :])
+        return self
 
     def __or__(self, other: "FormulaSet") -> "FormulaSet":
         if not isinstance(other, FormulaSet):
@@ -325,7 +330,9 @@ class RuleInstance(NamedTuple):
     principal (or shared, or weakened) formula, ``eigen`` the eigenvariable of
     AllR/ExL, and ``term`` the instantiating variable of AllL/ExR.  ``adds``
     holds the formulas the premise adds beside the conclusion's, or one per
-    premise for AndR/OrL.
+    premise for AndR/OrL.  The matchers build it with ``tuple.__new__`` and
+    every field given, which skips the Python frame of the generated
+    ``__new__``; what they build is still a ``RuleInstance``.
     """
 
     kind: str
@@ -404,7 +411,7 @@ def _match_axiom(row: Rule, d: Derivation) -> RuleInstance | None:
     other = seq[1 - row.side]
     for f in seq[row.side]:
         if f._tag == row.head._tag if row.head else f in other:
-            return RuleInstance(row.cls.tag, f)
+            return tuple.__new__(RuleInstance, (row.cls.tag, f, None, None, ()))
     return None
 
 
@@ -426,7 +433,7 @@ def _match_connective(row: Rule, d: Derivation) -> RuleInstance | None:
             else:
                 fits = _grows_by(*grown[0], parts[:1]) and _grows_by(*grown[1], parts[1:])
             if fits:
-                return RuleInstance(row.cls.tag, f, adds=parts)
+                return tuple.__new__(RuleInstance, (row.cls.tag, f, None, None, parts))
     return None
 
 
@@ -463,7 +470,7 @@ def _match_term(row: Rule, d: Derivation) -> RuleInstance | None:
     for f, e in _instances(row, d.seq, d.sub.seq):  # type: ignore[attr-defined]
         t = match_inst(f, e)
         if t is not None:
-            return RuleInstance(row.cls.tag, f, term=t, adds=(e,))
+            return tuple.__new__(RuleInstance, (row.cls.tag, f, None, t, (e,)))
     return None
 
 
@@ -476,7 +483,7 @@ def _match_eigen(row: Rule, d: Derivation) -> RuleInstance | None:
             forbidden = d.seq.free_vars()
         a = match_bind(f, e, forbidden)
         if a is not None:
-            return RuleInstance(row.cls.tag, f, eigen=a, adds=(e,))
+            return tuple.__new__(RuleInstance, (row.cls.tag, f, a, None, (e,)))
     return None
 
 
@@ -487,7 +494,7 @@ def _match_weakening(row: Rule, d: Derivation) -> RuleInstance | None:
         return None
     # With nothing added, the weakened formula is one the premise already has.
     added = extra or d.seq[row.side]
-    return RuleInstance(row.cls.tag, added[0]) if added else None
+    return tuple.__new__(RuleInstance, (row.cls.tag, added[0], None, None, ())) if added else None
 
 
 #: The 15 rules of the calculus, keyed by tag.

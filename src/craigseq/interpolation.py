@@ -35,7 +35,9 @@ same object in its split as in its premise's (the rule changed neither the
 principal side nor the target side that C sits on, for instance ∃L or ∨L
 for part 1 and ∀R or ∧R for part 2) takes C's side from its premise's root
 as that same object; any other node adds to its premise's side only what
-changed.
+changed.  ``_on``, ``_extend``, ``_weaken`` and ``_result`` build their
+records with ``tuple.__new__``, which skips the Python frame of a
+``NamedTuple``'s generated ``__new__``; the records keep their classes.
 """
 from __future__ import annotations
 
@@ -224,7 +226,7 @@ def _extend(split: SplitSequent, i: int, formulas: tuple[Formula, ...]) -> Split
     """``split`` with ``formulas`` added to its ``i``-th part."""
     parts = list(split)
     parts[i] = _plus(parts[i], formulas)
-    return SplitSequent(*parts)
+    return tuple.__new__(SplitSequent, parts)
 
 
 #: Per owning part k (0: part 1, 1: part 2): the interpolant of a node that
@@ -236,7 +238,7 @@ _ALONE = tuple((c, RULE_FOR[type(c), k]) for k, c in enumerate((BOT, TOP)))
 def _on(split: SplitSequent, k: int, cs: FormulaSet) -> Sequent:
     """Part ``k``'s sequent with ``cs`` as C's side.  C's side of part ``k``
     is ``split[2 - k]`` (Δ1 or Γ2) in a split, ``seq[1 - k]`` in its sequent."""
-    return Sequent(split.gamma1, cs) if k == 0 else Sequent(cs, split.delta2)
+    return tuple.__new__(Sequent, (split.gamma1, cs) if k == 0 else (cs, split.delta2))
 
 
 def _root(split: SplitSequent, k: int, *cs: Formula) -> Sequent:
@@ -254,7 +256,7 @@ def _above(split: SplitSequent, k: int, premise: SplitSequent, w: Derivation, c:
 
 def _result(c: Formula, k: int, own: Derivation, other: Derivation) -> InterpolationResult:
     """The result whose part-``k`` witness is ``own`` and whose other witness is ``other``."""
-    return InterpolationResult(c, own, other) if k == 0 else InterpolationResult(c, other, own)
+    return tuple.__new__(InterpolationResult, (c, own, other) if k == 0 else (c, other, own))
 
 
 def _wrap(
@@ -340,7 +342,9 @@ def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -
     holds the weakened formula re-weakens its witness."""
     f = rule.analysed
     i, j = 2 * row.side, 2 * row.side + 1
-    in1, in2 = f in split[i], f in split[j]
+    # ``without`` hands back the part itself when it lacks f
+    kept1, kept2 = split[i].without(f), split[j].without(f)
+    in1, in2 = kept1 is not split[i], kept2 is not split[j]
     both, only1, only2, neither = _BRANCHES[d.tag]
     if in1 or in2:
         _hit(both if in1 and in2 else only1 if in1 else only2)
@@ -352,11 +356,8 @@ def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -
     premise = split
     if len(d.sub.seq[row.side]) < len(d.seq[row.side]):
         parts = list(split)
-        if in1:
-            parts[i] = split[i].without(f)
-        if in2:
-            parts[j] = split[j].without(f)
-        premise = SplitSequent(*parts)
+        parts[i], parts[j] = kept1, kept2
+        premise = tuple.__new__(SplitSequent, parts)
     res = yield premise
     return _wrap(row.cls, split, premise, res, in1, in2)
 

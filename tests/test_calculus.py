@@ -161,6 +161,59 @@ def test_formula_set_union_inserts_like_a_reference_union(width):
             assert all(f is ref[canonical_key(f)] for f in union)
 
 
+def _anew(f: Formula) -> Formula:
+    """An equal formula built anew, with no canonical key kept yet (the
+    constants ⊥ and ⊤ come back as themselves)."""
+    g = parse_formula(print_formula(f))
+    assert g is f or g._key is None
+    return g
+
+
+def test_formula_set_ops_agree_with_a_reference_dict():
+    # Each probe is a member, a non-member, or either built anew, whose key a
+    # set must compute before it bisects; a fresh probe serves one test only,
+    # since the first test keeps its key.
+    rng = SplitMix64(29)
+    pool = [_random_formula(rng, 3) for _ in range(40)]
+    pool += [FAll(Atom(0, (0,))), FEx(And(Atom(1, (0, 1)), Atom(2)))]
+    fresh_members = 0
+    for _ in range(150):
+        s = FormulaSet(pool[rng.below(len(pool))] for _ in range(rng.below(12)))
+        ref = {canonical_key(f): f for f in s}
+        assert list(ref) == sorted(ref)
+        for f in pool:
+            key = canonical_key(f)
+            member = key in ref
+            fresh_members += member and _anew(f) is not f
+            for probe in (f, _anew(f)):
+                assert (probe in s) is member
+            for probe in (f, _anew(f)):
+                added = s.add(probe)
+                assert type(added) is FormulaSet
+                if member:  # the member object stays
+                    assert added is s
+                else:
+                    want = {**ref, key: probe}
+                    assert len(added) == len(want)
+                    assert all(g is want[k] for g, k in zip(added, sorted(want)))
+            for probe in (f, _anew(f)):
+                removed = s.without(probe)
+                assert type(removed) is FormulaSet
+                if not member:
+                    assert removed is s
+                else:
+                    rest = sorted(k for k in ref if k != key)
+                    assert len(removed) == len(rest)
+                    assert all(g is ref[k] for g, k in zip(removed, rest))
+            other = FormulaSet([_anew(f)])
+            union = s | other
+            want = {key: other[0], **ref}  # on equal keys the left operand's formula stays
+            assert type(union) is FormulaSet
+            assert len(union) == len(want)
+            assert all(g is want[k] for g, k in zip(union, sorted(want)))
+    assert fresh_members > 100
+
+
 def test_plus_adds_like_a_union():
     rng = SplitMix64(7)
     pool = [_random_formula(rng, 3) for _ in range(30)]
@@ -540,7 +593,7 @@ def _rebuilt(d):
 
 
 def test_resolve_rule_answers_do_not_rest_on_shared_objects():
-    # Shared formulas let _find and _extra compare keys by identity; built
+    # Shared formulas let membership and _extra compare keys by identity; built
     # anew, the same formulas take the equality test on every key instead.
     for seed in range(6):
         d = gen_derivation(GenConfig(max_nodes=60, max_pred=1 + seed % 4, seed=seed, allow_quantifiers=True))

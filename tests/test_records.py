@@ -6,9 +6,16 @@ import pickle
 
 import pytest
 
-from craigseq.calculus import RuleInstance, Sequent, resolve_rule, root
+from craigseq.calculus import RULES, RuleInstance, Sequent, resolve_rule, root
 from craigseq.formulas import Atom
-from craigseq.interpolation import InterpolationResult, SplitSequent, VerifyReport, interpolate_strong, verify
+from craigseq.interpolation import (
+    _CASES,
+    InterpolationResult,
+    SplitSequent,
+    VerifyReport,
+    interpolate_strong,
+    verify,
+)
 from craigseq.oracle import GenConfig, gen_derivation, random_split
 from craigseq.syntax import ProblemFile
 
@@ -89,3 +96,44 @@ def test_record_fields_cannot_be_assigned():
             with pytest.raises(AttributeError):
                 setattr(r, name, getattr(r, name))
     assert seen == set(FIELDS)
+
+
+def _hot_records():
+    """The records the hot path builds with ``tuple.__new__``, on 10 seeded
+    40-node quantified derivations: every witness node's sequent and rule
+    instance; and for every input node, its rule instance, the result of
+    interpolating its subderivation along a seeded split of its root, and the
+    premise split that its step yields first."""
+    for seed in range(10):
+        d = gen_derivation(GenConfig(40, 4, seed, True))
+        res = interpolate_strong(d, random_split(root(d), seed))
+        todo = [res.left_witness, res.right_witness]
+        while todo:
+            w = todo.pop()
+            todo += w.premises
+            yield from (w.seq, resolve_rule(w))
+        todo = [d]
+        while todo:
+            node = todo.pop()
+            todo += node.premises
+            split = random_split(root(node), seed)
+            row, rule = RULES[node.tag], resolve_rule(node)
+            yield from (rule, interpolate_strong(node, split))
+            if row.arity:
+                yield next(_CASES[node.tag](node, row, rule, split))
+
+
+def test_hot_records_keep_the_named_tuple_contract():
+    seen = set()
+    for r in _hot_records():
+        cls = type(r)
+        seen.add(cls)
+        assert cls in FIELDS and cls._fields == FIELDS[cls]
+        again = cls(**r._asdict())
+        assert type(again) is cls and again == r and repr(again) == repr(r)
+        assert repr(r).startswith(f"{cls.__name__}({cls._fields[0]}=")
+        assert r._replace() == r and type(r._replace()) is cls
+        last = cls._fields[-1]
+        changed = r._replace(**{last: None})
+        assert type(changed) is cls and changed[:-1] == r[:-1] and getattr(changed, last) is None
+    assert seen == {RuleInstance, InterpolationResult, SplitSequent, Sequent}
