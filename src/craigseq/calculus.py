@@ -4,9 +4,10 @@ A sequent is a pair of formula sets, and a side is an index into it: ``G``
 (Γ) or ``D`` (Δ).  A formula set is the tuple of its members in canonical
 order and equals that tuple; membership still bisects the members by the
 canonical key each one keeps.  A derivation is a tree in which every node
-records the sequent it claims to derive.  A node has none, one or two
-premises, each of these three shapes is declared once, and the 15 rule
-classes only name their rule.  The checker ``resolve_rule``
+records the sequent it claims to derive and stores its premises once, as a
+tuple.  A node has none, one or two premises; each of these three shapes is
+declared once, its named premise fields are read-only views of that tuple,
+and the 15 rule classes only name their rule.  The checker ``resolve_rule``
 reconstructs, for a single node, the rule instance that justifies the node
 from its premises.  Each of the 15 rules is stated once, as a row of the
 table ``RULES`` that the checker, the interpolator and the parser read, and
@@ -69,9 +70,10 @@ class FormulaSet(tuple[Formula, ...]):
 
     # Membership, ``add`` and ``without`` each bisect in their own frame: a
     # shared helper would cost one more Python call per test.  bisect reads a
-    # tuple subclass's items through __getitem__, one Python call each; it
-    # reads a plain tuple in C, and the copy costs less.  A key is never
-    # empty, so ``or`` computes only a key not kept yet.
+    # tuple subclass's items through CPython's generic sequence slot, which
+    # makes no Python call but is slower than its plain-tuple path, so a
+    # bisect of the copy ``self[:]`` costs less.  A key is never empty, so
+    # ``or`` computes only a key not kept yet.
 
     def __contains__(self, f: object) -> bool:
         if not isinstance(f, Formula):
@@ -131,7 +133,8 @@ class Sequent(NamedTuple):
 class Derivation(_Node):
     """Base class of derivation tree nodes: ``tag`` names the rule claimed,
     ``seq`` the sequent it derives and ``premises`` its immediate
-    subderivations, in order.
+    subderivations, in order, as the one tuple the node stores.  The named
+    premise fields ``sub``, ``left`` and ``right`` are read-only views of it.
 
     Two nodes are equal when they name the same rule, derive equal sequents
     and have equal premises.  ``==`` walks both trees with an explicit stack.
@@ -193,30 +196,21 @@ class _NoPremise(Derivation):
 
 class _OnePremise(Derivation):
     _fields = __match_args__ = ("seq", "sub")
-    sub: Derivation
+    sub = property(lambda node: node.premises[0])
 
     def __init__(self, seq: Sequent, sub: Derivation) -> None:
         _set(self, "seq", seq)
-        _set(self, "sub", sub)
-
-    @property
-    def premises(self) -> tuple[Derivation, ...]:
-        return (self.sub,)
+        _set(self, "premises", (sub,))
 
 
 class _TwoPremises(Derivation):
     _fields = __match_args__ = ("seq", "left", "right")
-    left: Derivation
-    right: Derivation
+    left = property(lambda node: node.premises[0])
+    right = property(lambda node: node.premises[1])
 
     def __init__(self, seq: Sequent, left: Derivation, right: Derivation) -> None:
         _set(self, "seq", seq)
-        _set(self, "left", left)
-        _set(self, "right", right)
-
-    @property
-    def premises(self) -> tuple[Derivation, ...]:
-        return (self.left, self.right)
+        _set(self, "premises", (left, right))
 
 
 class Init(_NoPremise):
@@ -467,7 +461,7 @@ def _instances(row: Rule, seq: Sequent, sub: Sequent) -> Iterator[tuple[Formula,
 
 def _match_term(row: Rule, d: Derivation) -> RuleInstance | None:
     """AllL, ExR: the added formula instantiates the principal one at a term."""
-    for f, e in _instances(row, d.seq, d.sub.seq):  # type: ignore[attr-defined]
+    for f, e in _instances(row, d.seq, d.premises[0].seq):
         t = match_inst(f, e)
         if t is not None:
             return tuple.__new__(RuleInstance, (row.cls.tag, f, None, t, (e,)))
@@ -478,7 +472,7 @@ def _match_eigen(row: Rule, d: Derivation) -> RuleInstance | None:
     """AllR, ExL: the added formula opens the principal one at a variable free
     nowhere in the conclusion."""
     forbidden: set[VarId] | None = None
-    for f, e in _instances(row, d.seq, d.sub.seq):  # type: ignore[attr-defined]
+    for f, e in _instances(row, d.seq, d.premises[0].seq):
         if forbidden is None:
             forbidden = d.seq.free_vars()
         a = match_bind(f, e, forbidden)
@@ -489,7 +483,7 @@ def _match_eigen(row: Rule, d: Derivation) -> RuleInstance | None:
 
 def _match_weakening(row: Rule, d: Derivation) -> RuleInstance | None:
     """WL, WR: the conclusion adds one formula to the premise's side."""
-    extra = _adds(d.sub.seq, d.seq, row.side)  # type: ignore[attr-defined]
+    extra = _adds(d.premises[0].seq, d.seq, row.side)
     if extra is None or len(extra) > 1:
         return None
     # With nothing added, the weakened formula is one the premise already has.

@@ -354,7 +354,7 @@ def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -
     # Each part lies within the conclusion's side, the premise's side plus f,
     # so f is new exactly when that side is the longer.
     premise = split
-    if len(d.sub.seq[row.side]) < len(d.seq[row.side]):
+    if len(d.premises[0].seq[row.side]) < len(d.seq[row.side]):
         parts = list(split)
         parts[i], parts[j] = kept1, kept2
         premise = tuple.__new__(SplitSequent, parts)

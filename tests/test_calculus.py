@@ -337,6 +337,16 @@ def test_rule_nodes_keep_the_dataclass_contract():
         assert [f.name for f in dataclasses.fields(node)] == [f.name for f in dataclasses.fields(row.cls)]
         twin = dataclasses.replace(node)
         assert twin == node and twin is not node and type(twin) is row.cls
+        # the node stores its premises once, and each named premise is a view of them
+        assert node.premises is node.premises and len(node.premises) == row.arity
+        other = BotL(s)
+        for i, name in enumerate(names[1:]):
+            assert getattr(node, name) is node.premises[i]
+            assert dataclasses.replace(node, **{name: other}).premises[i] is other
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.premises = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del node.premises
 
 
 def test_derivation_eq_and_hash_without_recursion():
