@@ -16,6 +16,10 @@ One explicit-stack walk, ``_resolved``, resolves the nodes of a tree in
 preorder: ``is_wellformed`` stops it at the first failing node, ``craigseq
 check`` labels each node from its parent's label, and the interpolator runs
 each node's step as the walk yields it and names a failing node's ``_path``.
+The interpolator's walk alone keeps each node's rule instance on the node, as
+``_rule``, so a derivation interpolated under several splits is resolved once;
+``is_wellformed``, and through it ``verify`` and ``check``, resolve every node
+afresh and neither read nor write ``_rule``.
 ``repr`` and ``syntax.print_derivation`` share one bracket walk, ``_nested``,
 and ``size`` and the generator share one node count, ``_outside``.
 """
@@ -130,6 +134,11 @@ class Sequent(NamedTuple):
         return out
 
 
+#: ``Derivation._rule`` of a node that the interpolator's walk has not
+#: resolved yet; ``None`` is kept too, and means that no rule fits.
+_UNRESOLVED = object()
+
+
 class Derivation(_Node):
     """Base class of derivation tree nodes: ``tag`` names the rule claimed,
     ``seq`` the sequent it derives and ``premises`` its immediate
@@ -141,6 +150,11 @@ class Derivation(_Node):
     The hash is computed the first time it is asked for, by an explicit-stack
     post-order walk that stops at nodes whose hash is already kept, and is
     kept on every node it reaches.  Neither is bounded by the recursion limit.
+
+    ``_rule`` is the node's rule instance as the interpolator's walk resolved
+    it, ``None`` when no rule fits, and ``_UNRESOLVED`` until that walk meets
+    the node.  Only that walk reads or writes it; pickles and copies leave it
+    out, so a node loaded or copied is resolved afresh.
     """
 
     __slots__ = ()
@@ -148,6 +162,11 @@ class Derivation(_Node):
     seq: Sequent
     premises: tuple[Derivation, ...]
     _hash: int | None = None
+    _rule: RuleInstance | None | object = _UNRESOLVED
+
+    def __getstate__(self) -> dict:
+        """The node's attributes for pickles and copies, without its kept rule."""
+        return {k: v for k, v in self.__dict__.items() if k != "_rule"}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Derivation):
@@ -533,14 +552,21 @@ def resolve_rule(d: Derivation) -> RuleInstance | None:
     return row.match(row, d)
 
 
-def _resolved(d: Derivation) -> Iterator[tuple[Derivation, RuleInstance | None, tuple | None]]:
+def _resolved(d: Derivation, keep: bool = False) -> Iterator[tuple[Derivation, RuleInstance | None, tuple | None]]:
     """Yield ``(node, resolve_rule(node), where)`` for every node, in preorder
     on an explicit stack: ``where`` is ``None`` at the root and ``(where, i)``
-    at the i-th premise of the node at ``where``, one tuple and no text."""
+    at the i-th premise of the node at ``where``, one tuple and no text.
+    With ``keep``, which only the interpolator passes, a node's rule instance
+    is read from its ``_rule`` and resolved and kept there only when missing."""
     stack: list[tuple[Derivation, tuple | None]] = [(d, None)]
     while stack:
         node, where = stack.pop()
-        yield node, resolve_rule(node), where
+        if not keep:
+            rule = resolve_rule(node)
+        elif (rule := node._rule) is _UNRESOLVED:
+            rule = resolve_rule(node)
+            _set(node, "_rule", rule)
+        yield node, rule, where
         subs = node.premises
         i = len(subs)
         while i:  # the last premise first, so the first comes off first

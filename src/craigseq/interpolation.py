@@ -38,6 +38,13 @@ as that same object; any other node adds to its premise's side only what
 changed.  ``_on``, ``_extend``, ``_weaken`` and ``_result`` build their
 records with ``tuple.__new__``, which skips the Python frame of a
 ``NamedTuple``'s generated ``__new__``; the records keep their classes.
+
+A node's rule instance depends on the node alone, not on the split, so the
+interpolator's walk keeps it on the input node it resolved, as
+``Derivation._rule``: a derivation interpolated under several splits is
+resolved once in all.  ``verify`` keeps and reads none: through
+``is_wellformed`` it resolves every witness node afresh, as ``craigseq
+check`` resolves every node it reports.
 """
 from __future__ import annotations
 
@@ -190,7 +197,7 @@ def _interpolate(d: Derivation, split: SplitSequent) -> InterpolationResult:
     limit bounds depth.  The steps ask for their premises in that preorder,
     left first, so the next node is always the premise the top step waits for."""
     stack: list[_Step] = []
-    for node, rule, where in _resolved(d):
+    for node, rule, where in _resolved(d, keep=True):
         if rule is None:
             raise NotWellFormedError(f'derivation is not wellformed at node path "{_path(where)}"')
         row = RULES[node.tag]

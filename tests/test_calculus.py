@@ -434,6 +434,37 @@ def test_same_shape_rules_differ():
             assert (seq, left, right) == (s, x, y)
 
 
+def _nodes(d):
+    """The nodes of ``d``, each once."""
+    out, stack = [], [d]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += premises(node)
+    return out
+
+
+def test_pickles_and_copies_leave_out_the_kept_rule():
+    # The interpolator keeps each node's rule instance on the node; a pickle
+    # or a copy carries none, so what it gives is resolved afresh.
+    d = gen_derivation(GenConfig(40, 3, 7, True))
+    # The checker keeps no rule instance; the free variables it asks of the
+    # sequents are kept on their formulas, so it runs before the first pickle.
+    assert is_wellformed(d)
+    nodes = _nodes(d)
+    assert not any("_rule" in vars(node) for node in nodes)
+    before = pickle.dumps(d)
+    interpolate_strong(d, random_split(root(d), 7))
+    assert all("_rule" in vars(node) for node in nodes)
+    assert pickle.dumps(d) == before
+    for node in nodes:
+        for other in (copy.copy(node), dataclasses.replace(node)):
+            assert other == node and "_rule" not in vars(other)
+    for other in (copy.deepcopy(d), pickle.loads(before)):
+        assert other == d
+        assert not any("_rule" in vars(node) for node in _nodes(other))
+
+
 # ------------------------------------------------------------- resolve_rule
 
 def test_resolve_init():

@@ -16,12 +16,16 @@ from craigseq.interpolation import interpolate_strong, verify
 from craigseq.oracle import GenConfig, gen_derivation, random_split
 
 #: Per shape: the derivations, and the most Python calls ``interpolate_strong``
-#: may make per input node and ``verify`` per witness node.  The counts were
-#: 25.51 and 7.11 on the batch shape, 26.92 and 8.05 on the quantified one.
+#: may make per input node on each derivation's first split (cold: no node
+#: keeps its rule instance yet) and on its two later splits (repeat: every
+#: node keeps the one the first call resolved), and ``verify`` per witness
+#: node.  The counts were 25.35, 20.79 and 7.11 on the batch shape, 26.98,
+#: 19.83 and 8.05 on the quantified one.  The cold budgets date from when the
+#: three splits were counted together, at 25.51 and 26.92, and are kept.
 SHAPES = {
     # the benchmark's batch shape: small propositional derivations
-    "batch": ([GenConfig(4 + i % 9, 1 + i % 4, i) for i in range(300)], 28.1, 7.8),
-    "quantified": ([GenConfig(200, 4, seed, True) for seed in range(3)], 29.6, 8.9),
+    "batch": ([GenConfig(4 + i % 9, 1 + i % 4, i) for i in range(300)], 28.1, 22.9, 7.8),
+    "quantified": ([GenConfig(200, 4, seed, True) for seed in range(3)], 29.6, 21.8, 8.9),
 }
 
 HOW_TO_RESET = (
@@ -51,28 +55,29 @@ def _calls(fn, *args):
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_python_calls_per_node_stay_within_budget(shape):
-    configs, interpolate_budget, verify_budget = SHAPES[shape]
-    nodes = witness_nodes = interpolate_calls = verify_calls = 0
+    configs, cold_budget, repeat_budget, verify_budget = SHAPES[shape]
+    calls = {"cold": 0, "repeat": 0, "verify": 0}
+    nodes = {"cold": 0, "repeat": 0, "verify": 0}
     for cfg in configs:
         d = gen_derivation(cfg)
         for split_seed in range(3):
             split = random_split(root(d), split_seed)
             res, n = _calls(interpolate_strong, d, split)
-            nodes += size(d)
-            interpolate_calls += n
+            walk = "repeat" if split_seed else "cold"
+            calls[walk] += n
+            nodes[walk] += size(d)
             report, n = _calls(verify, split, res)
             assert report.ok
-            witness_nodes += size(res.left_witness) + size(res.right_witness)
-            verify_calls += n
-    per_node = interpolate_calls / nodes
-    per_witness_node = verify_calls / witness_nodes
-    print(f"\n{shape}: {per_node:.2f} calls per node in interpolate_strong, "
-          f"{per_witness_node:.2f} per witness node in verify")
-    assert per_node <= interpolate_budget, (
-        f"interpolate_strong made {per_node:.2f} Python calls per node on the {shape} shape, "
-        f"over its budget of {interpolate_budget}; {HOW_TO_RESET}"
-    )
-    assert per_witness_node <= verify_budget, (
-        f"verify made {per_witness_node:.2f} Python calls per witness node on the {shape} shape, "
-        f"over its budget of {verify_budget}; {HOW_TO_RESET}"
-    )
+            calls["verify"] += n
+            nodes["verify"] += size(res.left_witness) + size(res.right_witness)
+    per_node = {walk: calls[walk] / nodes[walk] for walk in calls}
+    print(f"\n{shape}: {per_node['cold']:.2f} calls per node in interpolate_strong on a first split, "
+          f"{per_node['repeat']:.2f} on a later one, {per_node['verify']:.2f} per witness node in verify")
+    for walk, what, budget in (
+        ("cold", "interpolate_strong made {:.2f} Python calls per node on a first split", cold_budget),
+        ("repeat", "interpolate_strong made {:.2f} Python calls per node on a later split", repeat_budget),
+        ("verify", "verify made {:.2f} Python calls per witness node", verify_budget),
+    ):
+        assert per_node[walk] <= budget, (
+            f"{what.format(per_node[walk])} on the {shape} shape, over its budget of {budget}; {HOW_TO_RESET}"
+        )

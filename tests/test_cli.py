@@ -16,6 +16,7 @@ from craigseq import calculus, cli
 from craigseq.calculus import EMPTY, WL, Init, Sequent, fset, root
 from craigseq.cli import main
 from craigseq.formulas import Atom, Not
+from craigseq.interpolation import interpolate_strong
 from craigseq.oracle import GenConfig, gen_derivation, random_split
 from craigseq.syntax import ProblemFile, print_derivation, print_problem
 from support import recursion_limit
@@ -93,6 +94,28 @@ def test_check_fail_deep_node(tmp_path, capsys):
     assert code == 1
     assert out.splitlines()[1] == "0: Init UNRESOLVED"
     assert out.splitlines()[-1] == 'FAIL at node path "0"'
+
+
+def test_check_resolves_an_interpolated_derivation_afresh(tmp_path, capsys, monkeypatch):
+    # The interpolator keeps each node's rule instance on the node; check
+    # reads none of them.  It prints the same bytes for a derivation after
+    # interpolation, and after every kept rule instance is forged to None.
+    d = gen_derivation(GenConfig(40, 3, 7, True))
+    f = tmp_path / "d.txt"
+    f.write_text(print_derivation(d))
+    monkeypatch.setattr(cli, "parse_derivation", lambda text: d)  # check this tree, not a parsed copy
+    assert main(["check", str(f)]) == 0
+    fresh = capsys.readouterr().out
+    interpolate_strong(d, random_split(root(d), 7))
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr().out == fresh
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        object.__setattr__(node, "_rule", None)
+        stack += node.premises
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr().out == fresh
 
 
 def test_check_labels_a_node_from_its_parent(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Interpolation: case-by-case expected results, verifier, simplification."""
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import pytest
@@ -656,6 +657,36 @@ def test_verify_detects_corrupt_witness():
     assert not report.conjuncts["wellformed_right"]
 
 
+def test_verify_trusts_no_kept_rule():
+    # verify resolves every witness node afresh: a tampered witness fails
+    # however its nodes are forged to keep a rule instance, and verify leaves
+    # none kept on the witnesses it checks.
+    forged = Init(Sequent(fset(p), fset(q)))
+    object.__setattr__(forged, "_rule", calculus.RuleInstance("Init", p))
+    d = Init(Sequent(fset(p), fset(p)))
+    sp = split(g1=[p], d2=[p])
+    res = interpolate_strong(d, sp)
+    assert not verify(sp, res._replace(right_witness=forged)).conjuncts["wellformed_right"]
+    tampered = 0
+    for seed in range(20):
+        d = gen_derivation(GenConfig(max_nodes=30, max_pred=3, seed=seed, allow_quantifiers=seed % 2 == 1))
+        sp = random_split(root(d), seed)
+        res = interpolate_strong(d, sp)
+        assert len(_kept(d)) == len(_preorder(d))
+        assert_verified(sp, res)
+        assert _kept(res.left_witness) == _kept(res.right_witness) == []
+        for side in ("left", "right"):
+            bad = _alter(getattr(res, f"{side}_witness"), seed)
+            if is_wellformed(bad):
+                continue
+            tampered += 1
+            for node in _preorder(bad):
+                object.__setattr__(node, "_rule", calculus.RuleInstance(node.tag))
+            report = verify(sp, res._replace(**{f"{side}_witness": bad}))
+            assert [name for name, ok in report.conjuncts.items() if not ok] == [f"wellformed_{side}"]
+    assert tampered > 20
+
+
 def test_verify_detects_foreign_predicates():
     d = Init(Sequent(fset(p), fset(p)))
     sp = split(g1=[p], d2=[p])
@@ -741,6 +772,11 @@ def _preorder(d):
     return nodes
 
 
+def _kept(d):
+    """The nodes of ``d`` that keep a rule instance."""
+    return [node for node in _preorder(d) if "_rule" in vars(node)]
+
+
 def test_each_node_resolved_once(monkeypatch):
     calls: Counter[int] = Counter()
     real = calculus.resolve_rule
@@ -756,12 +792,21 @@ def test_each_node_resolved_once(monkeypatch):
         d = gen_derivation(GenConfig(max_nodes=40, max_pred=3, seed=seed, allow_quantifiers=seed % 2 == 1))
         nodes = _preorder(d)
         assert len({id(node) for node in nodes}) == len(nodes)  # no node object is shared
+        # Three splits resolve each node once in all: the first call keeps
+        # each node's rule instance on the node and the later two read it.
+        splits = [random_split(root(d), 3 * seed + j) for j in range(3)]
         calls.clear()
-        interpolate_strong(d, random_split(root(d), seed))
+        results = [interpolate_strong(d, sp) for sp in splits]
         assert calls == Counter(id(node) for node in nodes)
+        # A deep copy keeps no rule instance, and gives the same results.
+        fresh = copy.deepcopy(d)
+        assert _kept(fresh) == []
+        assert [interpolate_strong(fresh, sp) for sp in splits] == results
     # A refused derivation resolves each node up to the failing one once and
     # no node after it: a 51-node chain that fails at its last node, and
-    # seeded derivations with one node altered.
+    # seeded derivations with one node altered.  Interpolated again, it
+    # raises the same error without resolving any node: the failing node
+    # keeps its ``None``.
     seq = Sequent(fset(p), fset(q))
     chain = Init(seq)  # no rule justifies P0() ⊢ P1()
     for _ in range(50):
@@ -777,9 +822,14 @@ def test_each_node_resolved_once(monkeypatch):
         nodes = _preorder(d)
         failing = next(i for i, node in enumerate(nodes) if real(node) is None)
         calls.clear()
-        with pytest.raises(NotWellFormedError):
+        with pytest.raises(NotWellFormedError) as first:
             interpolate_strong(d, sp)
         assert calls == Counter(id(node) for node in nodes[: failing + 1])
+        calls.clear()
+        with pytest.raises(NotWellFormedError) as again:
+            interpolate_strong(d, sp)
+        assert calls == Counter()
+        assert str(again.value) == str(first.value)
 
 
 def _verified_at_recursion_limit_1000(d, sp):
