@@ -164,10 +164,6 @@ class Derivation(_Node):
     _hash: int | None = None
     _rule: RuleInstance | None | object = _UNRESOLVED
 
-    def __getstate__(self) -> dict:
-        """The node's attributes for pickles and copies, without its kept rule."""
-        return {k: v for k, v in self.__dict__.items() if k != "_rule"}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Derivation):
             return NotImplemented

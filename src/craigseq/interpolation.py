@@ -20,7 +20,9 @@ witness.  The steps cover the mirror pairs once each: ``_init``; ``_axiom``
 WR); ``_branching`` (AndR, OrL); ``_eigen`` (AllR, ExL).  All but the first
 two are generators: they yield each premise's split and are sent back its
 result.  In each step the part of the split that owns the principal formula
-decides the case, named ``<rule>-<side><part>`` in ``CASE_NAMES``.
+decides the case.  ``_BRANCHES`` builds each rule's case names from its tag
+and the side of its row of ``RULES``, such as ``andl-g1`` or ``wr-d2-only``;
+a step reads its names there and counts the one it picks, and spells none.
 
 Each step is written once, with the owning part k (0: part 1, 1: part 2) as
 its parameter: part 2's construction mirrors part 1's, with ⊥/⊤, ∨/∧, ∃/∀
@@ -110,45 +112,25 @@ class InterpolationResult(NamedTuple):
     right_witness: Derivation
 
 
-#: Names of all interpolation case branches, used by the coverage counters.
-CASE_NAMES = (
-    "init-g1d1",
-    "init-g1d2",
-    "init-g2d1",
-    "init-g2d2",
-    "botl-g1",
-    "botl-g2",
-    "topr-d1",
-    "topr-d2",
-    "andl-g1",
-    "andl-g2",
-    "andr-d1",
-    "andr-d2",
-    "orl-g1",
-    "orl-g2",
-    "orr-d1",
-    "orr-d2",
-    "notl-g1",
-    "notl-g2",
-    "notr-d1",
-    "notr-d2",
-    "alll-g1",
-    "alll-g2",
-    "allr-d1",
-    "allr-d2",
-    "exl-g1",
-    "exl-g2",
-    "exr-d1",
-    "exr-d2",
-    "wl-both",
-    "wl-g1-only",
-    "wl-g2-only",
-    "wl-impossible",
-    "wr-both",
-    "wr-d1-only",
-    "wr-d2-only",
-    "wr-impossible",
-)
+def _case_names(row: Rule) -> tuple[str, ...]:
+    """``row``'s case names, from its tag and principal side, in the order its
+    step indexes them: Init's by ``2 * i + j`` for the parts i of Γ and j of Δ
+    that share its formula, WL/WR's as both parts, part 1 only, part 2 only,
+    neither, and any other rule's by the part that owns the principal formula."""
+    t, s = row.cls.tag.lower(), "gd"[row.side]
+    if row.cls is Init:
+        return tuple(f"{t}-g{i}d{j}" for i in "12" for j in "12")
+    if row.head is None:
+        return (f"{t}-both", f"{t}-{s}1-only", f"{t}-{s}2-only", f"{t}-impossible")
+    return (f"{t}-{s}1", f"{t}-{s}2")
+
+
+#: Each rule's case names, keyed by its tag.
+_BRANCHES = {tag: _case_names(row) for tag, row in RULES.items()}
+
+#: Names of all interpolation case branches, used by the coverage counters,
+#: in the order of ``RULES``.
+CASE_NAMES = tuple(name for names in _BRANCHES.values() for name in names)
 
 _counters: Counter[str] = Counter()
 
@@ -160,10 +142,6 @@ def reset_case_counters() -> None:
 def case_counters() -> dict[str, int]:
     """Snapshot of how often each case branch has run since the last reset."""
     return {name: _counters[name] for name in CASE_NAMES}
-
-
-def _hit(name: str) -> None:
-    _counters[name] += 1
 
 
 def interpolate_strong(d: Derivation, split: SplitSequent) -> InterpolationResult:
@@ -216,16 +194,11 @@ def _interpolate(d: Derivation, split: SplitSequent) -> InterpolationResult:
     return res
 
 
-#: Each rule's case names in the order of ``CASE_NAMES``: one per owning part,
-#: or for WL/WR both parts, part 1 only, part 2 only, neither.
-_BRANCHES = {tag: tuple(n for n in CASE_NAMES if n.split("-")[0] == tag.lower()) for tag in RULES}
-
-
 def _owner(d: Derivation, side: int, f: Formula, split: SplitSequent) -> int:
     """Count and return the part of ``side`` that holds ``f``: 0 for part 1,
     1 for part 2.  A formula in both parts belongs to part 1."""
     k = 0 if f in split[2 * side] else 1
-    _hit(_BRANCHES[d.tag][k])
+    _counters[_BRANCHES[d.tag][k]] += 1
     return k
 
 
@@ -298,13 +271,14 @@ def _introduce(split: SplitSequent, k: int, c: Formula, *witnesses: Derivation) 
 
 def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> InterpolationResult:
     g1, g2, d1, d2 = split
+    g1d1, g1d2, g2d1, g2d2 = _BRANCHES[d.tag]
     for a in g1:
         if a in d1:
-            _hit("init-g1d1")
+            _counters[g1d1] += 1
             return _alone(split, 0, Init)
     for a in g1:
         if a in d2:
-            _hit("init-g1d2")
+            _counters[g1d2] += 1
             return InterpolationResult(
                 a,
                 Init(Sequent(g1, d1.add(a))),
@@ -312,7 +286,7 @@ def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> Interp
             )
     for a in g2:
         if a in d1:
-            _hit("init-g2d1")
+            _counters[g2d1] += 1
             c = Not(a)
             d1c, g2c = d1.add(c), g2.add(c)
             return InterpolationResult(
@@ -322,7 +296,7 @@ def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> Interp
             )
     for a in g2:
         if a in d2:
-            _hit("init-g2d2")
+            _counters[g2d2] += 1
             return _alone(split, 1, Init)
     raise UnreachableCaseError("Init node with no shared formula in any part pair")
 
@@ -354,9 +328,9 @@ def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -
     in1, in2 = kept1 is not split[i], kept2 is not split[j]
     both, only1, only2, neither = _BRANCHES[d.tag]
     if in1 or in2:
-        _hit(both if in1 and in2 else only1 if in1 else only2)
+        _counters[both if in1 and in2 else only1 if in1 else only2] += 1
     else:
-        _hit(neither)
+        _counters[neither] += 1
         raise UnreachableCaseError(f"weakened formula missing from both {Sequent._fields[row.side]} parts")
     # Each part lies within the conclusion's side, the premise's side plus f,
     # so f is new exactly when that side is the longer.
