@@ -153,8 +153,8 @@ class Derivation(_Node):
 
     ``_rule`` is the node's rule instance as the interpolator's walk resolved
     it, ``None`` when no rule fits, and ``_UNRESOLVED`` until that walk meets
-    the node.  Only that walk reads or writes it; pickles and copies leave it
-    out, so a node loaded or copied is resolved afresh.
+    the node.  Only that walk reads or writes it.  A pickle or copy carries
+    only a node's fields, so it is hashed and resolved afresh.
     """
 
     __slots__ = ()
@@ -183,7 +183,7 @@ class Derivation(_Node):
             while todo:
                 node, ready = todo.pop()
                 if ready:
-                    # no rule tag: a str hash would differ between processes, and pickles carry _hash
+                    # no rule tag: a str hash would differ between processes
                     h = hash((node.seq, *(p._hash for p in node.premises)))
                     object.__setattr__(node, "_hash", h)
                 elif node._hash is None:

@@ -34,18 +34,13 @@ class _DataclassFields:
         return fields
 
 
-#: What a node computes and keeps: a formula's canonical key, free variables,
-#: polarity and text, and a derivation node's rule instance.  Pickles and
-#: copies leave them out, so a loaded or copied node computes them afresh.
-#: Both keep ``_hash``, which is the same in every process.
-_KEPT = frozenset(("_key", "_fv", "_pol", "_text", "_rule"))
-
-
 class _Node:
     """Base of formula and derivation nodes: a shape names its fields once,
     as ``_fields`` and ``__match_args__``, and its ``__init__`` sets them
     with ``object.__setattr__``.  After that a node is frozen: assigning or
-    deleting any attribute raises ``dataclasses.FrozenInstanceError``."""
+    deleting any attribute raises ``dataclasses.FrozenInstanceError``.  A
+    pickle or a copy of a node is its shape's constructor call on its
+    fields, so nothing that a node computes and keeps travels with it."""
 
     __slots__ = ()
     __dataclass_fields__ = _DataclassFields()
@@ -57,9 +52,8 @@ class _Node:
     def __delattr__(self, name: str) -> None:
         raise _frozen(f"cannot delete field {name!r}")
 
-    def __getstate__(self) -> dict:
-        """The node's attributes for pickles and copies, without ``_KEPT``."""
-        return {k: v for k, v in self.__dict__.items() if k not in _KEPT}
+    def __reduce__(self) -> tuple[type[_Node], tuple[object, ...]]:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 def _frozen(message: str) -> Exception:
@@ -76,7 +70,7 @@ class Formula(_Node):
     their keys are, and the hash is the key's hash.  Building a node only
     stores its fields.  Its canonical key, hash, free variables, polarity and
     printed text are computed the first time each is asked for and kept on the
-    node; pickles and copies carry only its fields and hash.  ``repr`` and the
+    node; pickles and copies carry only its fields.  ``repr`` and the
     text are folds; the key, free variables and polarity are flat loops, the
     last two stopping at cached subnodes.  None recurses, so a formula's depth
     is bounded by memory, not by the recursion limit.

@@ -379,18 +379,20 @@ values = [BOT, TOP, a, Or(Not(a), b), FAll(FEx(And(a, b))), *root(d).antecedent,
 """
 
 #: Run in another process: loads the pickled values from stdin and compares
-#: them with fresh copies; argv[1] is the parent's hash of a string.
+#: them with fresh copies; argv[1] is the parent's hash of a string, and
+#: argv[2:] are the parent's hashes of the values.
 _CHECK_LOADED = """
 import pickle, sys
 loaded = pickle.load(sys.stdin.buffer)
 assert hash("craigseq") != int(sys.argv[1]), "the child must hash strings differently"
 assert len(loaded) == len(values)
+assert not any("_hash" in vars(old) for old in loaded)  # the pickle carried no hash
 fresh = {v: v for v in values}
 kept = {v: v for v in loaded}
 for old, new in zip(loaded, values):
-    assert old._hash is not None  # the pickle carried the hash
     assert hash(old) == hash(new) and old == new and new == old
     assert fresh[old] == old and kept[new] == new
+assert [hash(v) for v in loaded] == [int(h) for h in sys.argv[2:]]
 """
 
 
@@ -398,12 +400,11 @@ def test_pickled_hashes_hold_in_a_process_with_another_hash_seed():
     ns: dict = {}
     exec(_BUILD_VALUES, ns)
     values = ns["values"]
-    for v in values:
-        hash(v)
+    hashes = [str(hash(v)) for v in values]
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     src = str(Path(craigseq.__file__).parents[1])
     subprocess.run(
-        [sys.executable, "-c", _BUILD_VALUES + _CHECK_LOADED, str(hash("craigseq"))],
+        [sys.executable, "-c", _BUILD_VALUES + _CHECK_LOADED, str(hash("craigseq")), *hashes],
         input=pickle.dumps(values),
         env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
         check=True,
@@ -463,6 +464,18 @@ def test_pickles_and_copies_leave_out_the_kept_rule():
     for other in (copy.deepcopy(d), pickle.loads(before)):
         assert other == d
         assert not any("_rule" in vars(node) for node in _nodes(other))
+    # A forged hash and rule travel with neither: a pickle or copy holds only
+    # the node's fields and hashes afresh.
+    leaf = next(node for node in nodes if not node.premises)
+    for fresh in (d, leaf):
+        forged = type(fresh)(*(getattr(fresh, name) for name in fresh._fields))
+        object.__setattr__(forged, "_hash", 12345)
+        object.__setattr__(forged, "_rule", None)
+        assert hash(forged) == 12345 and hash(fresh) != 12345
+        fields = {"seq", "premises"} if fresh.premises else {"seq"}
+        for other in (pickle.loads(pickle.dumps(forged)), copy.copy(forged), copy.deepcopy(forged)):
+            assert set(vars(other)) == fields
+            assert hash(other) == hash(fresh) and other in {fresh}
 
 
 # ------------------------------------------------------------- resolve_rule

@@ -387,27 +387,30 @@ def test_nodes_keep_the_dataclass_contract():
 
 
 def test_pickles_and_copies_leave_out_the_kept_caches():
-    # A loaded or copied formula computes its key, free variables, polarity
-    # and text afresh, so none that is wrong, or that another version of the
-    # code kept, travels with it.  The hash travels: it is the same in every
-    # process.
+    # A loaded or copied formula computes its hash, key, free variables,
+    # polarity and text afresh, so none that is wrong, or that another
+    # version of the code kept, travels with it.  The hash is recomputed, not
+    # carried: it hashes no string, so it is the same in every process.
     f = FAll(And(Atom(0, (0,)), Atom(1)))
-    hash(f)
     before = pickle.dumps(f)
     key, fv, pol, text = canonical_key(f), free_vars(f), polarity(f), print_formula(f)
-    assert f._key == key and f._fv is not None and f._pol == pol and f._text == text
+    hash(f)
+    assert f._key == key and f._fv is not None and f._pol == pol and f._text == text and f._hash is not None
     assert pickle.dumps(f) == before
     forged = FAll(And(Atom(0, (0,)), Atom(1)))
     object.__setattr__(forged, "_key", (9, 9, 9))
     assert canonical_key(forged) == (9, 9, 9)
-    for g in (f, forged):
+    forged_hash = FAll(And(Atom(0, (0,)), Atom(1)))
+    object.__setattr__(forged_hash, "_hash", 12345)
+    assert hash(forged_hash) == 12345
+    for g in (f, forged, forged_hash):
         for other in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
-            assert set(vars(other)) <= {"body", "_hash"}
-            assert canonical_key(other) == key and hash(other) == hash(f)
+            assert set(vars(other)) == {"body"}
+            assert canonical_key(other) == key and hash(other) == hash(f) and other in {f}
             assert free_vars(other) == fv and polarity(other) == pol and print_formula(other) == text
         for other in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
             for _, sub, _ in _paths(other):
-                assert set(vars(sub)) <= {field.name for field in dataclasses.fields(sub)} | {"_hash"}
+                assert set(vars(sub)) == {field.name for field in dataclasses.fields(sub)}
 
 
 def test_equality_agrees_with_canonical_key():
