@@ -12,14 +12,16 @@ reconstructs, for a single node, the rule instance that justifies the node
 from its premises.  Each of the 15 rules is stated once, as a row of the
 table ``RULES`` that the checker, the interpolator and the parser read, and
 that ``RULE_FOR`` is derived from; ``_adds`` reads what a premise adds.
-One explicit-stack walk, ``_resolved``, resolves the nodes of a tree in
-preorder: ``is_wellformed`` stops it at the first failing node, ``craigseq
-check`` labels each node from its parent's label, and the interpolator runs
-each node's step as the walk yields it and names a failing node's ``_path``.
-The interpolator's walk alone keeps each node's rule instance on the node, as
-``_rule``, so a derivation interpolated under several splits is resolved once;
+One explicit-stack walk, ``_preorder``, yields the nodes of a tree in
+preorder, each with where it sits, and resolves and writes nothing:
+``is_wellformed`` resolves each node it yields and stops at the first failing
+one, ``craigseq check`` resolves and labels each node from its parent's
+label, and the interpolator runs each node's step as the walk yields it and
+names a failing node's ``_path``.  Only the interpolator reads or writes a
+node's ``_rule``, the rule instance it keeps on the node, so that a
+derivation interpolated under several splits is resolved once;
 ``is_wellformed``, and through it ``verify`` and ``check``, resolve every node
-afresh and neither read nor write ``_rule``.
+afresh.
 ``repr`` and ``syntax.print_derivation`` share one bracket walk, ``_nested``,
 and ``size`` and the generator share one node count, ``_outside``.
 """
@@ -134,8 +136,8 @@ class Sequent(NamedTuple):
         return out
 
 
-#: ``Derivation._rule`` of a node that the interpolator's walk has not
-#: resolved yet; ``None`` is kept too, and means that no rule fits.
+#: ``Derivation._rule`` of a node that the interpolator has not resolved
+#: yet; ``None`` is kept too, and means that no rule fits.
 _UNRESOLVED = object()
 
 
@@ -151,10 +153,10 @@ class Derivation(_Node):
     post-order walk that stops at nodes whose hash is already kept, and is
     kept on every node it reaches.  Neither is bounded by the recursion limit.
 
-    ``_rule`` is the node's rule instance as the interpolator's walk resolved
-    it, ``None`` when no rule fits, and ``_UNRESOLVED`` until that walk meets
-    the node.  Only that walk reads or writes it.  A pickle or copy carries
-    only a node's fields, so it is hashed and resolved afresh.
+    ``_rule`` is the node's rule instance as the interpolator resolved it,
+    ``None`` when no rule fits, and ``_UNRESOLVED`` until the interpolator
+    meets the node.  Only ``interpolation`` reads or writes it.  A pickle or
+    copy carries only a node's fields, so it is hashed and resolved afresh.
     """
 
     __slots__ = ()
@@ -191,11 +193,29 @@ class Derivation(_Node):
                     todo += ((p, False) for p in node.premises)
         return self._hash  # type: ignore[return-value]
 
+    def _unfold(self) -> tuple[tuple, tuple[_Node, ...]]:
+        # the members of both sides by their entries, so that a formula in
+        # several sequents is given once
+        a, s = self.seq
+        return (len(a), len(s)), (*a, *s, *self.premises)
+
+    @classmethod
+    def _fold(cls, kept: tuple, subs: list) -> Derivation:
+        a, s = kept
+        return cls(Sequent(FormulaSet(subs[:a]), FormulaSet(subs[a : a + s])), *subs[a + s :])
+
     def __repr__(self) -> str:
-        """``Tag(seq=..., sub=...)``, each field named as in ``_fields``."""
+        """``Tag(seq=..., sub=...)``, each field named as in ``_fields``.
+        Each formula object's repr is taken once: it sits in many sequents."""
+        texts: dict[int, str] = {}  # id of a formula -> its repr
+
+        def seq(node: Derivation) -> str:
+            a, s = (", ".join(texts.get(id(f)) or texts.setdefault(id(f), repr(f)) for f in fs) for fs in node.seq)
+            return f"Sequent(antecedent=FormulaSet([{a}]), succedent=FormulaSet([{s}]))"
+
         return _nested(
             self,
-            lambda node: f"{type(node).__qualname__}(seq={node.seq!r}",
+            lambda node: f"{type(node).__qualname__}(seq={seq(node)}",
             lambda node, i: f", {node._fields[i + 1]}=",
         )
 
@@ -548,21 +568,14 @@ def resolve_rule(d: Derivation) -> RuleInstance | None:
     return row.match(row, d)
 
 
-def _resolved(d: Derivation, keep: bool = False) -> Iterator[tuple[Derivation, RuleInstance | None, tuple | None]]:
-    """Yield ``(node, resolve_rule(node), where)`` for every node, in preorder
-    on an explicit stack: ``where`` is ``None`` at the root and ``(where, i)``
-    at the i-th premise of the node at ``where``, one tuple and no text.
-    With ``keep``, which only the interpolator passes, a node's rule instance
-    is read from its ``_rule`` and resolved and kept there only when missing."""
+def _preorder(d: Derivation) -> Iterator[tuple[Derivation, tuple | None]]:
+    """Yield ``(node, where)`` for every node, in preorder on an explicit
+    stack: ``where`` is ``None`` at the root and ``(where, i)`` at the i-th
+    premise of the node at ``where``, one tuple and no text."""
     stack: list[tuple[Derivation, tuple | None]] = [(d, None)]
     while stack:
         node, where = stack.pop()
-        if not keep:
-            rule = resolve_rule(node)
-        elif (rule := node._rule) is _UNRESOLVED:
-            rule = resolve_rule(node)
-            _set(node, "_rule", rule)
-        yield node, rule, where
+        yield node, where
         subs = node.premises
         i = len(subs)
         while i:  # the last premise first, so the first comes off first
@@ -581,8 +594,8 @@ def _path(where: tuple | None) -> str:
 
 
 def is_wellformed(d: Derivation) -> bool:
-    """True when every node that ``_resolved`` meets has a rule instance."""
-    for _node, rule, _where in _resolved(d):
-        if rule is None:
+    """True when every node that ``_preorder`` yields has a rule instance."""
+    for node, _where in _preorder(d):
+        if resolve_rule(node) is None:
             return False
     return True

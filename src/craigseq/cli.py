@@ -25,7 +25,7 @@ import os
 import sys
 from typing import NoReturn
 
-from .calculus import _resolved
+from .calculus import _preorder, resolve_rule
 from .interpolation import (
     InterpolationError,
     VerifyReport,
@@ -65,7 +65,8 @@ def cmd_check(path: str) -> int:
     d = parse_derivation(_read(path))
     first_bad: str | None = None
     prefix = {id(None): ""}  # id of a node's ``where`` -> its label and "."; a premise's ``where`` keeps it alive
-    for node, inst, where in _resolved(d):
+    for node, where in _preorder(d):
+        inst = resolve_rule(node)
         label = "ε"
         if where is not None:  # its parent's label and its premise index: no label walks its path
             label = prefix[id(where[0])] + str(where[1])

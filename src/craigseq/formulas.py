@@ -39,8 +39,10 @@ class _Node:
     as ``_fields`` and ``__match_args__``, and its ``__init__`` sets them
     with ``object.__setattr__``.  After that a node is frozen: assigning or
     deleting any attribute raises ``dataclasses.FrozenInstanceError``.  A
-    pickle or a copy of a node is its shape's constructor call on its
-    fields, so nothing that a node computes and keeps travels with it."""
+    pickle or a copy of a node is ``_rebuild`` of ``_flat``: every node below
+    it once, as the class and fields each one is built from, so nothing that
+    a node computes and keeps travels with it, shared nodes stay shared, and
+    neither recurses."""
 
     __slots__ = ()
     __dataclass_fields__ = _DataclassFields()
@@ -52,8 +54,46 @@ class _Node:
     def __delattr__(self, name: str) -> None:
         raise _frozen(f"cannot delete field {name!r}")
 
-    def __reduce__(self) -> tuple[type[_Node], tuple[object, ...]]:
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+    def __reduce__(self) -> tuple[Callable[[tuple], _Node], tuple[object, ...]]:
+        return _rebuild, (_flat(self),)
+
+    def _unfold(self) -> tuple[tuple, tuple[_Node, ...]]:
+        """The fields that the node's entry in ``_flat`` holds as they are,
+        and the nodes that it names by their entries."""
+        return (), tuple(getattr(self, name) for name in self._fields)
+
+    @classmethod
+    def _fold(cls, kept: tuple, subs: list) -> _Node:
+        """The node whose ``_unfold`` gave ``kept`` and ``subs``."""
+        return cls(*kept, *subs)
+
+
+def _flat(root: _Node) -> tuple[tuple, ...]:
+    """``root`` and every node below it, each object once and in post-order,
+    as ``(class, kept, indices)``: ``kept`` and the nodes at ``indices`` are
+    what its ``_unfold`` gives.  One explicit-stack walk."""
+    index: dict[int, int] = {}  # id of a node -> its entry
+    entries: list[tuple] = []
+    todo: list[tuple[_Node, bool]] = [(root, False)]  # a node, and whether its subnodes have entries
+    while todo:
+        node, ready = todo.pop()
+        if id(node) not in index:
+            kept, subs = node._unfold()
+            if ready:
+                index[id(node)] = len(entries)
+                entries.append((type(node), kept, tuple(index[id(sub)] for sub in subs)))
+            else:
+                todo.append((node, True))
+                todo += ((sub, False) for sub in subs)
+    return tuple(entries)
+
+
+def _rebuild(entries: tuple[tuple, ...]) -> _Node:
+    """The last node of ``_flat``'s entries, each built from its own."""
+    nodes: list[_Node] = []
+    for cls, kept, indices in entries:
+        nodes.append(cls._fold(kept, [nodes[i] for i in indices]))
+    return nodes[-1]
 
 
 def _frozen(message: str) -> Exception:
@@ -116,6 +156,9 @@ class Atom(Formula):
     def __init__(self, pred: PredId, args: Iterable[VarId] = ()) -> None:
         _set(self, "pred", pred)
         _set(self, "args", tuple(args))
+
+    def _unfold(self) -> tuple[tuple, tuple[_Node, ...]]:
+        return (self.pred, self.args), ()
 
 
 class _Constant(Formula):

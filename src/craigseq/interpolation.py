@@ -8,7 +8,7 @@ both halves of the split; ``verify`` checks all of that syntactically, without
 trusting the construction.
 
 The construction is an induction on the derivation, which ``_interpolate``
-runs over the checker's one walk, ``calculus._resolved``: it takes each node
+runs over the one preorder walk, ``calculus._preorder``: it takes each node
 with its rule instance and dispatches on its tag through ``_CASES`` to one of
 six steps, which read the side of the principal formula and the side of the
 premise's new formulas from the rule's row of ``calculus.RULES``, and the new
@@ -17,12 +17,14 @@ antecedent, ``D`` succedent): part k of side s is field ``2 * s + k`` of a
 ``SplitSequent`` (Γ1, Γ2, Δ1, Δ2), and C sits on side ``1 - k`` of part k's
 witness.  The steps cover the mirror pairs once each: ``_init``; ``_axiom``
 (BotL, TopR); ``_unary`` (AndL, OrR, NotL, NotR, AllL, ExR); ``_weaken`` (WL,
-WR); ``_branching`` (AndR, OrL); ``_eigen`` (AllR, ExL).  All but the first
-two are generators: they yield each premise's split and are sent back its
-result.  In each step the part of the split that owns the principal formula
-decides the case.  ``_BRANCHES`` builds each rule's case names from its tag
-and the side of its row of ``RULES``, such as ``andl-g1`` or ``wr-d2-only``;
-a step reads its names there and counts the one it picks, and spells none.
+WR); ``_branching`` (AndR, OrL); ``_eigen`` (AllR, ExL).  As the paper's
+cases, each step is a function of its node, its split and its premises'
+results: a generator that yields its case, then each premise's split, is
+sent back that premise's result, and returns its own.  ``_BRANCHES`` builds
+each rule's case names from its tag and the side of its row of ``RULES``,
+such as ``andl-g1`` or ``wr-d2-only``; a step yields its case, mostly the
+part that owns the principal formula, as an index into them, and
+``_interpolate`` alone counts it.
 
 Each step is written once, with the owning part k (0: part 1, 1: part 2) as
 its parameter: part 2's construction mirrors part 1's, with ⊥/⊤, ∨/∧, ∃/∀
@@ -41,12 +43,12 @@ changed.  ``_on``, ``_extend``, ``_weaken`` and ``_result`` build their
 records with ``tuple.__new__``, which skips the Python frame of a
 ``NamedTuple``'s generated ``__new__``; the records keep their classes.
 
-A node's rule instance depends on the node alone, not on the split, so the
-interpolator's walk keeps it on the input node it resolved, as
+A node's rule instance depends on the node alone, not on the split, so
+``_interpolate`` keeps it on the input node it resolved, as
 ``Derivation._rule``: a derivation interpolated under several splits is
-resolved once in all.  ``verify`` keeps and reads none: through
-``is_wellformed`` it resolves every witness node afresh, as ``craigseq
-check`` resolves every node it reports.
+resolved once in all.  Nothing else reads or writes ``_rule``.  ``verify``
+keeps and reads none: through ``is_wellformed`` it resolves every witness
+node afresh, as ``craigseq check`` resolves every node it reports.
 """
 from __future__ import annotations
 
@@ -65,13 +67,15 @@ from .calculus import (
     Rule,
     RuleInstance,
     Sequent,
+    _UNRESOLVED,
     _path,
     _plus,
-    _resolved,
+    _preorder,
     is_wellformed,
+    resolve_rule,
     root,
 )
-from .formulas import BOT, REBUILD, TOP, And, Bot, Formula, Not, Or, Top, bind, fold, polarity
+from .formulas import BOT, REBUILD, TOP, And, Bot, Formula, Not, Or, Top, _set, bind, fold, polarity
 
 
 class InterpolationError(Exception):
@@ -164,27 +168,29 @@ def interpolate(d: Derivation) -> InterpolationResult:
     return interpolate_strong(d, _weak_split(root(d)))
 
 
-#: The run of a premise-taking step: it yields each premise's split and is
-#: sent back that premise's result.
-_Step = Generator[SplitSequent, InterpolationResult, InterpolationResult]
+#: The run of a step: its case's index into ``_BRANCHES[tag]``, then each
+#: premise's split; it is sent back each premise's result and returns its own.
+_Step = Generator[int | SplitSequent, InterpolationResult | None, InterpolationResult]
 
 
 def _interpolate(d: Derivation, split: SplitSequent) -> InterpolationResult:
-    """Run the step of every node that ``_resolved`` yields; the steps waiting
-    on a premise's result sit on a list, so memory rather than the recursion
-    limit bounds depth.  The steps ask for their premises in that preorder,
-    left first, so the next node is always the premise the top step waits for."""
+    """Run the step of every node that ``_preorder`` yields, with the rule
+    instance its ``_rule`` keeps or, when missing, resolved and kept there,
+    and count its case.  The steps waiting on a premise's result sit on a
+    list, so memory rather than the recursion limit bounds depth; they ask for
+    their premises in that preorder, so the next node is the one awaited."""
     stack: list[_Step] = []
-    for node, rule, where in _resolved(d, keep=True):
+    for node, where in _preorder(d):
+        if (rule := node._rule) is _UNRESOLVED:
+            rule = resolve_rule(node)
+            _set(node, "_rule", rule)
         if rule is None:
             raise NotWellFormedError(f'derivation is not wellformed at node path "{_path(where)}"')
-        row = RULES[node.tag]
-        if row.arity:
-            stack.append(_CASES[node.tag](node, row, rule, split))
-            split = next(stack[-1])
-            continue
-        res = _CASES[node.tag](node, row, rule, split)
-        while stack:  # send the result up until some step yields its next split
+        step = _CASES[node.tag](node, RULES[node.tag], rule, split)
+        _counters[_BRANCHES[node.tag][next(step)]] += 1
+        stack.append(step)
+        res = None
+        while stack:  # resume the top step until it yields its next premise's split
             try:
                 split = stack[-1].send(res)
                 break
@@ -194,12 +200,10 @@ def _interpolate(d: Derivation, split: SplitSequent) -> InterpolationResult:
     return res
 
 
-def _owner(d: Derivation, side: int, f: Formula, split: SplitSequent) -> int:
-    """Count and return the part of ``side`` that holds ``f``: 0 for part 1,
-    1 for part 2.  A formula in both parts belongs to part 1."""
-    k = 0 if f in split[2 * side] else 1
-    _counters[_BRANCHES[d.tag][k]] += 1
-    return k
+def _owner(side: int, f: Formula, split: SplitSequent) -> int:
+    """The part of ``side`` that holds ``f``: 0 for part 1, 1 for part 2.  A
+    formula in both parts belongs to part 1."""
+    return 0 if f in split[2 * side] else 1
 
 
 def _extend(split: SplitSequent, i: int, formulas: tuple[Formula, ...]) -> SplitSequent:
@@ -269,16 +273,16 @@ def _introduce(split: SplitSequent, k: int, c: Formula, *witnesses: Derivation) 
     return RULE_FOR[type(c), 1 - k](_root(split, k, c), *subs)
 
 
-def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> InterpolationResult:
+def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
+    """Init: case ``2 * i + j`` for the first parts i of Γ and j of Δ that share a formula."""
     g1, g2, d1, d2 = split
-    g1d1, g1d2, g2d1, g2d2 = _BRANCHES[d.tag]
     for a in g1:
         if a in d1:
-            _counters[g1d1] += 1
+            yield 0
             return _alone(split, 0, Init)
     for a in g1:
         if a in d2:
-            _counters[g1d2] += 1
+            yield 1
             return InterpolationResult(
                 a,
                 Init(Sequent(g1, d1.add(a))),
@@ -286,7 +290,7 @@ def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> Interp
             )
     for a in g2:
         if a in d1:
-            _counters[g2d1] += 1
+            yield 2
             c = Not(a)
             d1c, g2c = d1.add(c), g2.add(c)
             return InterpolationResult(
@@ -296,23 +300,26 @@ def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> Interp
             )
     for a in g2:
         if a in d2:
-            _counters[g2d2] += 1
+            yield 3
             return _alone(split, 1, Init)
     raise UnreachableCaseError("Init node with no shared formula in any part pair")
 
 
-def _axiom(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> InterpolationResult:
+def _axiom(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
     """BotL, TopR: the part that owns the constant closes alone."""
     if all(rule.analysed not in split[2 * row.side + k] for k in (0, 1)):
         raise UnreachableCaseError(f"{d.tag} node with its constant in neither part")
-    return _alone(split, _owner(d, row.side, rule.analysed, split), row.cls)
+    k = _owner(row.side, rule.analysed, split)
+    yield k
+    return _alone(split, k, row.cls)
 
 
 def _unary(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
     """AndL, OrR, NotL, NotR, AllL, ExR: the premise's new formulas join the
     part that owns the principal formula, and that part's witness re-applies
     the rule."""
-    k = _owner(d, row.side, rule.analysed, split)
+    k = _owner(row.side, rule.analysed, split)
+    yield k
     premise = _extend(split, 2 * row.target + k, rule.adds)
     res = yield premise
     return _wrap(row.cls, split, premise, res, k == 0, k == 1)
@@ -326,11 +333,8 @@ def _weaken(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -
     # ``without`` hands back the part itself when it lacks f
     kept1, kept2 = split[i].without(f), split[j].without(f)
     in1, in2 = kept1 is not split[i], kept2 is not split[j]
-    both, only1, only2, neither = _BRANCHES[d.tag]
-    if in1 or in2:
-        _counters[both if in1 and in2 else only1 if in1 else only2] += 1
-    else:
-        _counters[neither] += 1
+    yield 2 * (not in1) + (not in2)  # both, part 1 only, part 2 only, neither
+    if not (in1 or in2):
         raise UnreachableCaseError(f"weakened formula missing from both {Sequent._fields[row.side]} parts")
     # Each part lies within the conclusion's side, the premise's side plus f,
     # so f is new exactly when that side is the longer.
@@ -351,7 +355,8 @@ def _branching(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent
     into each premise witness and introduces C, then re-applies the rule; the
     other part's witness introduces C from both premise witnesses.
     """
-    k = _owner(d, row.side, rule.analysed, split)
+    k = _owner(row.side, rule.analysed, split)
+    yield k
     left, right = (_extend(split, 2 * row.target + k, (a,)) for a in rule.adds)
     resl = yield left
     resr = yield right
@@ -377,7 +382,8 @@ def _eigen(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) ->
     """AllR, ExL: the premise adds the instance at the eigenvariable a to the
     owning part k.  Part 1 closes the premise interpolant C' to ∃a.C', part 2
     to ∀a.C'; each witness introduces C, and part k's then re-applies the rule."""
-    k = _owner(d, row.side, rule.analysed, split)
+    k = _owner(row.side, rule.analysed, split)
+    yield k
     premise = _extend(split, 2 * row.target + k, rule.adds)
     res = yield premise
     cp = res.interpolant

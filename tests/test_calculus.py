@@ -1,6 +1,7 @@
 """Formula sets, sequents, derivations, and the rule checker."""
 from __future__ import annotations
 
+import base64
 import copy
 import dataclasses
 import hashlib
@@ -48,9 +49,9 @@ from craigseq.calculus import (
     size,
 )
 from craigseq.formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, bind, canonical_key
-from craigseq.interpolation import interpolate_strong
+from craigseq.interpolation import InterpolationResult, interpolate_strong, verify
 from craigseq.oracle import GenConfig, SplitMix64, _random_formula, gen_derivation, random_split
-from craigseq.syntax import parse_formula, print_formula
+from craigseq.syntax import ProblemFile, parse_formula, parse_problem, print_derivation, print_formula, print_problem
 from support import brute_is_deriv, derivations, formula_sets, formulas, recursion_limit
 
 p = Atom(0)
@@ -409,6 +410,92 @@ def test_pickled_hashes_hold_in_a_process_with_another_hash_seed():
         env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
         check=True,
     )
+
+
+def test_every_operation_on_a_3200_node_derivation_and_its_result_at_the_default_recursion_limit():
+    # The seed-1 derivation nests 2,956 deep and its left witness 3,423, and
+    # the interpolant nests too: no operation may recurse once per level.
+    d = gen_derivation(GenConfig(3200, max_pred=4, seed=1, allow_quantifiers=True))
+    sp = random_split(root(d), 1)
+    with recursion_limit(1000):
+        res = interpolate_strong(d, sp)
+        assert verify(sp, res).ok
+        trees = (d, res.left_witness, res.right_witness)
+        for x in trees:
+            assert is_wellformed(x)
+            assert repr(x).startswith(f"{x.tag}(seq=Sequent(antecedent=FormulaSet([")
+            assert print_derivation(x).startswith(f"({x.tag} [")
+        shallow = (copy.copy(d), InterpolationResult(*map(copy.copy, res)))
+        for twin_d, twin_res in (pickle.loads(pickle.dumps((d, res))), copy.deepcopy((d, res)), shallow):
+            for twin, x in ((twin_d, d), *zip(twin_res, res)):
+                assert twin is not x and type(twin) is type(x)
+                assert twin == x and hash(twin) == hash(x)
+            assert verify(sp, twin_res).ok
+        assert interpolate_strong(twin_d, sp) == res
+
+
+def _formula_objects(d) -> int:
+    """The number of distinct formula objects in the sequents of ``d``, subformulas included."""
+    seen: dict[int, Formula] = {}
+    todo = [f for node in _nodes(d) for side in node.seq for f in side]
+    while todo:
+        f = todo.pop()
+        if id(f) not in seen:
+            seen[id(f)] = f
+            todo += [getattr(f, name) for name in f._fields if isinstance(getattr(f, name), Formula)]
+    return len(seen)
+
+
+def test_pickles_and_copies_keep_shared_formulas_shared():
+    # The reader gives a formula that recurs in many sequents one object, and
+    # a pickle or copy gives each formula object of the tree once.
+    d = gen_derivation(GenConfig(110, 4, 1, True))
+    parsed = parse_problem(print_problem(ProblemFile(*random_split(root(d), 1), d))).derivation
+    assert _formula_objects(parsed) == 53
+    for other in (pickle.loads(pickle.dumps(parsed)), copy.copy(parsed), copy.deepcopy(parsed)):
+        assert other == parsed and _formula_objects(other) == 53
+
+
+#: ``pickle.dumps([d, split, result], protocol=4)`` as written before a pickle
+#: was flat, when it was each node's constructor call on its fields:
+#: ``d = gen_derivation(GenConfig(8, 3, 2, True))``,
+#: ``split = random_split(root(d), 2)`` and
+#: ``result = interpolate_strong(d, split)``.
+_CONSTRUCTOR_CALL_PICKLE = base64.b64decode(
+    """
+gASV2wIAAAAAAABdlCiMEWNyYWlnc2VxLmNhbGN1bHVzlIwDRXhSlJOUaAGMB1NlcXVlbnSUk5Ro
+AYwKRm9ybXVsYVNldJSTlCmFlIGUaAeMEWNyYWlnc2VxLmZvcm11bGFzlIwDTm90lJOUaAqMA0Jv
+dJSTlClSlIWUUpRoDGgKjANUb3CUk5QpUpSFlFKUaAqMA0ZFeJSTlGgKjARBdG9tlJOUSwJLAIWU
+hpRSlIWUUpSHlIWUgZSGlIGUaAGMAldSlJOUaAVoCWgHKGgaSwJLAIWUhpRSlGgRaBZoH3SUhZSB
+lIaUgZRoJmgFaAloB2gpaBFoFoeUhZSBlIaUgZRoJmgFaAloB2gRaBaGlIWUgZSGlIGUaAGMBE5v
+dFKUk5RoBWgJaAdoEYWUhZSBlIaUgZRoJmgFaAdoD4WUhZSBlGg9hpSBlGgBjARCb3RMlJOUaAVo
+QmgHKYWUgZSGlIGUhZRSlIaUUpSGlFKUhpRSlIaUUpSGlFKUhpRSlIwWY3JhaWdzZXEuaW50ZXJw
+b2xhdGlvbpSMDFNwbGl0U2VxdWVudJSTlChoBymFlIGUaAcphZSBlGgHaBZoH4aUhZSBlGgHaBFo
+FoaUhZSBlHSUgZRoWYwTSW50ZXJwb2xhdGlvblJlc3VsdJSTlGgUaANoBWhdaAdoFGgWaB+HlIWU
+gZSGlIGUaCZoBWhdaAcoaCloFGgWaB90lIWUgZSGlIGUaCZoBWhdaAdoKWgUaBaHlIWUgZSGlIGU
+aCZoBWhdaAdoFGgWhpSFlIGUhpSBlGgBjARUb3BSlJOUaAVoXWgHaBSFlIWUgZSGlIGUhZRSlIaU
+UpSGlFKUhpRSlIaUUpRoJmgFaAdoFIWUhZSBlGhlhpSBlGg6aAVokWgHaBGFlIWUgZSGlIGUaCZo
+BWgHaA9oFIaUhZSBlGiWhpSBlGhGaAVom2gHKYWUgZSGlIGUhZRSlIaUUpSGlFKUhpRSlIeUgZRl
+Lg==
+"""
+)
+
+
+def test_pickles_of_the_constructor_call_format_still_load():
+    assert b"_rebuild" not in _CONSTRUCTOR_CALL_PICKLE
+    d = gen_derivation(GenConfig(8, 3, 2, True))
+    sp = random_split(root(d), 2)
+    res = interpolate_strong(d, sp)
+    loaded = pickle.loads(_CONSTRUCTOR_CALL_PICKLE)
+    assert loaded == [d, sp, res]
+    old_d, old_sp, old_res = loaded
+    for node in _nodes(old_d):
+        assert set(vars(node)) == ({"seq", "premises"} if node.premises else {"seq"})
+    assert is_wellformed(old_d) and verify(old_sp, old_res).ok
+    assert interpolate_strong(old_d, old_sp) == res
+    # written again, it is in the flat format and loads to the same value
+    again = pickle.dumps(loaded)
+    assert b"_rebuild" in again and pickle.loads(again) == loaded
 
 
 def test_derivation_repr_without_recursion():

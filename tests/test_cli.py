@@ -287,6 +287,70 @@ def test_verify_detects_tampering(problem_file, tmp_path, capsys):
     assert out.splitlines()[-1] == "summary: FAIL"
 
 
+#: Per ``verify`` conjunct: a problem and a result that fails that conjunct
+#: alone, as ``(gamma1, delta2, derivation, interpolant, left, right)``; ``C``
+#: in a witness stands for the interpolant.  The first four tamper with one
+#: witness of the ``Init`` problem.  In the last four every witness is well
+#: formed with the right root, and the interpolant holds a predicate that one
+#: part does not hold with that polarity.
+TAMPERED = {
+    "wellformed_left": ("P0()", "P0()", "(Init [P0()] => [P0()])", "P0()",
+                        "(BotL [P0()] => [P0()])", "(Init [P0()] => [P0()])"),
+    "wellformed_right": ("P0()", "P0()", "(Init [P0()] => [P0()])", "P0()",
+                         "(Init [P0()] => [P0()])", "(TopR [P0()] => [P0()])"),
+    "root_left": ("P0()", "P0()", "(Init [P0()] => [P0()])", "P0()",
+                  "(Init [P0()] => [P0(); P1()])", "(Init [P0()] => [P0()])"),
+    "root_right": ("P0()", "P0()", "(Init [P0()] => [P0()])", "P0()",
+                   "(Init [P0()] => [P0()])", "(Init [P0(); P1()] => [P0()])"),
+    "pos_left": (
+        "P1()", "P1(); P0()", "(Init [P1()] => [P0(); P1()])", "(P1() | (P0() & bot))",
+        "(OrR [P1()] => [C] (Init [P1()] => [P1(); (P0() & bot); C]))",
+        "(OrL [C] => [P0(); P1()] (Init [P1(); C] => [P0(); P1()]) "
+        "(AndL [(P0() & bot); C] => [P0(); P1()] (BotL [P0(); bot; (P0() & bot); C] => [P0(); P1()])))",
+    ),
+    "pos_right": (
+        "P1(); P0()", "P1()", "(Init [P0(); P1()] => [P1()])", "(P1() & (P0() | top))",
+        "(AndR [P0(); P1()] => [C] (Init [P0(); P1()] => [P1(); C]) "
+        "(OrR [P0(); P1()] => [(P0() | top); C] (TopR [P0(); P1()] => [P0(); top; (P0() | top); C])))",
+        "(AndL [C] => [P1()] (Init [P1(); (P0() | top); C] => [P1()]))",
+    ),
+    "neg_left": (
+        "P1()", "P1(); ~P0()", "(Init [P1()] => [P1(); ~P0()])", "(P1() | (~P0() & bot))",
+        "(OrR [P1()] => [C] (Init [P1()] => [P1(); (~P0() & bot); C]))",
+        "(OrL [C] => [P1(); ~P0()] (Init [P1(); C] => [P1(); ~P0()]) "
+        "(AndL [(~P0() & bot); C] => [P1(); ~P0()] (BotL [~P0(); bot; (~P0() & bot); C] => [P1(); ~P0()])))",
+    ),
+    "neg_right": (
+        "P1(); ~P0()", "P1()", "(Init [P1(); ~P0()] => [P1()])", "(P1() & (~P0() | top))",
+        "(AndR [P1(); ~P0()] => [C] (Init [P1(); ~P0()] => [P1(); C]) "
+        "(OrR [P1(); ~P0()] => [(~P0() | top); C] (TopR [P1(); ~P0()] => [~P0(); top; (~P0() | top); C])))",
+        "(AndL [C] => [P1()] (Init [P1(); (~P0() | top); C] => [P1()]))",
+    ),
+}
+
+
+@pytest.mark.parametrize("conjunct", TAMPERED)
+def test_verify_fails_each_conjunct_alone(tmp_path, capsys, conjunct):
+    gamma1, delta2, derivation, c, left, right = TAMPERED[conjunct]
+    left, right = left.replace("C", c), right.replace("C", c)
+    problem = tmp_path / "problem.txt"
+    problem.write_text(f"gamma1: [{gamma1}]\ndelta2: [{delta2}]\nderivation: {derivation}\n")
+    result = tmp_path / "result.txt"
+    result.write_text(f"interpolant: {c}\nleft: {left}\nright: {right}\n")
+    assert main(["verify", str(problem), str(result)]) == 1
+    names = ["wellformed_left", "wellformed_right", "root_left", "root_right",
+             "pos_left", "pos_right", "neg_left", "neg_right"]
+    expected = [f"{name}: {'FAIL' if name == conjunct else 'PASS'}" for name in names]
+    assert capsys.readouterr().out.splitlines() == expected + ["summary: FAIL"]
+    # the witnesses that the report passes as well formed are so for check too
+    for side, text in (("left", left), ("right", right)):
+        if conjunct != f"wellformed_{side}":
+            witness = tmp_path / f"{side}.txt"
+            witness.write_text(text)
+            assert main(["check", str(witness)]) == 0
+            capsys.readouterr()
+
+
 def test_verify_json(problem_file, tmp_path, capsys):
     result_file = tmp_path / "result.txt"
     result_file.write_text(

@@ -103,7 +103,7 @@ def _hot_records():
     40-node quantified derivations: every witness node's sequent and rule
     instance; and for every input node, its rule instance, the result of
     interpolating its subderivation along a seeded split of its root, and the
-    premise split that its step yields first."""
+    premise split that its step yields first, after its case."""
     for seed in range(10):
         d = gen_derivation(GenConfig(40, 4, seed, True))
         res = interpolate_strong(d, random_split(root(d), seed))
@@ -120,7 +120,9 @@ def _hot_records():
             row, rule = RULES[node.tag], resolve_rule(node)
             yield from (rule, interpolate_strong(node, split))
             if row.arity:
-                yield next(_CASES[node.tag](node, row, rule, split))
+                step = _CASES[node.tag](node, row, rule, split)
+                next(step)  # the case's index
+                yield next(step)
 
 
 def test_hot_records_keep_the_named_tuple_contract():
