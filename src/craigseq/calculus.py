@@ -205,17 +205,10 @@ class Derivation(_Node):
         return cls(Sequent(FormulaSet(subs[:a]), FormulaSet(subs[a : a + s])), *subs[a + s :])
 
     def __repr__(self) -> str:
-        """``Tag(seq=..., sub=...)``, each field named as in ``_fields``.
-        Each formula object's repr is taken once: it sits in many sequents."""
-        texts: dict[int, str] = {}  # id of a formula -> its repr
-
-        def seq(node: Derivation) -> str:
-            a, s = (", ".join(texts.get(id(f)) or texts.setdefault(id(f), repr(f)) for f in fs) for fs in node.seq)
-            return f"Sequent(antecedent=FormulaSet([{a}]), succedent=FormulaSet([{s}]))"
-
+        """``Tag(seq=..., sub=...)``, each field named as in ``_fields``."""
         return _nested(
             self,
-            lambda node: f"{type(node).__qualname__}(seq={seq(node)}",
+            lambda node: f"{type(node).__qualname__}(seq={node.seq!r}",
             lambda node, i: f", {node._fields[i + 1]}=",
         )
 

@@ -39,10 +39,11 @@ class _Node:
     as ``_fields`` and ``__match_args__``, and its ``__init__`` sets them
     with ``object.__setattr__``.  After that a node is frozen: assigning or
     deleting any attribute raises ``dataclasses.FrozenInstanceError``.  A
-    pickle or a copy of a node is ``_rebuild`` of ``_flat``: every node below
-    it once, as the class and fields each one is built from, so nothing that
-    a node computes and keeps travels with it, shared nodes stay shared, and
-    neither recurses."""
+    pickle or a deep copy of a node is ``_rebuild`` of ``_flat``: every node
+    below it once, as the class and fields each one is built from, so
+    nothing that a node computes and keeps travels with it, shared nodes stay
+    shared, and neither recurses.  A shallow copy is the node's constructor
+    call on its own fields."""
 
     __slots__ = ()
     __dataclass_fields__ = _DataclassFields()
@@ -56,6 +57,9 @@ class _Node:
 
     def __reduce__(self) -> tuple[Callable[[tuple], _Node], tuple[object, ...]]:
         return _rebuild, (_flat(self),)
+
+    def __copy__(self) -> _Node:
+        return type(self)(*(getattr(self, name) for name in self._fields))
 
     def _unfold(self) -> tuple[tuple, tuple[_Node, ...]]:
         """The fields that the node's entry in ``_flat`` holds as they are,

@@ -420,11 +420,13 @@ def test_every_operation_on_a_3200_node_derivation_and_its_result_at_the_default
     with recursion_limit(1000):
         res = interpolate_strong(d, sp)
         assert verify(sp, res).ok
-        trees = (d, res.left_witness, res.right_witness)
-        for x in trees:
+        for x in (d, res.left_witness, res.right_witness):
             assert is_wellformed(x)
-            assert repr(x).startswith(f"{x.tag}(seq=Sequent(antecedent=FormulaSet([")
             assert print_derivation(x).startswith(f"({x.tag} [")
+        # ``repr`` folds each formula again in every sequent: 20 s on ``d``,
+        # 8 s on the right witness, which nests 1,856 deep.
+        x = res.right_witness
+        assert repr(x).startswith(f"{x.tag}(seq=Sequent(antecedent=FormulaSet([")
         shallow = (copy.copy(d), InterpolationResult(*map(copy.copy, res)))
         for twin_d, twin_res in (pickle.loads(pickle.dumps((d, res))), copy.deepcopy((d, res)), shallow):
             for twin, x in ((twin_d, d), *zip(twin_res, res)):
@@ -454,6 +456,28 @@ def test_pickles_and_copies_keep_shared_formulas_shared():
     assert _formula_objects(parsed) == 53
     for other in (pickle.loads(pickle.dumps(parsed)), copy.copy(parsed), copy.deepcopy(parsed)):
         assert other == parsed and _formula_objects(other) == 53
+    # a shallow copy is the constructor call on the node's own fields
+    shallow = copy.copy(parsed)
+    assert shallow is not parsed and shallow.seq is parsed.seq
+    assert all(a is b for a, b in zip(shallow.premises, parsed.premises, strict=True))
+
+
+def test_a_pickle_or_deep_copy_shares_formulas_only_within_each_node():
+    # Pins a known loss (ROADMAP item 18): each node pickles as its own flat
+    # tuple, so the nodes of one container share no formula object after a
+    # load, where the interpolant is one object with a formula of the left
+    # witness's root before it.  Mending item 18 turns the last assertion.
+    d = gen_derivation(GenConfig(110, 4, 1, True))
+    sp = random_split(root(d), 1)
+    res = interpolate_strong(parse_problem(print_problem(ProblemFile(*sp, d))).derivation, sp)
+
+    def holds(r: InterpolationResult) -> bool:
+        return any(f is r.interpolant for side in r.left_witness.seq for f in side)
+
+    assert holds(res)
+    for other in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
+        assert other == res and verify(sp, other).ok
+        assert not holds(other)
 
 
 #: ``pickle.dumps([d, split, result], protocol=4)`` as written before a pickle

@@ -1,17 +1,17 @@
 """A repeatable mutant sweep: which of a fixed list of planted bugs does the
 Tier-1 suite miss?
 
-    python3 tools/mutants.py [--scratch DIR] [--only NAME ...] [-- PYTEST-ARGS ...]
+    python3 tools/mutants.py [-- PYTEST-ARGS ...]
 
 Each mutant is one or more exact text replacements in ``src/craigseq``.  For
 each, the script copies ``src``, ``tests``, ``perfbench`` and
-``pyproject.toml`` into a directory of its own under ``--scratch`` (a new
-temporary directory by default), applies the mutant there, and runs the
-Tier-1 suite in that copy with ``-x``, so a killed mutant stops at its first
-failing test.  It prints one line per mutant, ``killed by TEST`` or
-``SURVIVED``, and then the survivors.  Arguments after ``--`` go to pytest,
-for example ``-- --ignore=tests/test_calculus.py`` to ask which mutants a
-test outside that file kills.  Exit status: 0 when every mutant is killed, 1
+``pyproject.toml`` into a temporary directory of its own, applies the mutant
+there, runs the Tier-1 suite in that copy with ``-x``, so that a killed
+mutant stops at its first failing test, and deletes the copy.  It prints one
+line per mutant, ``killed by TEST`` or ``SURVIVED``, and then the survivors.
+Arguments after ``--`` go to pytest, for example
+``-- --ignore=tests/test_calculus.py`` to ask which mutants a test outside
+that file kills.  Exit status: 0 when every mutant is killed, 1
 when one survives, 2 when a mutant's text is no longer in the source.
 
 Standard library only; it runs the mutants one after another.  A check that
@@ -82,29 +82,24 @@ def _run(copy: Path, pytest_args: list[str]) -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scratch", help="directory for the mutated copies (default: a new temporary one)")
-    parser.add_argument("--only", nargs="+", choices=MUTANTS, help="run only these mutants")
     parser.add_argument("pytest_args", nargs="*", help="arguments for pytest, after --")
     args = parser.parse_args(argv)
-    scratch = Path(args.scratch or tempfile.mkdtemp(prefix="mutants-"))
     survivors = []
-    for name in args.only or MUTANTS:
-        copy = scratch / name
-        if copy.exists():
-            shutil.rmtree(copy)
-        copy.mkdir(parents=True)
-        for item in COPIED:
-            src = ROOT / item
-            if src.is_dir():
-                shutil.copytree(src, copy / item, ignore=shutil.ignore_patterns("__pycache__", "out"))
-            else:
-                shutil.copy2(src, copy / item)
-        try:
-            _apply(copy, name)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        failed = _run(copy, args.pytest_args)
+    for name in MUTANTS:
+        with tempfile.TemporaryDirectory(prefix=f"mutant-{name}-") as tmp:
+            copy = Path(tmp)
+            for item in COPIED:
+                src = ROOT / item
+                if src.is_dir():
+                    shutil.copytree(src, copy / item, ignore=shutil.ignore_patterns("__pycache__", "out"))
+                else:
+                    shutil.copy2(src, copy / item)
+            try:
+                _apply(copy, name)
+            except ValueError as exc:
+                print(exc, file=sys.stderr)
+                return 2
+            failed = _run(copy, args.pytest_args)
         print(f"{name}: {'SURVIVED' if failed is None else f'killed by {failed}'}", flush=True)
         if failed is None:
             survivors.append(name)
