@@ -156,7 +156,9 @@ class Derivation(_Node):
     ``_rule`` is the node's rule instance as the interpolator resolved it,
     ``None`` when no rule fits, and ``_UNRESOLVED`` until the interpolator
     meets the node.  Only ``interpolation`` reads or writes it.  A pickle or
-    copy carries only a node's fields, so it is hashed and resolved afresh.
+    copy carries only a node's fields, so it is hashed and resolved afresh; a
+    pickle or deep copy rebuilds each sequent and formula set below the node
+    once, by its constructor, so a loaded set sorts its members afresh.
     """
 
     __slots__ = ()
@@ -192,17 +194,6 @@ class Derivation(_Node):
                     todo.append((node, True))
                     todo += ((p, False) for p in node.premises)
         return self._hash  # type: ignore[return-value]
-
-    def _unfold(self) -> tuple[tuple, tuple[_Node, ...]]:
-        # the members of both sides by their entries, so that a formula in
-        # several sequents is given once
-        a, s = self.seq
-        return (len(a), len(s)), (*a, *s, *self.premises)
-
-    @classmethod
-    def _fold(cls, kept: tuple, subs: list) -> Derivation:
-        a, s = kept
-        return cls(Sequent(FormulaSet(subs[:a]), FormulaSet(subs[a : a + s])), *subs[a + s :])
 
     def __repr__(self) -> str:
         """``Tag(seq=..., sub=...)``, each field named as in ``_fields``."""

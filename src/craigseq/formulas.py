@@ -39,11 +39,12 @@ class _Node:
     as ``_fields`` and ``__match_args__``, and its ``__init__`` sets them
     with ``object.__setattr__``.  After that a node is frozen: assigning or
     deleting any attribute raises ``dataclasses.FrozenInstanceError``.  A
-    pickle or a deep copy of a node is ``_rebuild`` of ``_flat``: every node
-    below it once, as the class and fields each one is built from, so
-    nothing that a node computes and keeps travels with it, shared nodes stay
-    shared, and neither recurses.  A shallow copy is the node's constructor
-    call on its own fields."""
+    pickle or a deep copy of a node is ``_rebuild`` of ``_flat``: every
+    node, sequent and formula set below it once, as the class and the parts
+    each one is built from, so nothing that a node computes and keeps travels
+    with it, every object shared below the node stays one object, and neither
+    recurses.  A shallow copy is the node's constructor call on its own
+    fields."""
 
     __slots__ = ()
     __dataclass_fields__ = _DataclassFields()
@@ -55,49 +56,50 @@ class _Node:
     def __delattr__(self, name: str) -> None:
         raise _frozen(f"cannot delete field {name!r}")
 
-    def __reduce__(self) -> tuple[Callable[[tuple], _Node], tuple[object, ...]]:
+    def __reduce__(self) -> tuple[Callable[[tuple], object], tuple[object, ...]]:
         return _rebuild, (_flat(self),)
 
     def __copy__(self) -> _Node:
         return type(self)(*(getattr(self, name) for name in self._fields))
 
-    def _unfold(self) -> tuple[tuple, tuple[_Node, ...]]:
-        """The fields that the node's entry in ``_flat`` holds as they are,
-        and the nodes that it names by their entries."""
-        return (), tuple(getattr(self, name) for name in self._fields)
 
-    @classmethod
-    def _fold(cls, kept: tuple, subs: list) -> _Node:
-        """The node whose ``_unfold`` gave ``kept`` and ``subs``."""
-        return cls(*kept, *subs)
-
-
-def _flat(root: _Node) -> tuple[tuple, ...]:
-    """``root`` and every node below it, each object once and in post-order,
-    as ``(class, kept, indices)``: ``kept`` and the nodes at ``indices`` are
-    what its ``_unfold`` gives.  One explicit-stack walk."""
-    index: dict[int, int] = {}  # id of a node -> its entry
+def _flat(root: object) -> tuple[tuple, ...]:
+    """``root`` and every value below it, each object once and in post-order,
+    as ``(class, kept, indices)``.  An atom keeps its predicate and
+    arguments; every other value names its parts, the values of its
+    ``_fields`` or else its items as a tuple, by the indices of their
+    entries.  One explicit-stack walk."""
+    index: dict[int, int] = {}  # id of a value -> its entry
     entries: list[tuple] = []
-    todo: list[tuple[_Node, bool]] = [(root, False)]  # a node, and whether its subnodes have entries
+    todo: list[tuple[object, tuple | None]] = [(root, None)]  # a value, and its parts once they are above it
     while todo:
-        node, ready = todo.pop()
-        if id(node) not in index:
-            kept, subs = node._unfold()
-            if ready:
-                index[id(node)] = len(entries)
-                entries.append((type(node), kept, tuple(index[id(sub)] for sub in subs)))
-            else:
-                todo.append((node, True))
-                todo += ((sub, False) for sub in subs)
+        value, parts = todo.pop()
+        if id(value) in index:
+            continue
+        if type(value) is Atom:
+            entries.append((Atom, (value.pred, value.args), ()))
+        elif parts is not None:
+            entries.append((type(value), (), tuple([index[id(part)] for part in parts])))
+        else:
+            names = getattr(value, "_fields", None)
+            parts = tuple(value) if names is None else tuple([getattr(value, name) for name in names])
+            todo.append((value, parts))
+            todo += ((part, None) for part in parts)
+            continue
+        index[id(value)] = len(entries) - 1
     return tuple(entries)
 
 
-def _rebuild(entries: tuple[tuple, ...]) -> _Node:
-    """The last node of ``_flat``'s entries, each built from its own."""
-    nodes: list[_Node] = []
+def _rebuild(entries: tuple[tuple, ...]) -> object:
+    """The last value of ``_flat``'s entries, each built from its own: a class
+    with ``_fields`` is called on the kept values and the parts, any other
+    tuple class on the tuple of the parts, so a formula set sorts its
+    members afresh."""
+    values: list = []
     for cls, kept, indices in entries:
-        nodes.append(cls._fold(kept, [nodes[i] for i in indices]))
-    return nodes[-1]
+        parts = [values[i] for i in indices]
+        values.append(cls(*kept, *parts) if hasattr(cls, "_fields") else cls(parts))
+    return values[-1]
 
 
 def _frozen(message: str) -> Exception:
@@ -114,7 +116,9 @@ class Formula(_Node):
     their keys are, and the hash is the key's hash.  Building a node only
     stores its fields.  Its canonical key, hash, free variables, polarity and
     printed text are computed the first time each is asked for and kept on the
-    node; pickles and copies carry only its fields.  ``repr`` and the
+    node; pickles and copies carry only its fields, and a pickle or deep copy
+    of anything that holds formulas gives each formula object below it once.
+    ``repr`` and the
     text are folds; the key, free variables and polarity are flat loops, the
     last two stopping at cached subnodes.  None recurses, so a formula's depth
     is bounded by memory, not by the recursion limit.
@@ -160,9 +164,6 @@ class Atom(Formula):
     def __init__(self, pred: PredId, args: Iterable[VarId] = ()) -> None:
         _set(self, "pred", pred)
         _set(self, "args", tuple(args))
-
-    def _unfold(self) -> tuple[tuple, tuple[_Node, ...]]:
-        return (self.pred, self.args), ()
 
 
 class _Constant(Formula):

@@ -75,7 +75,7 @@ from .calculus import (
     resolve_rule,
     root,
 )
-from .formulas import BOT, REBUILD, TOP, And, Bot, Formula, Not, Or, Top, _set, bind, fold, polarity
+from .formulas import BOT, REBUILD, TOP, And, Bot, Formula, Not, Or, Top, _Node, _set, bind, fold, polarity
 
 
 class InterpolationError(Exception):
@@ -111,9 +111,16 @@ class SplitSequent(NamedTuple):
 
 
 class InterpolationResult(NamedTuple):
+    """A pickle or deep copy of a result flattens its three trees together,
+    as a node's does, so the interpolant stays one object with the formulas
+    of the witnesses it was built from; a shallow copy holds the same three."""
+
     interpolant: Formula
     left_witness: Derivation
     right_witness: Derivation
+
+    __reduce__ = _Node.__reduce__
+    __copy__ = _Node.__copy__
 
 
 def _case_names(row: Rule) -> tuple[str, ...]:

@@ -448,28 +448,57 @@ def _formula_objects(d) -> int:
     return len(seen)
 
 
+def _objects(value) -> int:
+    """The number of distinct objects reached from ``value`` through the
+    fields of nodes and the items of tuples, ``value`` included."""
+    seen: dict[int, object] = {}
+    todo = [value]
+    while todo:
+        v = todo.pop()
+        if id(v) not in seen:
+            seen[id(v)] = v
+            fields = getattr(v, "_fields", None)
+            if fields is not None:
+                todo += [getattr(v, name) for name in fields]
+            elif isinstance(v, tuple):
+                todo += v
+    return len(seen)
+
+
+def _parsed_problem_and_result():
+    """The parsed seed-1 110-node problem's derivation and split, and its result."""
+    d = gen_derivation(GenConfig(110, 4, 1, True))
+    sp = random_split(root(d), 1)
+    parsed = parse_problem(print_problem(ProblemFile(*sp, d))).derivation
+    return parsed, sp, interpolate_strong(parsed, sp)
+
+
 def test_pickles_and_copies_keep_shared_formulas_shared():
     # The reader gives a formula that recurs in many sequents one object, and
-    # a pickle or copy gives each formula object of the tree once.
-    d = gen_derivation(GenConfig(110, 4, 1, True))
-    parsed = parse_problem(print_problem(ProblemFile(*random_split(root(d), 1), d))).derivation
+    # a pickle or deep copy gives each object below what it is given once:
+    # the nodes, sequents, formula sets and formulas of a derivation, and of
+    # all three trees of a result together.
+    parsed, sp, res = _parsed_problem_and_result()
     assert _formula_objects(parsed) == 53
+    assert (_objects(parsed), _objects(res)) == (392, 805)
     for other in (pickle.loads(pickle.dumps(parsed)), copy.copy(parsed), copy.deepcopy(parsed)):
-        assert other == parsed and _formula_objects(other) == 53
-    # a shallow copy is the constructor call on the node's own fields
+        assert other == parsed and _formula_objects(other) == 53 and _objects(other) == 392
+    for other in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
+        assert other == res and _objects(other) == 805
+    # a shallow copy is the constructor call on the node's own fields, and
+    # holds the same three trees for a result
     shallow = copy.copy(parsed)
     assert shallow is not parsed and shallow.seq is parsed.seq
     assert all(a is b for a, b in zip(shallow.premises, parsed.premises, strict=True))
+    shallow_res = copy.copy(res)
+    assert type(shallow_res) is InterpolationResult and shallow_res is not res
+    assert all(a is b for a, b in zip(shallow_res, res, strict=True))
 
 
-def test_a_pickle_or_deep_copy_shares_formulas_only_within_each_node():
-    # Pins a known loss (ROADMAP item 18): each node pickles as its own flat
-    # tuple, so the nodes of one container share no formula object after a
-    # load, where the interpolant is one object with a formula of the left
-    # witness's root before it.  Mending item 18 turns the last assertion.
-    d = gen_derivation(GenConfig(110, 4, 1, True))
-    sp = random_split(root(d), 1)
-    res = interpolate_strong(parse_problem(print_problem(ProblemFile(*sp, d))).derivation, sp)
+def test_a_pickle_or_deep_copy_of_a_result_keeps_its_interpolant_in_the_left_witness():
+    # The interpolant is one object with a formula of the left witness's root,
+    # and stays so after a round trip, which flattens the three trees together.
+    parsed, sp, res = _parsed_problem_and_result()
 
     def holds(r: InterpolationResult) -> bool:
         return any(f is r.interpolant for side in r.left_witness.seq for f in side)
@@ -477,7 +506,7 @@ def test_a_pickle_or_deep_copy_shares_formulas_only_within_each_node():
     assert holds(res)
     for other in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
         assert other == res and verify(sp, other).ok
-        assert not holds(other)
+        assert holds(other)
 
 
 #: ``pickle.dumps([d, split, result], protocol=4)`` as written before a pickle
@@ -503,6 +532,52 @@ BWgHaA9oFIaUhZSBlGiWhpSBlGhGaAVom2gHKYWUgZSGlIGUhZRSlIaUUpSGlFKUhpRSlIeUgZRl
 Lg==
 """
 )
+
+
+#: ``pickle.dumps(tuple(pickle.dumps(x, protocol=4) for x in (d, f, result)), protocol=4)``
+#: as written when each node pickled as a flat tuple of its own, its shapes
+#: split by per-class hooks: ``d``, ``split`` and ``result`` as above, and
+#: ``f = FEx(Atom(2, (0,)))``, a formula of ``root(d)``.
+_PER_NODE_FLAT_PICKLES = base64.b64decode(
+    """
+gASVogMAAAAAAABCVAEAAIAElUkBAAAAAAAAjBFjcmFpZ3NlcS5mb3JtdWxhc5SMCF9yZWJ1aWxk
+lJOUKGgAjANCb3SUk5QpKYeUjBFjcmFpZ3NlcS5jYWxjdWx1c5SMBEJvdEyUk5RLAUsAhpRLAIWU
+h5RoAIwDTm90lJOUKUsAhZSHlGgGjAJXUpSTlEsBSwGGlEsASwJLAYeUh5RoBowETm90UpSTlEsA
+SwGGlEsCSwOGlIeUaACMA1RvcJSTlCkph5RoDSlLBYWUh5RoEUsASwKGlEsCSwZLBIeUh5RoAIwE
+QXRvbZSTlEsCSwCFlIaUKYeUaBFLAEsDhpQoSwhLAksGSwd0lIeUaCNLAksAhZSGlCmHlGgAjANG
+RXiUk5QpSwqFlIeUaBFLAEsEhpQoSwhLAksGSwtLCXSUh5RoBowDRXhSlJOUSwBLA4aUKEsCSwZL
+C0sMdJSHlHSUhZRSlC6UQ1qABJVPAAAAAAAAAIwRY3JhaWdzZXEuZm9ybXVsYXOUjAhfcmVidWls
+ZJSTlGgAjARBdG9tlJOUSwJLAIWUhpQph5RoAIwDRkV4lJOUKUsAhZSHlIaUhZRSlC6UQuIBAACA
+BJXXAQAAAAAAAIwWY3JhaWdzZXEuaW50ZXJwb2xhdGlvbpSME0ludGVycG9sYXRpb25SZXN1bHSU
+k5SMEWNyYWlnc2VxLmZvcm11bGFzlIwIX3JlYnVpbGSUk5RoA4wDVG9wlJOUKSmHlIWUhZRSlGgF
+KGgHKSmHlIwRY3JhaWdzZXEuY2FsY3VsdXOUjARUb3BSlJOUSwBLAYaUSwCFlIeUaAOMA05vdJST
+lClLAIWUh5RoDYwCV1KUk5RLAEsChpRLAEsCSwGHlIeUaAOMBEF0b22Uk5RLAksAhZSGlCmHlGgY
+SwBLA4aUKEsESwBLAksDdJSHlGgdSwJLAIWUhpQph5RoA4wDRkV4lJOUKUsGhZSHlGgYSwBLBIaU
+KEsESwBLAksHSwV0lIeUaA2MA0V4UpSTlEsASwOGlChLAEsCSwdLCHSUh5R0lIWUUpRoBShoBykp
+h5RoA4wDQm90lJOUKSmHlGgNjARCb3RMlJOUSwJLAIaUSwFLAIaUh5RoFClLAYWUh5RoGEsCSwGG
+lChLAUsASwNLAnSUh5RoDYwETm90UpSTlEsBSwGGlEsASwNLBIeUh5RoFClLAIWUh5RoGEsBSwKG
+lChLAEsDSwZLBXSUh5R0lIWUUpSHlIGULpSHlC4=
+"""
+)
+
+
+def test_pickles_of_the_per_node_flat_format_load_equal_or_raise():
+    # Their entries have the shape that ``_rebuild`` reads today, but a
+    # derivation's entry then kept the sizes of its sides and named their
+    # members: no such pickle may load to a wrong value.
+    d = gen_derivation(GenConfig(8, 3, 2, True))
+    res = interpolate_strong(d, random_split(root(d), 2))
+    f = FEx(Atom(2, (0,)))
+    assert f in root(d).antecedent or f in root(d).succedent
+    loaded = []
+    for data, value in zip(pickle.loads(_PER_NODE_FLAT_PICKLES), (d, f, res), strict=True):
+        assert b"_rebuild" in data
+        try:
+            loaded.append(pickle.loads(data))
+        except TypeError:
+            continue
+        assert loaded[-1] == value
+    assert f in loaded  # a formula's entries are unchanged
 
 
 def test_pickles_of_the_constructor_call_format_still_load():

@@ -56,6 +56,15 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
         ("formulas.py", "lambda v: 0 if v == a else v + 1", "lambda v: 0 if v == a else v"),
         ("formulas.py", "lambda v: t if v == 0 else v - 1", "lambda v: t if v == 0 else v"),
     ],
+    # a pickle or deep copy gives a value a new object each time a value
+    # above it names it (dropping the walk's check of ``index`` instead would
+    # unfold every shared subtree, which takes memory exponential in depth)
+    "flat-no-sharing": [
+        ("formulas.py", "[index[id(part)] for part in parts]",
+         "[entries.append(entries[index[id(part)]]) or len(entries) - 1 for part in parts]")
+    ],
+    # a result pickles as a tuple of trees, each flattened on its own
+    "result-pickled-per-part": [("interpolation.py", "    __reduce__ = _Node.__reduce__\n", "")],
 }
 
 
