@@ -82,7 +82,7 @@ def _flat(root: object) -> tuple[tuple, ...]:
             entries.append((type(value), (), tuple([index[id(part)] for part in parts])))
         else:
             names = getattr(value, "_fields", None)
-            parts = tuple(value) if names is None else tuple([getattr(value, name) for name in names])
+            parts = value if names is None else tuple([getattr(value, name) for name in names])
             todo.append((value, parts))
             todo += ((part, None) for part in parts)
             continue
@@ -117,11 +117,11 @@ class Formula(_Node):
     stores its fields.  Its canonical key, hash, free variables, polarity and
     printed text are computed the first time each is asked for and kept on the
     node; pickles and copies carry only its fields, and a pickle or deep copy
-    of anything that holds formulas gives each formula object below it once.
-    ``repr`` and the
-    text are folds; the key, free variables and polarity are flat loops, the
-    last two stopping at cached subnodes.  None recurses, so a formula's depth
-    is bounded by memory, not by the recursion limit.
+    of a node or an interpolation result gives each formula object below it
+    once.  ``repr`` and the text are folds; the key, free variables and
+    polarity are flat loops, the last two stopping at cached subnodes.  None
+    recurses, so a formula's depth is bounded by memory, not by the recursion
+    limit.
     """
 
     __slots__ = ()
