@@ -114,11 +114,12 @@ class Formula(_Node):
 
     The canonical key is a node's identity: two nodes are equal exactly when
     their keys are, and the hash is the key's hash.  Building a node only
-    stores its fields.  Its canonical key, hash, free variables, polarity and
-    printed text are computed the first time each is asked for and kept on the
-    node; pickles and copies carry only its fields, and a pickle or deep copy
-    of a node or an interpolation result gives each formula object below it
-    once.  ``repr`` and the text are folds; the key, free variables and
+    stores its fields.  Its canonical key, hash, free variables, polarity,
+    printed text and ``repr`` are computed the first time each is asked for
+    and kept on the node; pickles and copies carry only its fields, and a
+    pickle or deep copy of a node or an interpolation result gives each
+    formula object below it once.  ``repr`` and the text are folds, ``repr``
+    stopping at subnodes that keep theirs; the key, free variables and
     polarity are flat loops, the last two stopping at cached subnodes.  None
     recurses, so a formula's depth is bounded by memory, not by the recursion
     limit.
@@ -132,6 +133,7 @@ class Formula(_Node):
     _fv: tuple[VarId, ...] | None = None
     _pol: Polarity | None = None
     _text: str | None = None
+    _repr_text: str | None = None
 
     def __hash__(self) -> int:
         h = self._hash
@@ -148,8 +150,13 @@ class Formula(_Node):
         return canonical_key(self) == canonical_key(other)
 
     def __repr__(self) -> str:
-        """``Shape(field=value, ...)``, written by a fold, so no formula is too deep for it."""
-        return fold(self, (_repr,) * 8, None)
+        """``Shape(field=value, ...)``, written once by a fold that stops at the
+        nodes that keep theirs, so no formula is too deep for it."""
+        text = self._repr_text
+        if text is None:
+            text = fold(self, (_repr,) * 8, None, stop=lambda g, c: g._repr_text)
+            _set(self, "_repr_text", text)
+        return text
 
 
 _set = object.__setattr__

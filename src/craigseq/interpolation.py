@@ -17,14 +17,16 @@ antecedent, ``D`` succedent): part k of side s is field ``2 * s + k`` of a
 ``SplitSequent`` (Γ1, Γ2, Δ1, Δ2), and C sits on side ``1 - k`` of part k's
 witness.  The steps cover the mirror pairs once each: ``_init``; ``_axiom``
 (BotL, TopR); ``_unary`` (AndL, OrR, NotL, NotR, AllL, ExR); ``_weaken`` (WL,
-WR); ``_branching`` (AndR, OrL); ``_eigen`` (AllR, ExL).  As the paper's
-cases, each step is a function of its node, its split and its premises'
-results: a generator that yields its case, then each premise's split, is
-sent back that premise's result, and returns its own.  ``_BRANCHES`` builds
-each rule's case names from its tag and the side of its row of ``RULES``,
-such as ``andl-g1`` or ``wr-d2-only``; a step yields its case, mostly the
-part that owns the principal formula, as an index into them, and
-``_interpolate`` alone counts it.
+WR); ``_branching`` (AndR, OrL); ``_eigen`` (AllR, ExL).  The paper's axiom
+case splits four ways, by the parts of Γ and Δ that share the formula, and
+``_init`` is one scan over those part pairs (Γi, Δj), with case
+``2 * i + j``.  As the paper's cases, each step is a function of its node, its
+split and its premises' results: a generator that yields its case, then each
+premise's split, is sent back that premise's result, and returns its own.
+``_BRANCHES`` builds each rule's case names from its tag and the side of its
+row of ``RULES``, such as ``andl-g1`` or ``wr-d2-only``; a step yields its
+case, mostly the part that owns the principal formula, as an index into them,
+and ``_interpolate`` alone counts it.
 
 Each step is written once, with the owning part k (0: part 1, 1: part 2) as
 its parameter: part 2's construction mirrors part 1's, with ⊥/⊤, ∨/∧, ∃/∀
@@ -232,9 +234,9 @@ def _on(split: SplitSequent, k: int, cs: FormulaSet) -> Sequent:
     return tuple.__new__(Sequent, (split.gamma1, cs) if k == 0 else (cs, split.delta2))
 
 
-def _root(split: SplitSequent, k: int, *cs: Formula) -> Sequent:
-    """Part ``k``'s sequent with ``cs`` added on C's side: Δ1 for part 1, Γ2 for part 2."""
-    return _on(split, k, _plus(split[2 - k], cs))
+def _root(split: SplitSequent, k: int, c: Formula) -> Sequent:
+    """Part ``k``'s sequent with ``c`` added on C's side: Δ1 for part 1, Γ2 for part 2."""
+    return _on(split, k, split[2 - k].add(c))
 
 
 def _above(split: SplitSequent, k: int, premise: SplitSequent, w: Derivation, c: Formula) -> Sequent:
@@ -281,42 +283,35 @@ def _introduce(split: SplitSequent, k: int, c: Formula, *witnesses: Derivation) 
 
 
 def _init(d: Init, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
-    """Init: case ``2 * i + j`` for the first parts i of Γ and j of Δ that share a formula."""
-    g1, g2, d1, d2 = split
-    for a in g1:
-        if a in d1:
-            yield 0
-            return _alone(split, 0, Init)
-    for a in g1:
-        if a in d2:
-            yield 1
-            return InterpolationResult(
-                a,
-                Init(Sequent(g1, d1.add(a))),
-                Init(Sequent(g2.add(a), d2)),
-            )
-    for a in g2:
-        if a in d1:
-            yield 2
-            c = Not(a)
-            d1c, g2c = d1.add(c), g2.add(c)
-            return InterpolationResult(
-                c,
-                NotR(Sequent(g1, d1c), Init(Sequent(g1.add(a), d1c))),
-                NotL(Sequent(g2c, d2), Init(Sequent(g2c, d2.add(a)))),
-            )
-    for a in g2:
-        if a in d2:
-            yield 3
-            return _alone(split, 1, Init)
+    """Init: case ``2 * i + j`` for the first part pair (Γi, Δj), in the order
+    g1d1, g1d2, g2d1, g2d2, that shares a formula a.  A pair within one part
+    closes alone.  Across the split C is a for (Γ1, Δ2), and ¬a for (Γ2, Δ1),
+    which each witness derives from an Init of a by ¬R or ¬L; each Init there
+    shares C's side with the root below it."""
+    for case in range(4):
+        i, j = divmod(case, 2)
+        for a in split[i]:
+            if a in split[2 + j]:
+                yield case
+                if i == j:
+                    return _alone(split, i, Init)
+                c = a if i == 0 else Not(a)
+                left, right = _root(split, 0, c), _root(split, 1, c)
+                if i == 0:
+                    return InterpolationResult(c, Init(left), Init(right))
+                return InterpolationResult(
+                    c,
+                    NotR(left, Init(Sequent(split.gamma1.add(a), left.succedent))),
+                    NotL(right, Init(Sequent(right.antecedent, split.delta2.add(a)))),
+                )
     raise UnreachableCaseError("Init node with no shared formula in any part pair")
 
 
 def _axiom(d: Derivation, row: Rule, rule: RuleInstance, split: SplitSequent) -> _Step:
     """BotL, TopR: the part that owns the constant closes alone."""
-    if all(rule.analysed not in split[2 * row.side + k] for k in (0, 1)):
-        raise UnreachableCaseError(f"{d.tag} node with its constant in neither part")
     k = _owner(row.side, rule.analysed, split)
+    if rule.analysed not in split[2 * row.side + k]:  # _owner gives part 2 also when part 2 lacks it
+        raise UnreachableCaseError(f"{d.tag} node with its constant in neither part")
     yield k
     return _alone(split, k, row.cls)
 

@@ -20,29 +20,30 @@ reading order, so an input is reported at its first fault, at a position
 counted from the start of the text read.  The cursor has no bound: only
 ``_expect_end`` takes one, to check that a formula fills its piece of a
 formula list.  Both readers keep their unfinished nodes on an explicit stack:
-the derivation skeleton and each formula.  ``MAX_NESTING`` bounds both
-stacks; it is an input limit, kept until the benchmark reports the fault
-problems apart.
+the derivation skeleton and each formula.  An unfinished formula node closes
+through one table, ``_CLOSE``, from its opening token (a junction's
+operator) to its class.  ``MAX_NESTING`` bounds both stacks; it is an input
+limit, kept until the benchmark reports the fault problems apart.
 
 The text repeats every node's sequent, so reading works once per distinct
 formula and writing once per formula object.  No formula contains ``[``, ``]``
 or ``;``: the reader slices each formula list at its ``]``, splits it on ``;``
 and reads each distinct piece once per call, in place, through a local memo.
-The same memo is the call's node table: every node the reader builds is kept
-there under its tag and its children's identities, an atom under its predicate
-and de Bruijn arguments, so equal subformulas read within one call, from any
-piece, are one object.  It also keeps each list's set under the list's text,
-so a list text read again within the call, as a node's unchanged side repeats
-its premise's, gives the same set object.  The memo lives for one call only,
-so no two calls share a node or a set.  A formula keeps its printed text on
-the node, so the printer renders each formula object once, however many calls
-print it.
+The same memo is the call's node table: the reader looks each node up there
+in place, and keeps every node it builds under its tag and its children's
+identities, an atom under its predicate and de Bruijn arguments, so equal
+subformulas read within one call, from any piece, are one object.  It also
+keeps each list's set under the list's text, so a list text read again within
+the call, as a node's unchanged side repeats its premise's, gives the same set
+object.  The memo lives for one call only, so no two calls share a node or a
+set.  A formula keeps its printed text on the node, so the printer renders
+each formula object once, however many calls print it.
 """
 from __future__ import annotations
 
 import re
 import sys
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 from .calculus import EMPTY, RULES, Derivation, FormulaSet, Rule, Sequent, _nested, root
 from .formulas import BOT, TOP, And, Atom, FAll, FEx, Formula, Not, Or, _set, fold, free_vars
@@ -121,23 +122,17 @@ def _variable(text: str, pos: int) -> tuple[int, int]:
     return _number(m.group(1), "variable"), pos
 
 
-def _shared(memo: dict[Any, Any], key: tuple[Any, ...], build: Callable[..., Formula], *fields: Any) -> Formula:
-    """The node kept in ``memo`` under ``key``, built as ``build(*fields)``
-    and kept there the first time.  Keys hold the ids of child nodes: the
-    memo keeps those children alive, so no id is reused while it lives."""
-    f = memo.get(key)
-    if f is None:
-        f = memo[key] = build(*fields)
-    return f
+#: The class of the node that each opening token, or a junction's operator, closes as.
+_CLOSE: dict[str, type[Formula]] = {"~": Not, "&": And, "|": Or, "forall": FAll, "exists": FEx}
 
 
 def _formula(text: str, pos: int, memo: dict[Any, Any]) -> tuple[Formula, int]:
     """Read one formula after ``pos`` with an explicit stack; return it and
     the position after it.  Its nodes come from ``memo``, the call's node
     table, which maps a node's key to the node."""
-    # An unfinished node is ("~", None), ("(", None), (op, left operand) or
-    # (quantifier, enclosing binder names).  ``bound`` names the binders
-    # around the current position, innermost first: a name's position is its index.
+    # An unfinished node is (op, left operand) or (opening token, the names of
+    # the binders around it).  ``bound`` names the binders around the current
+    # position, innermost first: a name's position is its index.
     open_nodes: list[tuple[str, Any]] = []
     bound: tuple[int, ...] = ()
     while True:
@@ -145,7 +140,7 @@ def _formula(text: str, pos: int, memo: dict[Any, Any]) -> tuple[Formula, int]:
             raise ParseError("formula nesting too deep")
         tok, pos = _token(text, pos, noun="a formula")
         if tok in ("~", "("):
-            open_nodes.append((tok, None))
+            open_nodes.append((tok, bound))
             continue
         if tok in ("forall", "exists"):
             v, pos = _variable(text, pos)
@@ -167,7 +162,8 @@ def _formula(text: str, pos: int, memo: dict[Any, Any]) -> tuple[Formula, int]:
             _, pos = _token(text, pos, ")")
             pred = _number(m.group(1), "predicate")
             args = tuple([bound.index(a) if a in bound else a + len(bound) for a in names])
-            f = _shared(memo, (Atom._tag, pred, args), Atom, pred, args)
+            if (f := memo.get(key := (Atom._tag, pred, args))) is None:
+                f = memo[key] = Atom(pred, args)
         else:
             raise ParseError(f"expected a formula, found {tok!r} at position {pos - len(tok)}")
         while open_nodes:
@@ -179,16 +175,16 @@ def _formula(text: str, pos: int, memo: dict[Any, Any]) -> tuple[Formula, int]:
                 open_nodes[-1] = (op, f)
                 break  # read the right operand
             open_nodes.pop()
-            children: tuple[Formula, ...] = (f,)
-            if kind == "~":
-                cls: type[Formula] = Not
-            elif kind in ("&", "|"):
+            cls = _CLOSE[kind]
+            if kind in ("&", "|"):
                 _, pos = _token(text, pos, ")")
-                cls, children = (And if kind == "&" else Or), (held, f)
+                children: tuple[Formula, ...] = (held, f)
             else:
-                cls = FAll if kind == "forall" else FEx
-                bound = held
-            f = _shared(memo, (cls._tag, *map(id, children)), cls, *children)
+                children, bound = (f,), held
+            # a key holds the ids of child nodes: the memo keeps those children
+            # alive, so no id is reused while it lives
+            if (f := memo.get(key := (cls._tag, *map(id, children)))) is None:
+                f = memo[key] = cls(*children)
         else:
             return f, pos
 

@@ -423,6 +423,19 @@ def test_overlong_number_exits_2(tmp_path, capsys, command, formula):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_input_too_large_exits_2_with_one_error_line(problem_file, capsys, monkeypatch, error):
+    def parse(text):
+        raise error
+
+    monkeypatch.setattr(cli, "parse_problem", parse)
+    code = main(["interpolate", problem_file])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: input too deep or too large to process ({error.__name__})\n"
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = main(["check", str(tmp_path / "nope.txt")])
     captured = capsys.readouterr()

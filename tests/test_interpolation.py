@@ -606,6 +606,24 @@ def test_weakening_defensive_cases():
     assert case_counters()["wr-impossible"] == 1
 
 
+def test_axiom_defensive_cases():
+    # an Init node whose split parts share no formula, or a BotL/TopR node
+    # whose constant is in no part of its side, cannot arise through the
+    # validated entry point; the dispatch refuses it before counting a case
+    reset_case_counters()
+    cases = [
+        (Init(Sequent(fset(p), fset(p))), split(g1=[p], d2=[q]), "Init node with no shared formula in any part pair"),
+        (BotL(Sequent(fset(BOT), EMPTY)), split(g1=[p]), "BotL node with its constant in neither part"),
+        (TopR(Sequent(EMPTY, fset(TOP))), split(d2=[p]), "TopR node with its constant in neither part"),
+    ]
+    for d, sp, message in cases:
+        assert is_wellformed(d)
+        with pytest.raises(UnreachableCaseError) as info:
+            _interpolate(d, sp)
+        assert str(info.value) == message
+    assert sum(case_counters().values()) == 0
+
+
 def test_weakening_that_adds_nothing():
     # each premise already holds the weakened formula p, so the conclusion is
     # the premise; the split puts p in part 1, in part 2 and in both

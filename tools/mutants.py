@@ -7,21 +7,25 @@ Each mutant is one or more exact text replacements in ``src/craigseq``.  For
 each, the script copies ``src``, ``tests``, ``perfbench`` and
 ``pyproject.toml`` into a temporary directory of its own, applies the mutant
 there, runs the Tier-1 suite in that copy with ``-x``, so that a killed
-mutant stops at its first failing test, and deletes the copy.  It prints one
-line per mutant, ``killed by TEST`` or ``SURVIVED``, and then the survivors.
-Arguments after ``--`` go to pytest, for example
-``-- --ignore=tests/test_calculus.py`` to ask which mutants a test outside
-that file kills.  Exit status: 0 when every mutant is killed, 1
+mutant stops at its first failing test, and deletes the copy.  Each run's
+address space is capped at ``MEMORY_CAP``, so a mutant that takes memory
+without bound fails a named test with ``MemoryError`` instead of being killed
+by the system.  It prints one line per mutant, ``killed by TEST`` or
+``SURVIVED``, and then the survivors.  Arguments after ``--`` go to pytest,
+for example ``-- --ignore=tests/test_calculus.py`` to ask which mutants a
+test outside that file kills.  Exit status: 0 when every mutant is killed, 1
 when one survives, 2 when a mutant's text is no longer in the source.
 
-Standard library only; it runs the mutants one after another.  A check that
-``verify`` or the checker gains should get its mutant here.
+Standard library only, on Unix (``resource``); it runs the mutants one after
+another.  A check that ``verify`` or the checker gains should get its mutant
+here.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -30,6 +34,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+#: The address-space cap of each mutant's pytest run, and of each process it
+#: starts: about four times the peak of Tier-1's own run (VmPeak 472 MB on
+#: Python 3.11), well below what a walk that unfolds shared subtrees takes.
+MEMORY_CAP = 2 << 30
 
 #: Each mutant: a name, and ``(file, old, new)`` replacements, each of which
 #: must match exactly once.
@@ -57,14 +65,19 @@ MUTANTS: dict[str, list[tuple[str, str, str]]] = {
         ("formulas.py", "lambda v: t if v == 0 else v - 1", "lambda v: t if v == 0 else v"),
     ],
     # a pickle or deep copy gives a value a new object each time a value
-    # above it names it (dropping the walk's check of ``index`` instead would
-    # unfold every shared subtree, which takes memory exponential in depth)
+    # above it names it (dropping the walk's check of ``index`` instead
+    # unfolds every shared subtree, which takes memory exponential in depth:
+    # under ``MEMORY_CAP`` the 3,200-node test fails with ``MemoryError``)
     "flat-no-sharing": [
         ("formulas.py", "[index[id(part)] for part in parts]",
          "[entries.append(entries[index[id(part)]]) or len(entries) - 1 for part in parts]")
     ],
     # a result pickles as a tuple of trees, each flattened on its own
     "result-pickled-per-part": [("interpolation.py", "    __reduce__ = _Node.__reduce__\n", "")],
+    # Init's scan meets the part pair (Γ2, Δ1) before (Γ1, Δ2)
+    "init-g2d1-before-g1d2": [("interpolation.py", "for case in range(4):", "for case in (0, 2, 1, 3):")],
+    # the reader closes a conjunction as a disjunction
+    "close-and-as-or": [("syntax.py", '"&": And', '"&": Or')],
 }
 
 
@@ -77,12 +90,16 @@ def _apply(copy: Path, name: str) -> None:
         path.write_text(text.replace(old, new), encoding="utf-8")
 
 
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def _run(copy: Path, pytest_args: list[str]) -> str | None:
     """The first failing test of the Tier-1 run in ``copy``, or ``None`` when all pass."""
     env = {**os.environ, "PYTHONPATH": "src"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
            "--continue-on-collection-errors", *pytest_args]
-    done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
+    done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, preexec_fn=_cap_memory)
     if done.returncode == 0:
         return None
     failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
